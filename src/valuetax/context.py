@@ -10,6 +10,8 @@ general taxonomy had assigned.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,35 +85,51 @@ class ContextSpec:
         object.__setattr__(self, "property_importance", MappingProxyType(cleaned))
 
 
+# Rounding in the centred running sums moves a cut's error by up to about
+# 0.7 * n * eps of the total squared error (measured for 2 to 100,000
+# values); ties are judged with a margin a few times wider than that.
+_TIE_EPS_PER_VALUE = 4 * sys.float_info.epsilon
+
+
 def select_nodes(importances: Mapping[NodeId, float],
                  strategy: SelectionStrategy) -> set[NodeId]:
     """Pick the relevant nodes from an importance mapping.
 
     Positive-threshold selection keeps strictly-greater values. Two-means
     selection computes the exact optimal 1-D split (clusters are contiguous
-    in sorted order, so every split point is scanned) and keeps the upper
+    in sorted order, so every cut point is scanned) and keeps the upper
     cluster; if all values are equal there is no variance-reducing split
-    and every node is kept.
+    and every node is kept. Each cut's summed squared error comes in O(1)
+    from running sums over the values centred on their mean, so the cost
+    is O(n log n), dominated by the sort.
+
+    Ties: a cut whose error exceeds the minimum by at most 4 * n * eps of
+    the total squared error counts as tied, and the earliest tied cut wins,
+    so on a tie the larger upper cluster is kept. The margin covers the
+    rounding of the running sums, which grows with n; distinct errors that
+    lie closer than it are treated as ties too.
     """
     if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
         return {n for n, v in importances.items() if v > strategy.threshold}
     if not importances:
         raise EmptyInput("k-means selection needs at least one importance value")
     items = sorted(importances.items(), key=lambda kv: (kv[1], kv[0]))
-    values = [v for _, v in items]
-    if values[0] == values[-1]:
+    if items[0][1] == items[-1][1]:
         return set(importances)
-    best_split, best_sse = None, None
-    for split in range(1, len(values)):
-        sse = _sse(values[:split]) + _sse(values[split:])
-        if best_sse is None or sse < best_sse - 1e-15:
-            best_split, best_sse = split, sse
-    return {n for n, _ in items[best_split:]}
-
-
-def _sse(values: list[float]) -> float:
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values)
+    n = len(items)
+    mean = math.fsum(v for _, v in items) / n
+    centred = [v - mean for _, v in items]
+    total = math.fsum(centred)
+    total_sse = math.fsum(c * c for c in centred)
+    sses = []
+    low = 0.0
+    for cut in range(1, n):
+        low += centred[cut - 1]
+        high = total - low
+        sses.append(total_sse - low * low / cut - high * high / (n - cut))
+    limit = min(sses) + _TIE_EPS_PER_VALUE * n * total_sse
+    best_cut = next(cut for cut, sse in enumerate(sses, start=1) if sse <= limit)
+    return {node for node, _ in items[best_cut:]}
 
 
 def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTaxonomy:

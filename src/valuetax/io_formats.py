@@ -66,7 +66,7 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
     """
     doc = _load_json(text, "taxonomy document")
     _check_version(doc)
-    nodes: list[Node] = []
+    nodes: dict[str, Node] = {}
     importance: dict[str, float] = {}
     raw_nodes = _require(doc, "nodes", "document")
     if not isinstance(raw_nodes, list):
@@ -89,12 +89,12 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
             node = Node(node_id, NodeKind.PROPERTY, property_id=ref)
         else:
             raise ParseError(f"{where}.kind", f"unknown node kind: {kind!r}")
-        if any(n.id == node_id for n in nodes):
+        if node_id in nodes:
             raise ParseError(f"{where}.id", f"duplicate node id: {node_id!r}")
-        nodes.append(node)
+        nodes[node_id] = node
         if "importance" in raw and raw["importance"] is not None:
             importance[node_id] = _parse_importance(raw["importance"], f"{where}.importance")
-    edges: list[tuple[str, str]] = []
+    edges: set[tuple[str, str]] = set()
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
@@ -106,8 +106,8 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
             raise ParseError(where, "edge endpoints must be node id strings")
         if (parent, child) in edges:
             raise ParseError(where, f"duplicate edge {parent!r} -> {child!r}")
-        edges.append((parent, child))
-    taxonomy = ValueTaxonomy.build(nodes, edges, importance)
+        edges.add((parent, child))
+    taxonomy = ValueTaxonomy.build(nodes.values(), edges, importance)
     if require_valid_structure:
         report = validate(taxonomy)
         if not report.ok:

@@ -15,6 +15,7 @@ candidates can be inspected rather than rejected outright.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -276,7 +277,11 @@ def parents(taxonomy: ValueTaxonomy, node: NodeId) -> set[NodeId]:
 
 
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
-    """Nodes ordered parents-first; ties broken by node id for reproducibility."""
+    """Nodes ordered parents-first; ties broken by node id for reproducibility.
+
+    Kahn's algorithm that always takes the smallest ready id from a heap,
+    so the order is the lexicographically smallest parents-first one.
+    """
     require_valid(taxonomy)
     parents_map = taxonomy._parents
     children_map = taxonomy._children
@@ -284,16 +289,12 @@ def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     frontier = sorted(n for n, deg in pending.items() if deg == 0)
     order: list[NodeId] = []
     while frontier:
-        node = frontier.pop(0)
+        node = heapq.heappop(frontier)
         order.append(node)
-        changed = False
         for child in children_map[node]:
             pending[child] -= 1
             if pending[child] == 0:
-                frontier.append(child)
-                changed = True
-        if changed:
-            frontier.sort()
+                heapq.heappush(frontier, child)
     return order
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,24 @@ def best_bipartition_oracle(values: dict[str, float]) -> set[str]:
     return hi if mean_hi >= mean_lo else lo
 
 
+def exact_two_means_oracle(values: dict[str, float]) -> set[str]:
+    """Upper cluster of the two-means split in exact rational arithmetic.
+
+    Every cut of the (value, name)-sorted order is scored by its summed
+    squared error; on an exact tie the earliest cut, which keeps the larger
+    upper cluster, wins.
+    """
+    items = sorted(values.items(), key=lambda kv: (kv[1], kv[0]))
+    exact = [Fraction(v) for _, v in items]
+    n = len(exact)
+    sums = [Fraction(0), *itertools.accumulate(exact)]
+    squares = [Fraction(0), *itertools.accumulate(v * v for v in exact)]
+    costs = [squares[n] - sums[cut] ** 2 / cut - (sums[n] - sums[cut]) ** 2 / (n - cut)
+             for cut in range(1, n)]
+    best_cut = 1 + costs.index(min(costs))
+    return {name for name, _ in items[best_cut:]}
+
+
 class TestSelectNodes:
     def test_positive_threshold_on_community_importances(self):
         picked = select_nodes({"p1": 0.8, "p2": 0.0, "p3": 0.7}, SelectionStrategy())
@@ -68,6 +87,27 @@ class TestSelectNodes:
         for _ in range(100):
             values = {f"p{i}": rng.uniform(-1, 1) for i in range(rng.randint(2, 8))}
             assert select_nodes(values, KMEANS) == best_bipartition_oracle(values)
+
+    def test_kmeans_exact_tie_keeps_the_larger_upper_cluster(self):
+        # The cuts keeping 18 and 13 nodes both have SSE exactly 15581/3744.
+        grid = [-1.0] * 3 + [-0.5] * 2 + [0.0] * 8 + [0.25] * 5 + [0.5] * 5 + [1.0] * 8
+        values = {f"p{i:02d}": v for i, v in enumerate(grid)}
+        picked = select_nodes(values, KMEANS)
+        assert len(picked) == 18
+        assert picked == {n for n, v in values.items() if v > 0.0}
+        assert picked == exact_two_means_oracle(values)
+
+    def test_kmeans_matches_exact_oracle_on_dyadic_grids(self):
+        # Dyadic values keep float sums exact, so SSE ties are real ties. Ties
+        # are frequent among few values, so sizes are drawn log-uniformly.
+        grid = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+        rng = random.Random(2305)
+        for _ in range(300):
+            size = round(2 ** rng.uniform(1, 8.25))
+            values = {f"p{i:03d}": rng.choice(grid) for i in range(size)}
+            if len(set(values.values())) == 1:
+                continue
+            assert select_nodes(values, KMEANS) == exact_two_means_oracle(values)
 
     def test_kmeans_identical_values_keeps_all(self):
         values = {"a": 0.4, "b": 0.4, "c": 0.4}

@@ -115,13 +115,15 @@ class TestTaxonomyParseErrors:
 
     def test_duplicate_node_id(self):
         text = self.doc(nodes=[{"id": "v", "kind": "label"}, {"id": "v", "kind": "label"}])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse_taxonomy(text)
+        assert excinfo.value.location == "nodes[1].id"
 
     def test_duplicate_edge(self):
         text = self.doc(edges=[{"parent": "v", "child": "p"}, {"parent": "v", "child": "p"}])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse_taxonomy(text)
+        assert excinfo.value.location == "edges[1]"
 
     def test_missing_required_field(self):
         text = self.doc(edges=[{"parent": "v"}])

@@ -19,6 +19,7 @@ from valuetax import (
     paths_count,
     property_node,
     roots,
+    topological_order,
     validate,
 )
 from valuetax.errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
@@ -186,6 +187,43 @@ class TestQueries:
             edges += [(top, left), (top, right), (left, nxt), (right, nxt)]
         t = ValueTaxonomy.build(nodes, edges)
         assert paths_count(t, "t20") == 2 ** 20
+
+
+def relabelled(t: ValueTaxonomy, rng: random.Random) -> ValueTaxonomy:
+    """``t`` with its node ids permuted, so id order no longer follows the edges."""
+    ids = sorted(t.nodes)
+    new_ids = dict(zip(ids, rng.sample(ids, len(ids))))
+    nodes = [Node(new_ids[n], node.kind, node.label_text, node.property_id)
+             for n, node in t.nodes.items()]
+    edges = [(new_ids[p], new_ids[c]) for p, c in t.edges]
+    return ValueTaxonomy.build(nodes, edges, {new_ids[n]: v for n, v in t.importance.items()})
+
+
+class TestTopologicalOrder:
+    def test_ties_go_to_the_smallest_ready_id(self):
+        t = ValueTaxonomy.build(
+            [label_node(n) for n in ("m", "b", "a", "z", "k")],
+            [("m", "a"), ("m", "z"), ("b", "k"), ("a", "k")],
+        )
+        assert topological_order(t) == ["b", "m", "a", "k", "z"]
+
+    def test_random_dags_follow_parents_and_pick_smallest_ready(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            t = relabelled(random_taxonomy(rng, max_nodes=20), rng)
+            order = topological_order(t)
+            assert sorted(order) == sorted(t.nodes)
+            placed: set[str] = set()
+            for node in order:
+                ready = [n for n in t.nodes
+                         if n not in placed and parents(t, n) <= placed]
+                assert node == min(ready)
+                placed.add(node)
+
+    def test_refuses_invalid_taxonomy(self):
+        t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
+        with pytest.raises(InvalidTaxonomy):
+            topological_order(t)
 
 
 class TestStructuralInvariants:
