@@ -139,7 +139,7 @@ def _cmd_propagate(args) -> tuple[int, str]:
     lines = [_taxonomy_table(result.taxonomy), ""]
     newly = ", ".join(sorted(result.assigned)) or "none"
     lines.append(f"newly assigned: {newly}")
-    lines.append(f"fixpoint passes: {result.iterations}")
+    lines.append(f"propagation rounds: {result.iterations}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -1,21 +1,41 @@
-"""Fixpoint propagation of importance values, and a coherence verifier.
+"""Worklist propagation of importance values, and a coherence verifier.
 
-Propagation repeatedly sweeps a taxonomy and resolves importance wherever
-the mean-coherence constraint pins a value down:
+Each parent's importance must equal the mean of its children's. Propagation
+extends a partial assignment wherever that constraint pins a value down,
+and verifies it wherever a parent and all of its children carry values.
 
-* a valued parent with exactly one unvalued child fixes that child;
-* a valued parent with several unvalued children, none of which has any
-  valued descendant, splits the remainder equally among them;
-* an unvalued parent whose children are all valued takes their mean;
-* an unvalued parent with some valued children, where the unvalued ones
-  have no valued descendants, takes the mean of the valued children and
-  hands that value down to the unvalued ones as well.
+The *forced* rules follow from the constraint alone:
 
-Wherever a parent and all of its children already carry values, the parent
-is verified instead: its value must equal the mean of its children's.
-Sweeps repeat until a pass assigns nothing new, which takes at most
-``len(nodes) + 1`` passes. Pre-assigned values are never modified, only
-extended.
+* verify: a valued parent whose children are all valued must equal their
+  mean;
+* down-single: a valued parent with exactly one unvalued child fixes that
+  child;
+* up-mean: an unvalued parent whose children are all valued takes their
+  mean.
+
+Two *default* rules fill what the constraint leaves open. They are this
+module's documented choices, not consequences of the model:
+
+* down-split: a valued parent with several unvalued children, none of which
+  has a valued descendant, splits the remainder equally among them;
+* partial-mean: an unvalued parent with some valued children, where the
+  unvalued ones have no valued descendant, takes the mean of the valued
+  children and hands that value down to the unvalued ones as well.
+
+Propagation runs in rounds. A round first applies the forced rules to
+closure from a FIFO worklist seeded in :func:`topological_order`; a node is
+revisited only when it or one of its children gains a value. Only then do
+the defaults apply, all at once: every node eligible in the state left by
+the closure proposes its values from that state, proposals that disagree
+on a node raise :class:`ConflictingAssignment`, and the rest are committed
+(the smallest of agreeing proposals) before the next round's closure. A
+default therefore never pre-empts a value the forced rules can already
+derive, and no rule depends on node names. The run ends after the first
+round whose defaults propose nothing. Candidates for a round's defaults
+are the nodes valued since the last one and their parents, and "has a
+valued descendant" is a flag set by an upward walk that stops at the first
+flagged node, so a run costs O(nodes + edges) whatever the depth.
+Pre-assigned values are never modified, only extended.
 
 Down-propagation inverts the aggregation operator, which is exact only for
 the arithmetic mean, so :func:`propagate` is mean-specific. The standalone
@@ -25,7 +45,9 @@ the arithmetic mean, so :func:`propagate` is mean-specific. The standalone
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .aggregation import MEAN, AggregationOperator
 from .errors import ConflictingAssignment, IncoherentInput, RangeViolation
@@ -54,8 +76,9 @@ class PropagationResult:
 
     ``taxonomy`` carries the enlarged importance mapping, ``assigned`` the
     newly assigned values (disjoint from the input assignment), and
-    ``iterations`` the number of outer fixpoint passes, including the final
-    pass that assigns nothing.
+    ``iterations`` the number of rounds, counting the first: one closure of
+    the forced rules, plus one more for each time the defaults assigned
+    something. A run that needs no default takes 1.
     """
 
     taxonomy: ValueTaxonomy
@@ -80,10 +103,41 @@ class CoherenceReport:
 class _Run:
     """Mutable state for one propagation run over a private working copy."""
 
-    def __init__(self, taxonomy: ValueTaxonomy):
-        self.taxonomy = taxonomy
+    def __init__(self, taxonomy: ValueTaxonomy, order: list[NodeId]):
+        self.children = taxonomy._children
+        self.parents = taxonomy._parents
         self.values: dict[NodeId, float] = dict(taxonomy.importance)
         self.assigned: dict[NodeId, float] = {}
+        # Unvalued children per node.
+        self.missing = {n: sum(c not in self.values for c in kids)
+                        for n, kids in self.children.items()}
+        # Every node with a valued strict descendant, mapped to the number of
+        # its unvalued children that have one too; a default waits while
+        # that number is above 0.
+        self.blocked: dict[NodeId, int] = {}
+        for node in self.values:
+            self.flag_ancestors(node)
+        self.queue = deque(order)
+        self.queued = set(order)
+        self.fresh: list[NodeId] = []
+
+    def flag_ancestors(self, node: NodeId) -> None:
+        """Flag the ancestors of a newly valued node, stopping at flagged ones."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            counted = node not in self.values
+            for parent in self.parents[node]:
+                if parent not in self.blocked:
+                    self.blocked[parent] = 0
+                    stack.append(parent)
+                if counted:
+                    self.blocked[parent] += 1
+
+    def enqueue(self, node: NodeId) -> None:
+        if node not in self.queued:
+            self.queued.add(node)
+            self.queue.append(node)
 
     def assign(self, node: NodeId, value: float) -> None:
         # 1-ulp overshoot at the codomain boundary is float noise, not a
@@ -94,70 +148,109 @@ class _Run:
             value = IMPORTANCE_MIN
         if not (IMPORTANCE_MIN <= value <= IMPORTANCE_MAX):
             raise RangeViolation(node, value, self.assigned)
-        existing = self.values.get(node)
-        if existing is not None:
-            if not _close(existing, value):
-                raise ConflictingAssignment(
-                    node, f"{existing} already assigned, new path implies {value}", self.assigned)
-            return
         self.values[node] = value
         self.assigned[node] = value
+        self.fresh.append(node)
+        self.enqueue(node)
+        flagged = node in self.blocked
+        for parent in self.parents[node]:
+            self.missing[parent] -= 1
+            if flagged:
+                self.blocked[parent] -= 1
+            self.enqueue(parent)
+        self.flag_ancestors(node)
 
-    def has_valued_descendant(self, nodes: list[NodeId]) -> bool:
-        children_map = self.taxonomy._children
-        seen: set[NodeId] = set()
-        stack = [c for n in nodes for c in children_map.get(n, ())]
-        while stack:
-            node = stack.pop()
-            if node in seen:
+    def settle(self) -> None:
+        """Apply the forced rules until the worklist is empty."""
+        values = self.values
+        while self.queue:
+            node = self.queue.popleft()
+            self.queued.discard(node)
+            kids = self.children[node]
+            if not kids:
                 continue
-            seen.add(node)
-            if node in self.values:
-                return True
-            stack.extend(children_map.get(node, ()))
-        return False
+            left = self.missing[node]
+            value = values.get(node)
+            if value is None:
+                if not left:
+                    self.assign(node, MEAN.apply([values[c] for c in kids]))
+            elif not left:
+                self.verify(node, value, kids)
+            elif left == 1:
+                known = [values[c] for c in kids if c in values]
+                child = next(c for c in kids if c not in values)
+                self.assign(child, MEAN.invert(value, known, 1))
 
-    def process(self, node: NodeId) -> None:
-        kids = self.taxonomy._children[node]
-        if not kids:
+    def verify(self, node: NodeId, value: float, kids: tuple[NodeId, ...]) -> None:
+        expected = MEAN.apply([self.values[c] for c in kids])
+        if _close(value, expected):
             return
-        valued = [c for c in kids if c in self.values]
-        unvalued = [c for c in kids if c not in self.values]
-        if node in self.values:
-            value = self.values[node]
-            if not unvalued:
-                expected = sum(self.values[c] for c in valued) / len(valued)
-                if not _close(value, expected):
-                    propagated = [n for n in (node, *valued) if n in self.assigned]
-                    if propagated:
-                        raise ConflictingAssignment(
-                            node,
-                            f"value {value} disagrees with children mean {expected} "
-                            f"after propagation through {propagated}",
-                            self.assigned)
-                    raise IncoherentInput(node, expected, value, self.assigned)
-            elif len(unvalued) == 1:
-                missing = value * len(kids) - sum(self.values[c] for c in valued)
-                self.assign(unvalued[0], missing)
-            elif not self.has_valued_descendant(unvalued):
-                share = (value * len(kids) - sum(self.values[c] for c in valued)) / len(unvalued)
-                for child in unvalued:
-                    self.assign(child, share)
-            # several unvalued children with valued descendants: wait for them
-        else:
-            if valued and not unvalued:
-                self.assign(node, sum(self.values[c] for c in valued) / len(valued))
-            elif valued and not self.has_valued_descendant(unvalued):
-                partial = sum(self.values[c] for c in valued) / len(valued)
-                self.assign(node, partial)
-                for child in unvalued:
-                    self.assign(child, partial)
-            # no valued children yet, or information still below: wait
+        propagated = [n for n in (node, *kids) if n in self.assigned]
+        if propagated:
+            raise ConflictingAssignment(
+                node,
+                f"value {value} disagrees with children mean {expected} "
+                f"after propagation through {propagated}",
+                self.assigned)
+        raise IncoherentInput(node, expected, value, self.assigned)
+
+    def apply_defaults(self, candidates: Iterable[NodeId]) -> bool:
+        """Commit every default rule that applies to a candidate in the
+        current state; True if anything was assigned."""
+        values = self.values
+        proposals: dict[NodeId, list[float]] = {}
+        for node in candidates:
+            left = self.missing[node]
+            if not left or self.blocked.get(node):
+                continue
+            kids = self.children[node]
+            value = values.get(node)
+            if value is None and left == len(kids):
+                continue
+            known = [values[c] for c in kids if c in values]
+            if value is None:
+                share = MEAN.apply(known)
+                proposals.setdefault(node, []).append(share)
+            else:
+                share = MEAN.invert(value, known, left)
+            for child in kids:
+                if child not in values:
+                    proposals.setdefault(child, []).append(share)
+        for node, shares in proposals.items():
+            low, high = min(shares), max(shares)
+            if not _close(low, high):
+                raise ConflictingAssignment(
+                    node, f"default values {low} and {high} disagree", self.assigned)
+        self.fresh = []
+        for node, shares in proposals.items():
+            self.assign(node, min(shares))
+        return bool(proposals)
+
+    def candidates(self) -> Iterable[NodeId]:
+        """Nodes valued since the last defaults, and their parents."""
+        return dict.fromkeys(n for node in self.fresh for n in (node, *self.parents[node]))
+
+
+def _resolve(taxonomy: ValueTaxonomy) -> tuple[dict[NodeId, float], dict[NodeId, float], int]:
+    """Run the rounds; returns all values, the assigned ones and the round
+    count. The worklist state is freed on return, before the caller builds
+    the result taxonomy, so the two never take memory at the same time."""
+    order = topological_order(taxonomy)
+    run = _Run(taxonomy, order)
+    run.settle()
+    rounds = 1
+    candidates: Iterable[NodeId] = order
+    while run.apply_defaults(candidates):
+        rounds += 1
+        run.settle()
+        candidates = run.candidates()
+    return run.values, run.assigned, rounds
 
 
 def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     """Extend the taxonomy's importance assignment to every node the
-    mean-coherence constraint determines, verifying coherence along the way.
+    mean-coherence constraint and the documented defaults determine,
+    verifying coherence along the way.
 
     Raises IncoherentInput when given values contradict each other,
     ConflictingAssignment when two propagation paths through a shared node
@@ -165,23 +258,11 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     Each exception carries the values assigned before detection.
     """
     require_valid(taxonomy)
-    run = _Run(taxonomy)
-    order = topological_order(taxonomy)
-    limit = len(taxonomy.nodes) + 1
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > limit:
-            raise AssertionError("propagation failed to reach a fixpoint")
-        before = len(run.values)
-        for node in order:
-            run.process(node)
-        if len(run.values) == before:
-            break
+    values, assigned, rounds = _resolve(taxonomy)
     return PropagationResult(
-        taxonomy=taxonomy.with_importance(run.values),
-        assigned=run.assigned,
-        iterations=iterations,
+        taxonomy=taxonomy.with_importance(values),
+        assigned=assigned,
+        iterations=rounds,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -23,7 +24,13 @@ from valuetax.errors import (
     RangeViolation,
 )
 
-from conftest import context_c_fragment, random_tree, subtree_mean_oracle, taxonomies
+from conftest import (
+    context_c_fragment,
+    random_taxonomy,
+    random_tree,
+    subtree_mean_oracle,
+    taxonomies,
+)
 
 
 def taxonomy(edges, importance=None, extra_nodes=()):
@@ -238,6 +245,112 @@ class TestPropagateProperties:
             other = propagate(renamed).taxonomy.importance
             for node in names:
                 assert other[relabel[node]] == pytest.approx(base[node], abs=1e-9)
+
+
+def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
+    return ValueTaxonomy.build(
+        [dataclasses.replace(t.nodes[n], id=relabel[n]) for n in sorted(t.nodes)],
+        [(relabel[p], relabel[c]) for p, c in t.edges],
+        {relabel[n]: v for n, v in t.importance.items()},
+    )
+
+
+def outcome(t: ValueTaxonomy):
+    try:
+        return propagate(t)
+    except PropagationError as exc:
+        return exc
+
+
+class TestForcedBeforeDefaults:
+    def test_forced_value_lands_before_partial_mean(self):
+        # visited parents-first, n01 used to hand its partial mean down to
+        # n05 before n03 forced n05, and the run failed; forced rules now
+        # settle n05 first and every node follows from the two given values
+        t = taxonomy(
+            [("n00", "n01"), ("n00", "n02"), ("n01", "n04"), ("n01", "n05"),
+             ("n02", "n03"), ("n02", "n05"), ("n03", "n05")],
+            {"n03": 0.2, "n04": 0.6},
+        )
+        result = propagate(t)
+        assert result.assigned == pytest.approx(
+            {"n05": 0.2, "n01": 0.4, "n02": 0.2, "n00": 0.3}, abs=1e-12)
+        assert result.iterations == 1
+        assert check_coherence(result.taxonomy).coherent
+
+    def test_forced_value_preempts_partial_mean_hand_down(self):
+        # n00's partial mean (0.4) would have handed n03 a value that n02's
+        # single-child rule contradicts; the forced value wins
+        t = taxonomy([("n00", "n01"), ("n00", "n02"), ("n00", "n03"), ("n02", "n03")],
+                     {"n01": 0.2, "n02": 0.6})
+        got = propagate(t).taxonomy.importance
+        assert got["n03"] == pytest.approx(0.6, abs=1e-12)
+        assert got["n00"] == pytest.approx(1.4 / 3, abs=1e-12)
+
+    def test_disagreeing_defaults_conflict_whatever_the_names(self):
+        # n01 splits its value over n02 and n03 while n00 hands its partial
+        # mean down to n02; both defaults apply in the same round
+        edges = [("n00", "n01"), ("n00", "n02"), ("n00", "n04"), ("n01", "n02"), ("n01", "n03")]
+        importance = {"n01": 0.3, "n04": 0.5}
+        for names in ("abcde", "edcba"):
+            relabel = dict(zip(("n00", "n01", "n02", "n03", "n04"), names))
+            t = relabelled(taxonomy(edges, importance), relabel)
+            with pytest.raises(ConflictingAssignment) as excinfo:
+                propagate(t)
+            assert excinfo.value.node == relabel["n02"]
+
+    def test_agreeing_defaults_commit_the_smallest_whatever_the_names(self):
+        # (0.1 + 0.2) / 2 lies one ulp above 0.15
+        edges = [("p", "a"), ("p", "b"), ("p", "s"), ("q", "c"), ("q", "s")]
+        importance = {"a": 0.1, "b": 0.2, "c": 0.15}
+        for names in ("pqabcs", "qpcbas"):
+            relabel = dict(zip("pqabcs", names))
+            t = relabelled(taxonomy(edges, importance), relabel)
+            assert propagate(t).assigned[relabel["s"]] == 0.15
+
+    def test_split_waits_for_a_default_below(self):
+        # b has a valued child, so p may not split over b and c yet; b's
+        # partial mean lands first, then p's single unvalued child c is forced
+        t = taxonomy(
+            [("p", "a"), ("p", "b"), ("p", "c"), ("b", "b1"), ("b", "b2")],
+            {"p": 0.5, "a": 0.9, "b1": 0.1},
+        )
+        result = propagate(t)
+        assert result.assigned == pytest.approx({"b": 0.1, "b2": 0.1, "c": 0.5}, abs=1e-12)
+        assert result.iterations == 2
+
+    def test_relabelling_keeps_the_outcome_on_random_dags(self):
+        # about 30 % of nodes pre-valued, interiors included
+        for seed in range(2000):
+            rng = random.Random(seed)
+            t = random_taxonomy(rng, importance_prob=0.3)
+            names = sorted(t.nodes)
+            shuffled = names[:]
+            rng.shuffle(shuffled)
+            relabel = dict(zip(names, shuffled))
+            base, other = outcome(t), outcome(relabelled(t, relabel))
+            assert isinstance(base, PropagationError) == isinstance(other, PropagationError), seed
+            if isinstance(base, PropagationError):
+                continue
+            values = other.taxonomy.importance
+            assert len(values) == len(base.taxonomy.importance), seed
+            for node, value in base.taxonomy.importance.items():
+                assert values[relabel[node]] == pytest.approx(value, abs=1e-9), seed
+
+    def test_second_run_assigns_nothing(self):
+        cases = [context_c_fragment()]
+        cases += [random_taxonomy(random.Random(seed), importance_prob=0.3) for seed in range(300)]
+        succeeded = 0
+        for t in cases:
+            first = outcome(t)
+            if isinstance(first, PropagationError):
+                continue
+            succeeded += 1
+            second = propagate(first.taxonomy)
+            assert second.assigned == {}
+            assert second.iterations == 1
+            assert second.taxonomy.importance == first.taxonomy.importance
+        assert succeeded > 100
 
 
 class TestCheckCoherence:

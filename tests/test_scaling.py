@@ -4,6 +4,10 @@ The 16k-node guard takes about 0.35 s on a 2-vCPU machine, and took about
 37 s while duplicate checks scanned lists and two-means selection rescored
 every cut from scratch. Its 5 s bound catches a return to quadratic work,
 not machine-speed noise.
+
+The propagation guards took about 1.7 s and 2.3 s while propagation swept
+every node once per pass until nothing changed; the 1 s bounds catch a
+return to one full sweep per level.
 """
 
 from __future__ import annotations
@@ -12,7 +16,16 @@ import json
 import random
 import time
 
-from valuetax import KMEANS_SELECTION, parse_taxonomy, select_nodes
+import pytest
+
+from valuetax import (
+    KMEANS_SELECTION,
+    ValueTaxonomy,
+    label_node,
+    parse_taxonomy,
+    propagate,
+    select_nodes,
+)
 
 
 def tree_document(internal: int, rng: random.Random) -> str:
@@ -37,3 +50,35 @@ def test_16k_node_parse_and_two_means_selection_stay_fast():
     assert len(taxonomy) == 16001
     assert 0 < len(selected) < 12001
     assert elapsed < 5.0, f"16k-node parse and selection took {elapsed:.2f}s"
+
+
+def timed_propagate(taxonomy: ValueTaxonomy):
+    started = time.perf_counter()
+    result = propagate(taxonomy)
+    return result, time.perf_counter() - started
+
+
+def test_1000_node_chain_propagates_in_one_round():
+    names = [f"c{i:04d}" for i in range(1000)]
+    edges = [(names[i], names[i + 1]) for i in range(999)]
+    chain = ValueTaxonomy.build([label_node(n) for n in names], edges, {names[-1]: 0.25})
+    result, elapsed = timed_propagate(chain)
+    assert result.iterations == 1
+    assert result.taxonomy.importance[names[0]] == pytest.approx(0.25, abs=1e-12)
+    assert elapsed < 1.0, f"1000-node chain propagation took {elapsed:.2f}s"
+
+
+def test_1999_node_caterpillar_climbs_one_round_per_level():
+    # spine s0000 -> ... -> s0999, each spine node but the last with a leaf;
+    # the partial mean climbs one spine node per round
+    spine = [f"s{i:04d}" for i in range(1000)]
+    leaves = [f"l{i:04d}" for i in range(999)]
+    edges = [(spine[i], spine[i + 1]) for i in range(999)]
+    edges += [(spine[i], leaves[i]) for i in range(999)]
+    caterpillar = ValueTaxonomy.build(
+        [label_node(n) for n in spine + leaves], edges, {spine[-1]: -0.5})
+    result, elapsed = timed_propagate(caterpillar)
+    assert result.iterations == 1000
+    assert len(result.assigned) == 1998
+    assert set(result.taxonomy.importance.values()) == {-0.5}
+    assert elapsed < 1.0, f"1999-node caterpillar propagation took {elapsed:.2f}s"
