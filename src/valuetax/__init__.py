@@ -44,6 +44,7 @@ from .context import (
 )
 from .io_formats import (
     export_dot,
+    ingest_event_log,
     parse_context,
     parse_event_log,
     parse_taxonomy,
@@ -63,7 +64,6 @@ from .mutual_aid import (
     EventKind,
     Measure,
     MemberAggregation,
-    community_sd_provider,
     difference_satisfaction,
     emd_1d,
     fairness_taxonomy,

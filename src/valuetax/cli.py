@@ -17,7 +17,7 @@ import json
 import random
 import sys
 import warnings
-from typing import Optional
+from typing import Callable, Optional, TextIO, TypeVar
 
 from . import __version__
 from .aggregation import MEAN, check_all_laws
@@ -35,6 +35,7 @@ from .context import (
 from .errors import ParseError, PropagationError, TaxonomyError
 from .io_formats import (
     export_dot,
+    ingest_event_log,
     parse_context,
     parse_event_log,
     parse_taxonomy,
@@ -44,9 +45,9 @@ from .mutual_aid import (
     OFFER_RATIO,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
+    CommunitySdProvider,
     DomainConfig,
     Measure,
-    community_sd_provider,
     fairness_taxonomy,
     ingest,
     property_evaluators,
@@ -58,6 +59,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCOHERENT = 2
 EXIT_IO = 3
+
+_T = TypeVar("_T")
 
 
 class _Fail(Exception):
@@ -71,19 +74,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _read(path: str) -> str:
+def _read(path: str, consume: Callable[[TextIO], _T] = lambda handle: handle.read()) -> _T:
+    """``consume`` applied to the open file at ``path``, by default its whole text.
+    An unreadable file exits 3; one not in UTF-8, or that ``consume`` rejects, exits 1."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return consume(handle)
     except OSError as exc:
         raise _Fail(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, TaxonomyError) as exc:
+        raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
 
 
 def _load_taxonomy(path: str, strict: bool = True) -> ValueTaxonomy:
     try:
         return parse_taxonomy(_read(path), require_valid_structure=strict)
-    except ParseError as exc:
-        raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
     except TaxonomyError as exc:
         raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
 
@@ -210,13 +215,8 @@ def _cmd_context(args) -> tuple[int, str]:
 
 def _cmd_align(args) -> tuple[int, str]:
     taxonomy = _load_taxonomy(args.input)
-    try:
-        events = parse_event_log(_read(args.log))
-    except TaxonomyError as exc:
-        raise _Fail(EXIT_INVALID, f"{args.log}: {exc}") from exc
-    state = ingest(events)
-    cfg = _domain_config(args)
-    provider = community_sd_provider(state, cfg)
+    state = _read(args.log, ingest_event_log)
+    provider = CommunitySdProvider(state, _domain_config(args))
     scheme = AlignmentScheme(args.scheme)
     try:
         report = align(args.entity, taxonomy, provider, scheme)
@@ -338,7 +338,7 @@ def _cmd_demo(args) -> tuple[int, str]:
     events = parse_event_log(log_text)
     state = ingest(events)
     cfg = DomainConfig()
-    provider = community_sd_provider(state, cfg)
+    provider = CommunitySdProvider(state, cfg)
 
     align_ctx = contexts["alignment-example"]
     align_taxonomy = build_context_taxonomy(general, align_ctx)
@@ -388,8 +388,8 @@ def _cmd_demo(args) -> tuple[int, str]:
     lines.append("")
     lines.append(f"Event log: {len(events)} events; members: {', '.join(state.members)}")
     counts = ", ".join(
-        f"{m}: requests={state.count(state.requests, m)} offers={state.count(state.offers, m)} "
-        f"tasks={state.count(state.task_distribution, m)}" for m in state.members)
+        f"{m}: requests={state.requests.get(m, 0)} offers={state.offers.get(m, 0)} "
+        f"tasks={state.task_distribution.get(m, 0)}" for m in state.members)
     lines.append(f"  {counts}")
     lines.append(f"Context 'alignment-example' holds: {'yes' if holds else 'no'}")
     sd_text = "  ".join(f"sd({n})={_fmt(v)}" for n, v in sorted(sd_values.items()))

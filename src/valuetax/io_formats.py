@@ -10,12 +10,13 @@ node, edge, and importance content exactly. Parse failures carry a location
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Mapping
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import InvalidTaxonomy, MalformedEvent, ParseError, SchemaVersionUnsupported
-from .mutual_aid import Event, EventKind
+from .mutual_aid import CommunityState, Event, EventKind
 from .taxonomy import (
     Node,
     NodeKind,
@@ -25,6 +26,10 @@ from .taxonomy import (
 )
 
 SCHEMA_VERSION = 1
+
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+_decode_record = json.JSONDecoder().raw_decode
+_BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -188,38 +193,58 @@ def serialize_context(ctx: ContextSpec) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_event_log(text: str) -> list[Event]:
-    """Parse a line-delimited event log; blank lines are skipped.
-
-    Timestamps must be non-decreasing in file order.
-    """
-    events: list[Event] = []
-    last_timestamp = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _event_records(lines: Iterable[str],
+                   kinds: Mapping[str, Any]) -> Iterator[tuple[Any, str, int]]:
+    """Yield ``(kinds[kind], member, timestamp)`` for each non-blank line of an
+    event log. A bad record, or a timestamp below the one before, raises
+    :class:`MalformedEvent` with its 1-based line number, blank lines counted."""
+    last_timestamp = 0
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            raw = json.loads(line)
+            raw, end = _decode_record(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
-            raise MalformedEvent(lineno, f"invalid record: {exc.msg}") from exc
+            # worded as json.loads words it, which rejects a BOM before decoding
+            detail = _BOM_DETAIL if line[0] == "\ufeff" else exc.msg
+            raise MalformedEvent(lineno, f"invalid record: {detail}") from exc
         if not isinstance(raw, dict):
             raise MalformedEvent(lineno, "record must be an object")
+        kind = raw.get("kind")
         try:
-            kind = EventKind(raw.get("kind"))
-        except (TypeError, ValueError):
-            raise MalformedEvent(lineno, f"unknown event kind: {raw.get('kind')!r}") from None
+            target = kinds[kind]
+        except (KeyError, TypeError):
+            raise MalformedEvent(lineno, f"unknown event kind: {kind!r}") from None
         member = raw.get("member")
+        if not isinstance(member, str) or not member:
+            raise MalformedEvent(lineno, f"event member must be a non-empty string, got {member!r}")
         timestamp = raw.get("timestamp")
-        try:
-            event = Event(kind, member, timestamp)
-        except ValueError as exc:
-            raise MalformedEvent(lineno, str(exc)) from exc
-        if last_timestamp is not None and event.timestamp < last_timestamp:
-            raise MalformedEvent(lineno, f"timestamp {event.timestamp} decreases from {last_timestamp}")
-        last_timestamp = event.timestamp
-        events.append(event)
-    return events
+        if type(timestamp) is not int or timestamp < 0:  # bool is an int subclass
+            raise MalformedEvent(
+                lineno, f"event timestamp must be a non-negative integer, got {timestamp!r}")
+        if timestamp < last_timestamp:
+            raise MalformedEvent(lineno, f"timestamp {timestamp} decreases from {last_timestamp}")
+        last_timestamp = timestamp
+        yield target, member, timestamp
+
+
+def parse_event_log(text: str) -> list[Event]:
+    """Parse a line-delimited event log; blank lines are skipped. Lines end at
+    newlines only, as in a text file, so JSON strings may hold U+2028 and the
+    like raw. Timestamps must be non-decreasing in file order."""
+    return [Event(*r) for r in _event_records(io.StringIO(text, newline=None), _EVENT_KINDS)]
+
+
+def ingest_event_log(lines: Iterable[str]) -> CommunityState:
+    """Count an event log into a :class:`CommunityState` line by line, with the
+    checks of :func:`parse_event_log` but no events; an open file is read lazily."""
+    buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
+    for bucket, member, _ in _event_records(lines, buckets):
+        bucket[member] = bucket.get(member, 0) + 1
+    return CommunityState(*buckets.values())
 
 
 def serialize_event_log(events: Iterable[Event]) -> str:

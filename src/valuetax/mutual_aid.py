@@ -50,6 +50,7 @@ PROPERTY_CATALOG: Mapping[str, str] = MappingProxyType({
 
 
 class EventKind(Enum):
+    # in the order of CommunityState's counters
     REQUEST = "request"
     OFFER = "offer"
     VOLUNTEER_CHOSEN = "volunteer_chosen"
@@ -95,23 +96,11 @@ class CommunityState:
             | set(self.task_distribution)
         return tuple(sorted(seen))
 
-    def count(self, counter: Mapping[str, int], member: str) -> int:
-        return counter.get(member, 0)
-
 
 def ingest(events: Iterable[Event]) -> CommunityState:
     """Fold an event sequence into counters. Counting is order-insensitive;
     malformed entries are rejected with their position."""
-    requests: dict[str, int] = {}
-    offers: dict[str, int] = {}
-    volunteering: dict[str, int] = {}
-    tasks: dict[str, int] = {}
-    buckets = {
-        EventKind.REQUEST: requests,
-        EventKind.OFFER: offers,
-        EventKind.VOLUNTEER_CHOSEN: volunteering,
-        EventKind.TASK_ASSIGNED: tasks,
-    }
+    buckets: dict[EventKind, dict[str, int]] = {kind: {} for kind in EventKind}
     for index, event in enumerate(events):
         if not isinstance(event, Event):
             raise MalformedEvent(index, f"not an Event: {event!r}")
@@ -119,7 +108,7 @@ def ingest(events: Iterable[Event]) -> CommunityState:
         if bucket is None:
             raise MalformedEvent(index, f"unknown event kind: {event.kind!r}")
         bucket[event.member] = bucket.get(event.member, 0) + 1
-    return CommunityState(requests, offers, volunteering, tasks)
+    return CommunityState(*buckets.values())
 
 
 class Measure(Enum):
@@ -196,14 +185,14 @@ def _ratio(numerator: int, denominator: int, member: str, what: str, cfg: Domain
 
 def sd_offer_ratio(state: CommunityState, member: str, cfg: DomainConfig) -> float:
     """Satisfaction of ``offer_ratio`` for one member."""
-    ratio = _ratio(state.count(state.requests, member), state.count(state.offers, member),
+    ratio = _ratio(state.requests.get(member, 0), state.offers.get(member, 0),
                    member, "offers", cfg)
     return ratio_satisfaction(ratio, cfg.max_ratio)
 
 
 def sd_volunteer_ratio(state: CommunityState, member: str, cfg: DomainConfig) -> float:
     """Satisfaction of ``volunteer_ratio`` for one member."""
-    ratio = _ratio(state.count(state.requests, member), state.count(state.volunteering, member),
+    ratio = _ratio(state.requests.get(member, 0), state.volunteering.get(member, 0),
                    member, "volunteering", cfg)
     return ratio_satisfaction(ratio, cfg.max_ratio)
 
@@ -309,10 +298,6 @@ class CommunitySdProvider:
         if not members:
             raise EmptyInput("community has no members to aggregate over")
         return sum(sd_fn(self.state, m, self.cfg) for m in members) / len(members)
-
-
-def community_sd_provider(state: CommunityState, cfg: DomainConfig) -> CommunitySdProvider:
-    return CommunitySdProvider(state, cfg)
 
 
 def property_evaluators(cfg: DomainConfig):

@@ -109,6 +109,15 @@ class TestValidateCommand:
         assert code == 3
         assert "nonexistent" in err
 
+    def test_non_utf8_document_is_a_parse_failure(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": 1, "nodes": [{"id": "\xff", "kind": "label"}]}')
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
 
 class TestPropagateCommand:
     def test_fills_values_and_reports_passes(self, capsys, tmp_path):
@@ -236,6 +245,35 @@ class TestAlignCommand:
                            "--log", str(path))
         assert code == 1
         assert "bad.jsonl" in err
+
+    def test_bad_record_names_its_line_counting_blank_lines(
+            self, capsys, alignment_taxonomy_file, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(demo_event_log() + "\n[]\n", encoding="utf-8")
+        code, _, err = run(capsys, "align", "--input", alignment_taxonomy_file,
+                           "--log", str(path))
+        assert code == 1
+        assert err == f"{path}: malformed event at position 114: record must be an object\n"
+
+    def test_non_utf8_record_deep_in_the_log_is_invalid_input(
+            self, capsys, alignment_taxonomy_file, tmp_path):
+        # far past the first read buffer, so the decode fails mid-fold
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"kind": "offer", "member": "a", "timestamp": 0}\n' * 2000
+                         + b'{"kind": "offer", "member": "\xff", "timestamp": 0}\n')
+        code, out, err = run(capsys, "align", "--input", alignment_taxonomy_file,
+                             "--log", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        code, _, err = run(capsys, "align", "--input", alignment_taxonomy_file,
+                           "--log", str(path))
+        assert code == 3
+        assert err.startswith(f"cannot read {path}: ")
 
 
 class TestOtherCommands:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,8 @@ from valuetax import (
     ValueTaxonomy,
     build_context_taxonomy,
     export_dot,
+    ingest,
+    ingest_event_log,
     label_node,
     parse_context,
     parse_event_log,
@@ -217,6 +221,102 @@ class TestEventLogs:
             Event(EventKind.OFFER, "m", 4),
         ]))
         assert [e.timestamp for e in events] == [3, 4]
+
+
+def fold_file(tmp_path, text: str):
+    """The lazy CLI path: ``text`` written byte for byte, folded from the open file."""
+    path = tmp_path / "events.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as handle:
+        return ingest_event_log(handle)
+
+
+def random_log(rng: random.Random) -> tuple[list[dict], str]:
+    """Records with non-decreasing timestamps and the log text holding them,
+    with blank lines and mixed line endings."""
+    members = ["a", "b\u2028c", "d\x85e", "f"][:rng.randint(1, 4)]
+    kinds = [kind.value for kind in EventKind]
+    records = []
+    timestamp = 0
+    for _ in range(rng.randint(0, 40)):
+        timestamp += rng.choice((0, 0, 1, 7))
+        records.append({"kind": rng.choice(kinds), "member": rng.choice(members),
+                        "timestamp": timestamp})
+    lines = []
+    for record in records:
+        if rng.random() < 0.2:
+            lines.append(" ")
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
+    return records, "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def shuffle_equal_timestamps(rng: random.Random, records: list[dict]) -> list[dict]:
+    groups: dict[int, list[dict]] = {}
+    for record in records:
+        groups.setdefault(record["timestamp"], []).append(record)
+    for group in groups.values():
+        rng.shuffle(group)
+    return [record for timestamp in sorted(groups) for record in groups[timestamp]]
+
+
+class TestEventLogFold:
+    def test_fold_equals_ingest_of_parse_on_random_logs(self, tmp_path):
+        rng = random.Random(4)
+        for _ in range(300):
+            records, text = random_log(rng)
+            state = ingest_event_log(io.StringIO(text, newline=None))
+            assert state == ingest(parse_event_log(text))
+            assert fold_file(tmp_path, text) == state
+            expected = {kind.value: Counter() for kind in EventKind}
+            for record in records:
+                expected[record["kind"]][record["member"]] += 1
+            assert [dict(counter) for counter in expected.values()] == [
+                dict(state.requests), dict(state.offers), dict(state.volunteering),
+                dict(state.task_distribution)]
+            shuffled = "\n".join(json.dumps(r) for r in shuffle_equal_timestamps(rng, records))
+            assert ingest_event_log(shuffled.split("\n")) == state
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path, separator):
+        member = f"a{separator}b"
+        text = json.dumps({"kind": "offer", "member": member, "timestamp": 0},
+                          ensure_ascii=False) + "\n"
+        assert separator in text
+        assert [e.member for e in parse_event_log(text)] == [member]
+        assert dict(fold_file(tmp_path, text).offers) == {member: 1}
+
+    GOOD = '{"kind": "request", "member": "a", "timestamp": 5}'
+
+    @pytest.mark.parametrize("text, index, detail", [
+        ('{"kind": "request"\n', 1, "invalid record: Expecting ',' delimiter"),
+        (GOOD + " x\n", 1, "invalid record: Extra data"),
+        ("\ufeff" + GOOD + "\n", 1,
+         "invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("[1, 2]\n", 1, "record must be an object"),
+        ('{"kind": "party", "member": "a", "timestamp": 0}', 1, "unknown event kind: 'party'"),
+        ('{"kind": ["request"], "member": "a", "timestamp": 0}', 1,
+         "unknown event kind: ['request']"),
+        ('{"kind": "offer", "member": "", "timestamp": 0}', 1,
+         "event member must be a non-empty string, got ''"),
+        ('{"kind": "offer", "member": "a", "timestamp": true}', 1,
+         "event timestamp must be a non-negative integer, got True"),
+        ('{"kind": "offer", "member": "a", "timestamp": 1.0}', 1,
+         "event timestamp must be a non-negative integer, got 1.0"),
+        ('{"kind": "offer", "member": "a", "timestamp": -1}', 1,
+         "event timestamp must be a non-negative integer, got -1"),
+        (GOOD + '\n{"kind": "offer", "member": "a", "timestamp": 4}\n', 2,
+         "timestamp 4 decreases from 5"),
+        (GOOD + "\n\n  \n[]\n", 4, "record must be an object"),
+        (GOOD + "\r\n\r\n[]\r\n", 3, "record must be an object"),
+    ])
+    def test_fold_and_parse_raise_the_same_error(self, tmp_path, text, index, detail):
+        with pytest.raises(MalformedEvent) as parsed:
+            parse_event_log(text)
+        with pytest.raises(MalformedEvent) as folded:
+            fold_file(tmp_path, text)
+        for error in (parsed.value, folded.value):
+            assert error.index == index
+            assert str(error) == f"malformed event at position {index}: {detail}"
 
 
 class TestDotExport:

@@ -24,7 +24,7 @@ from valuetax import (
     align,
     build_context_taxonomy,
     ContextSpec,
-    community_sd_provider,
+    CommunitySdProvider,
     difference_satisfaction,
     emd_1d,
     fairness_taxonomy,
@@ -308,7 +308,7 @@ class TestCommunityProvider:
         )
 
     def test_reproduces_the_worked_alignment(self, fairness):
-        provider = community_sd_provider(self.golden_state(), CFG)
+        provider = CommunitySdProvider(self.golden_state(), CFG)
         assert provider.lookup("community", OFFER_RATIO) == pytest.approx(0.5, abs=1e-12)
         assert provider.lookup("community", TASK_BALANCE) == pytest.approx(0.9, abs=1e-9)
         ctx = ContextSpec("alignment", property_importance={
@@ -320,22 +320,22 @@ class TestCommunityProvider:
     def test_mean_over_members(self):
         # 0.2 needs ratio 1.8, 0.6 needs ratio 3.4 at max_ratio 5
         state = state_with(requests={"a": 9, "b": 17}, offers={"a": 5, "b": 5})
-        provider = community_sd_provider(state, CFG)
+        provider = CommunitySdProvider(state, CFG)
         assert provider.lookup("whole", OFFER_RATIO) == pytest.approx(0.4, abs=1e-12)
 
     def test_single_entity_uses_that_member(self):
         state = state_with(requests={"a": 3}, offers={"a": 1})
         cfg = DomainConfig(member_aggregation=MemberAggregation.SINGLE_ENTITY)
-        provider = community_sd_provider(state, cfg)
+        provider = CommunitySdProvider(state, cfg)
         assert provider.lookup("a", OFFER_RATIO) == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_property_raises(self):
-        provider = community_sd_provider(self.golden_state(), CFG)
+        provider = CommunitySdProvider(self.golden_state(), CFG)
         with pytest.raises(MissingSatisfaction):
             provider.lookup("community", "mystery")
 
     def test_no_members_rejected(self):
-        provider = community_sd_provider(state_with(), CFG)
+        provider = CommunitySdProvider(state_with(), CFG)
         with pytest.raises(EmptyInput):
             provider.lookup("community", OFFER_RATIO)
 

@@ -8,6 +8,10 @@ not machine-speed noise.
 The propagation guards took about 1.7 s and 2.3 s while propagation swept
 every node once per pass until nothing changed; the 1 s bounds catch a
 return to one full sweep per level.
+
+The 200k-event guard folds its log from the open file in about 0.4-0.5 s
+(median of 5, same machine), against about 1.6 s for ``parse_event_log``
+plus ``ingest`` over the whole file read into one string.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import pytest
 
 from valuetax import (
     KMEANS_SELECTION,
+    EventKind,
     ValueTaxonomy,
+    ingest_event_log,
     label_node,
     parse_taxonomy,
     propagate,
@@ -82,3 +88,21 @@ def test_1999_node_caterpillar_climbs_one_round_per_level():
     assert len(result.assigned) == 1998
     assert set(result.taxonomy.importance.values()) == {-0.5}
     assert elapsed < 1.0, f"1999-node caterpillar propagation took {elapsed:.2f}s"
+
+
+def test_200k_event_log_folds_fast(tmp_path):
+    rng = random.Random(200)
+    kinds = [kind.value for kind in EventKind]
+    members = [f"m{i:04d}" for i in range(5000)]
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(
+        f'{{"kind": "{rng.choice(kinds)}", "member": "{rng.choice(members)}", '
+        f'"timestamp": {i // 4}}}\n' for i in range(200_000)), encoding="utf-8")
+    started = time.perf_counter()
+    with open(path, encoding="utf-8") as handle:
+        state = ingest_event_log(handle)
+    elapsed = time.perf_counter() - started
+    counters = (state.requests, state.offers, state.volunteering, state.task_distribution)
+    assert sum(sum(counter.values()) for counter in counters) == 200_000
+    assert len(state.members) == 5000
+    assert elapsed < 5.0, f"folding 200k events took {elapsed:.2f}s"
