@@ -6,6 +6,12 @@ order and floats use their shortest exact decimal form - so that
 serialize(parse(serialize(t))) is byte-identical and round-trips preserve
 node, edge, and importance content exactly. Parse failures carry a location
 (line/column for malformed JSON, a field path otherwise).
+
+A taxonomy is written byte for byte as ``json.dumps(doc, indent=2)`` would
+write it, but by the C encoder (``indent=`` drops ``json`` to pure Python):
+each entry list is encoded with the separator ``",\\n      "``, a key's newline
+and indent. No encoded string holds a raw newline and no entry a nested object,
+so ``"},\\n      {"`` occurs only between entries, where one replace splits it.
 """
 
 from __future__ import annotations
@@ -15,17 +21,12 @@ import json
 from typing import Any, Iterable, Iterator, Mapping
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
-from .errors import InvalidTaxonomy, MalformedEvent, ParseError, SchemaVersionUnsupported
+from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
 from .mutual_aid import CommunityState, Event, EventKind
-from .taxonomy import (
-    Node,
-    NodeKind,
-    ValidationReport,
-    ValueTaxonomy,
-    validate,
-)
+from .taxonomy import Node, NodeKind, ValueTaxonomy, require_valid, validate
 
 SCHEMA_VERSION = 1
+_encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _decode_record = json.JSONDecoder().raw_decode
@@ -37,6 +38,8 @@ def _load_json(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", f"invalid {what}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an int past the digit limit
+        raise ParseError("document", f"invalid {what}: {exc}") from exc
 
 
 def _require(mapping: Any, key: str, location: str) -> Any:
@@ -47,8 +50,8 @@ def _require(mapping: Any, key: str, location: str) -> Any:
     return mapping[key]
 
 
-def _check_version(doc: Any, location: str = "document") -> None:
-    version = _require(doc, "schema_version", location)
+def _check_version(doc: Any) -> None:
+    version = _require(doc, "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise SchemaVersionUnsupported(version)
 
@@ -56,19 +59,19 @@ def _check_version(doc: Any, location: str = "document") -> None:
 def _parse_importance(raw: Any, location: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ParseError(location, f"importance must be a number, got {raw!r}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an int past the float range
+        value = float("inf") if raw > 0 else float("-inf")
     if not (-1.0 <= value <= 1.0):
         raise ParseError(location, f"importance {value} outside [-1, 1]")
     return value
 
 
 def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxonomy:
-    """Parse a taxonomy document.
-
-    With ``require_valid_structure`` (the default) the parsed taxonomy must
-    also pass structural validation; pass False to load a candidate for
-    inspection with :func:`~valuetax.taxonomy.validate`.
-    """
+    """Parse a taxonomy document. With ``require_valid_structure`` (the default)
+    it must also pass structural validation; pass False to load a candidate
+    for inspection with :func:`~valuetax.taxonomy.validate`."""
     doc = _load_json(text, "taxonomy document")
     _check_version(doc)
     nodes: dict[str, Node] = {}
@@ -76,43 +79,47 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
     raw_nodes = _require(doc, "nodes", "document")
     if not isinstance(raw_nodes, list):
         raise ParseError("document.nodes", "must be a list")
-    for i, raw in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        node_id = _require(raw, "id", where)
+    for i, raw in enumerate(raw_nodes):  # locations are built only to raise
+        node_id = raw.get("id") if isinstance(raw, dict) else None
         if not isinstance(node_id, str) or not node_id:
-            raise ParseError(f"{where}.id", "node id must be a non-empty string")
-        kind = _require(raw, "kind", where)
+            _require(raw, "id", f"nodes[{i}]")
+            raise ParseError(f"nodes[{i}].id", "node id must be a non-empty string")
+        kind = raw.get("kind")
         if kind == NodeKind.LABEL.value:
             label_text = raw.get("label_text", node_id)
             if not isinstance(label_text, str):
-                raise ParseError(f"{where}.label_text", f"must be a string, got {label_text!r}")
+                raise ParseError(f"nodes[{i}].label_text", f"must be a string, got {label_text!r}")
             node = Node(node_id, NodeKind.LABEL, label_text=label_text)
         elif kind == NodeKind.PROPERTY.value:
             ref = raw.get("property_id", node_id)
             if not isinstance(ref, str):
-                raise ParseError(f"{where}.property_id", f"must be a string, got {ref!r}")
+                raise ParseError(f"nodes[{i}].property_id", f"must be a string, got {ref!r}")
             node = Node(node_id, NodeKind.PROPERTY, property_id=ref)
         else:
-            raise ParseError(f"{where}.kind", f"unknown node kind: {kind!r}")
+            _require(raw, "kind", f"nodes[{i}]")
+            raise ParseError(f"nodes[{i}].kind", f"unknown node kind: {kind!r}")
         if node_id in nodes:
-            raise ParseError(f"{where}.id", f"duplicate node id: {node_id!r}")
+            raise ParseError(f"nodes[{i}].id", f"duplicate node id: {node_id!r}")
         nodes[node_id] = node
-        if "importance" in raw and raw["importance"] is not None:
-            importance[node_id] = _parse_importance(raw["importance"], f"{where}.importance")
+        value = raw.get("importance")
+        if value is not None:
+            if type(value) is not float or not -1.0 <= value <= 1.0:
+                value = _parse_importance(value, f"nodes[{i}].importance")
+            importance[node_id] = value
     edges: set[tuple[str, str]] = set()
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
     for i, raw in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        parent = _require(raw, "parent", where)
-        child = _require(raw, "child", where)
-        if not isinstance(parent, str) or not isinstance(child, str):
-            raise ParseError(where, "edge endpoints must be node id strings")
-        if (parent, child) in edges:
-            raise ParseError(where, f"duplicate edge {parent!r} -> {child!r}")
-        edges.add((parent, child))
-    taxonomy = ValueTaxonomy.build(nodes.values(), edges, importance)
+        edge = (raw.get("parent"), raw.get("child")) if isinstance(raw, dict) else (None, None)
+        if not isinstance(edge[0], str) or not isinstance(edge[1], str):
+            for key in ("parent", "child"):
+                _require(raw, key, f"edges[{i}]")
+            raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
+        if edge in edges:
+            raise ParseError(f"edges[{i}]", f"duplicate edge {edge[0]!r} -> {edge[1]!r}")
+        edges.add(edge)
+    taxonomy = ValueTaxonomy(nodes, frozenset(edges), importance)
     if require_valid_structure:
         report = validate(taxonomy)
         if not report.ok:
@@ -121,22 +128,27 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
     return taxonomy
 
 
+def _encode_entries(entries: list[dict[str, Any]]) -> str:
+    """``entries`` as ``json.dumps(..., indent=2)`` writes a list two levels deep."""
+    if not entries:
+        return "[]"
+    body = _encode_flat(entries).replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + body[2:-2] + "\n    }\n  ]"
+
+
 def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
     """Render a taxonomy document; output is deterministic for equal inputs."""
     nodes = []
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
-        entry: dict[str, Any] = {"id": node.id, "kind": node.kind.value}
-        if node.kind is NodeKind.LABEL:
-            entry["label_text"] = node.label_text
-        else:
-            entry["property_id"] = node.property_id
+        text_key = "label_text" if node.kind is NodeKind.LABEL else "property_id"
+        entry: dict[str, Any] = {"id": node.id, "kind": node.kind.value, text_key: node.display}
         if node_id in taxonomy.importance:
             entry["importance"] = taxonomy.importance[node_id]
         nodes.append(entry)
     edges = [{"parent": p, "child": c} for p, c in sorted(taxonomy.edges)]
-    doc = {"schema_version": SCHEMA_VERSION, "nodes": nodes, "edges": edges}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": {_encode_entries(nodes)},'
+            f'\n  "edges": {_encode_entries(edges)}\n}}\n')
 
 
 def parse_context(text: str) -> ContextSpec:
@@ -152,17 +164,10 @@ def parse_context(text: str) -> ContextSpec:
     raw_importance = doc.get("property_importance", {})
     if not isinstance(raw_importance, dict):
         raise ParseError("document.property_importance", "must be an object")
-    importance = {
-        node: _parse_importance(value, f"property_importance.{node}")
-        for node, value in raw_importance.items()
-    }
-    selection = _parse_selection(doc.get("selection"))
-    return ContextSpec(
-        id=ctx_id,
-        defining_properties=frozenset(raw_props),
-        property_importance=importance,
-        selection=selection,
-    )
+    importance = {node: _parse_importance(value, f"property_importance.{node}")
+                  for node, value in raw_importance.items()}
+    return ContextSpec(ctx_id, frozenset(raw_props), importance,
+                       _parse_selection(doc.get("selection")))
 
 
 def _parse_selection(raw: Any) -> SelectionStrategy:
@@ -183,13 +188,10 @@ def serialize_context(ctx: ContextSpec) -> str:
     selection: dict[str, Any] = {"kind": ctx.selection.kind.value}
     if ctx.selection.kind is SelectionKind.POSITIVE_THRESHOLD:
         selection["threshold"] = ctx.selection.threshold
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "id": ctx.id,
-        "defining_properties": sorted(ctx.defining_properties),
-        "property_importance": {n: ctx.property_importance[n] for n in sorted(ctx.property_importance)},
-        "selection": selection,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "id": ctx.id,
+           "defining_properties": sorted(ctx.defining_properties),
+           "property_importance": dict(sorted(ctx.property_importance.items())),
+           "selection": selection}
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -211,6 +213,8 @@ def _event_records(lines: Iterable[str],
             # worded as json.loads words it, which rejects a BOM before decoding
             detail = _BOM_DETAIL if line[0] == "\ufeff" else exc.msg
             raise MalformedEvent(lineno, f"invalid record: {detail}") from exc
+        except (RecursionError, ValueError) as exc:  # as in _load_json
+            raise MalformedEvent(lineno, f"invalid record: {exc}") from exc
         if not isinstance(raw, dict):
             raise MalformedEvent(lineno, "record must be an object")
         kind = raw.get("kind")
@@ -248,10 +252,8 @@ def ingest_event_log(lines: Iterable[str]) -> CommunityState:
 
 
 def serialize_event_log(events: Iterable[Event]) -> str:
-    lines = [
-        json.dumps({"kind": e.kind.value, "member": e.member, "timestamp": e.timestamp})
-        for e in events
-    ]
+    lines = [json.dumps({"kind": e.kind.value, "member": e.member, "timestamp": e.timestamp})
+             for e in events]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -266,9 +268,7 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
     importance, when assigned, is printed under its name. Output is
     byte-deterministic for equal inputs.
     """
-    report: ValidationReport = validate(taxonomy)
-    if not report.ok:
-        raise InvalidTaxonomy(report)
+    require_valid(taxonomy)
     lines = ["digraph value_taxonomy {"]
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]

@@ -113,24 +113,13 @@ class ValueTaxonomy:
     importance: Mapping[NodeId, Importance] = field(default_factory=dict)
 
     def __post_init__(self):
-        nodes = {}
-        for node_id, node in dict(self.nodes).items():
+        nodes = dict(self.nodes)
+        for node_id, node in nodes.items():
             if node_id != node.id:
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
-            nodes[node_id] = node
-        edges: set[tuple[NodeId, NodeId]] = set()
-        for parent, child in self.edges:
-            if (parent, child) in edges:
-                raise DuplicateEdge(parent, child)
-            edges.add((parent, child))
-        importance = {}
-        for node_id, value in dict(self.importance).items():
-            if node_id not in nodes:
-                raise UnknownNode(node_id)
-            importance[node_id] = check_importance(value, f"importance of {node_id!r}")
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "importance", MappingProxyType(importance))
+        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "importance", _checked_importance(nodes, self.importance))
 
     @classmethod
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
@@ -141,19 +130,19 @@ class ValueTaxonomy:
             if node.id in node_map:
                 raise ValueError(f"duplicate node id: {node.id!r}")
             node_map[node.id] = node
-        edge_list = list(edges)
-        edge_set = set(edge_list)
-        if len(edge_set) != len(edge_list):
-            seen: set[tuple[NodeId, NodeId]] = set()
-            for e in edge_list:
-                if e in seen:
-                    raise DuplicateEdge(*e)
-                seen.add(e)
+        edge_set: set[tuple[NodeId, NodeId]] = set()
+        for edge in edges:
+            if edge in edge_set:
+                raise DuplicateEdge(*edge)
+            edge_set.add(edge)
         return cls(node_map, frozenset(edge_set), dict(importance or {}))
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
-        """Copy of this taxonomy with the importance mapping replaced."""
-        return ValueTaxonomy(dict(self.nodes), self.edges, dict(importance))
+        """Copy of this taxonomy with the importance mapping replaced. The copy
+        shares the nodes, the edges and whatever structure was derived from them."""
+        copy = object.__new__(ValueTaxonomy)
+        copy.__dict__.update(self.__dict__, importance=_checked_importance(self.nodes, importance))
+        return copy
 
     # Adjacency maps are derived once; the instance is immutable.
     @cached_property
@@ -179,24 +168,32 @@ class ValueTaxonomy:
     def property_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.PROPERTY))
 
-    def label_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.LABEL))
-
     def __len__(self) -> int:
         return len(self.nodes)
 
 
+def _checked_importance(nodes: Mapping[NodeId, Node],
+                        importance: Mapping[NodeId, Importance]) -> Mapping[NodeId, Importance]:
+    checked = {}
+    for node_id, value in dict(importance).items():
+        if node_id not in nodes:
+            raise UnknownNode(node_id)
+        checked[node_id] = check_importance(value, f"importance of {node_id!r}")
+    return MappingProxyType(checked)
+
+
 def _validate_structure(taxonomy: ValueTaxonomy) -> ValidationReport:
     violations: list[Violation] = []
+    edges = sorted(taxonomy.edges)
 
-    for parent, child in sorted(taxonomy.edges):
+    for parent, child in edges:
         for endpoint in (parent, child):
             if endpoint not in taxonomy.nodes:
                 violations.append(Violation(
                     RULE_UNKNOWN_ENDPOINT, f"{parent}->{child}",
                     f"edge ({parent!r}, {child!r}) references unknown node {endpoint!r}"))
 
-    for parent, child in sorted(taxonomy.edges):
+    for parent, child in edges:
         node = taxonomy.nodes.get(parent)
         if node is not None and node.kind is NodeKind.PROPERTY:
             violations.append(Violation(

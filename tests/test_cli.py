@@ -118,6 +118,19 @@ class TestValidateCommand:
         assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000, '{"schema_version": ' + "1" * 5000 + ', "nodes": []}'],
+        ids=["nested-too-deep", "huge-int"])
+    def test_document_nested_too_deep_or_with_a_huge_int_is_a_parse_failure(
+            self, capsys, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: document: invalid taxonomy document: ")
+        assert err.count("\n") == 1
+
 
 class TestPropagateCommand:
     def test_fills_values_and_reports_passes(self, capsys, tmp_path):
@@ -266,6 +279,20 @@ class TestAlignCommand:
         assert code == 1
         assert out == ""
         assert err.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("record", [
+        "[" * 100_000, '{"kind": "offer", "member": "a", "timestamp": ' + "1" * 5000 + "}"],
+        ids=["nested-too-deep", "huge-int"])
+    def test_record_nested_too_deep_or_with_a_huge_int_is_invalid_input(
+            self, capsys, alignment_taxonomy_file, tmp_path, record):
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(demo_event_log() + record + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "align", "--input", alignment_taxonomy_file,
+                             "--log", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{path}: malformed event at position 113: invalid record: ")
         assert err.count("\n") == 1
 
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):

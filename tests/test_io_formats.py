@@ -8,12 +8,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valuetax import (
     ContextSpec,
     Event,
     EventKind,
+    NodeKind,
     SelectionKind,
     SelectionStrategy,
     ValueTaxonomy,
@@ -37,7 +39,7 @@ from valuetax.errors import (
     SchemaVersionUnsupported,
 )
 
-from conftest import random_taxonomy, taxonomies
+from conftest import importance_values, random_taxonomy, taxonomies
 
 
 class TestTaxonomyRoundTrip:
@@ -79,61 +81,161 @@ class TestTaxonomyRoundTrip:
         assert doc["schema_version"] == 1
 
 
+def reference_document(taxonomy: ValueTaxonomy) -> str:
+    """The taxonomy document as ``json.dumps(..., indent=2)`` writes it."""
+    nodes = []
+    for node_id in sorted(taxonomy.nodes):
+        node = taxonomy.nodes[node_id]
+        entry = {"id": node.id, "kind": node.kind.value}
+        if node.kind is NodeKind.LABEL:
+            entry["label_text"] = node.label_text
+        else:
+            entry["property_id"] = node.property_id
+        if node_id in taxonomy.importance:
+            entry["importance"] = taxonomy.importance[node_id]
+        nodes.append(entry)
+    edges = [{"parent": p, "child": c} for p, c in sorted(taxonomy.edges)]
+    doc = {"schema_version": 1, "nodes": nodes, "edges": edges}
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# Pieces a JSON encoder escapes or passes through raw, and the writer's own
+# entry separator written inside a string.
+AWKWARD_PIECES = ['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\U0001f600", "},\n      {",
+                  "\u2028", "\ud800", "a"]
+awkward_text = st.one_of(
+    st.lists(st.sampled_from(AWKWARD_PIECES), min_size=1, max_size=4).map("".join),
+    st.text(min_size=1, max_size=6))
+EDGE_IMPORTANCES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+@st.composite
+def awkward_taxonomies(draw):
+    """Taxonomies of any shape (the writer does not validate) whose ids and
+    texts hold characters the encoder escapes."""
+    ids = draw(st.lists(awkward_text, max_size=6, unique=True))
+    nodes = []
+    for node_id in ids:
+        text = draw(awkward_text)
+        if draw(st.booleans()):
+            nodes.append(label_node(node_id, text))
+        else:
+            nodes.append(property_node(node_id, text))
+    edges = draw(st.lists(st.tuples(awkward_text, awkward_text), max_size=6, unique=True))
+    values = st.one_of(st.sampled_from(EDGE_IMPORTANCES), importance_values)
+    importance = {n: draw(values) for n in ids if draw(st.booleans())}
+    return ValueTaxonomy.build(nodes, edges, importance)
+
+
+class TestTaxonomyWriter:
+    @settings(max_examples=300)
+    @given(awkward_taxonomies())
+    def test_bytes_equal_json_dumps_with_indent(self, t):
+        assert serialize_taxonomy(t) == reference_document(t)
+
+    def test_random_dags_equal_json_dumps_with_indent(self):
+        rng = random.Random(55)
+        for _ in range(200):
+            t = random_taxonomy(rng)
+            assert serialize_taxonomy(t) == reference_document(t)
+
+    @pytest.mark.parametrize("value", EDGE_IMPORTANCES)
+    def test_edge_importances_are_written_as_json_dumps_writes_them(self, value):
+        t = ValueTaxonomy.build([label_node("a"), property_node("b")], [("a", "b")],
+                                {"a": value, "b": value})
+        text = serialize_taxonomy(t)
+        assert text == reference_document(t)
+        assert str(parse_taxonomy(text).importance["b"]) == str(value)
+
+    def test_empty_lists_stay_inline(self):
+        assert serialize_taxonomy(ValueTaxonomy()) == (
+            '{\n  "schema_version": 1,\n  "nodes": [],\n  "edges": []\n}\n')
+        lone = ValueTaxonomy.build([label_node("a")])
+        assert serialize_taxonomy(lone) == reference_document(lone)
+
+
 class TestTaxonomyParseErrors:
-    def doc(self, **overrides):
-        base = {
-            "schema_version": 1,
-            "nodes": [
-                {"id": "v", "kind": "label", "label_text": "value"},
-                {"id": "p", "kind": "property", "property_id": "p"},
-            ],
-            "edges": [{"parent": "v", "child": "p"}],
-        }
-        base.update(overrides)
-        return json.dumps(base)
-
-    def test_importance_out_of_range(self):
-        text = self.doc(nodes=[{"id": "v", "kind": "label", "importance": 1.5}])
-        with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy(text)
-        assert "importance" in excinfo.value.location
-
-    def test_unknown_node_kind(self):
-        text = self.doc(nodes=[{"id": "v", "kind": "blob"}])
-        with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy(text)
-        assert excinfo.value.location == "nodes[0].kind"
-
     def test_unsupported_schema_version(self):
         with pytest.raises(SchemaVersionUnsupported):
-            parse_taxonomy(self.doc(schema_version=99))
+            parse_taxonomy('{"schema_version": 99, "nodes": []}')
 
-    def test_missing_schema_version(self):
-        with pytest.raises(ParseError):
-            parse_taxonomy('{"nodes": []}')
+    V = {"id": "v", "kind": "label"}
+    P = {"id": "p", "kind": "property"}
 
-    def test_json_syntax_error_carries_position(self):
+    # every raise site, with its location and message
+    @pytest.mark.parametrize("doc, location, detail", [
+        ("[]", "document", "expected an object, got list"),
+        ('{"nodes": []}', "document.schema_version", "missing required field"),
+        ({"schema_version": 2, "nodes": []}, "schema_version", "unsupported schema version: 2"),
+        ({"schema_version": 1}, "document.nodes", "missing required field"),
+        ({"schema_version": 1, "nodes": {}}, "document.nodes", "must be a list"),
+        ({"schema_version": 1, "nodes": [], "edges": "v->p"}, "document.edges", "must be a list"),
+        ({"nodes": [5]}, "nodes[0]", "expected an object, got int"),
+        ({"nodes": [V, ["v"]]}, "nodes[1]", "expected an object, got list"),
+        ({"nodes": [{"kind": "label"}]}, "nodes[0].id", "missing required field"),
+        ({"nodes": [{"id": "v"}]}, "nodes[0].kind", "missing required field"),
+        ({"nodes": [{"id": "", "kind": "label"}]}, "nodes[0].id",
+         "node id must be a non-empty string"),
+        ({"nodes": [{"id": 3, "kind": "label"}]}, "nodes[0].id",
+         "node id must be a non-empty string"),
+        ({"nodes": [{"id": None}]}, "nodes[0].id", "node id must be a non-empty string"),
+        ({"nodes": [{"id": "v", "kind": "label", "label_text": 3}]}, "nodes[0].label_text",
+         "must be a string, got 3"),
+        ({"nodes": [{"id": "p", "kind": "property", "property_id": None}]},
+         "nodes[0].property_id", "must be a string, got None"),
+        ({"nodes": [{"id": "v", "kind": "blob"}]}, "nodes[0].kind", "unknown node kind: 'blob'"),
+        ({"nodes": [{"id": "v", "kind": None}]}, "nodes[0].kind", "unknown node kind: None"),
+        ({"nodes": [{"id": "v", "kind": ["label"]}]}, "nodes[0].kind",
+         "unknown node kind: ['label']"),
+        ({"nodes": [V, P, {"id": "v", "kind": "property"}]}, "nodes[2].id",
+         "duplicate node id: 'v'"),
+        ({"nodes": [dict(V, importance=True)]}, "nodes[0].importance",
+         "importance must be a number, got True"),
+        ({"nodes": [dict(V, importance="0.5")]}, "nodes[0].importance",
+         "importance must be a number, got '0.5'"),
+        ({"nodes": [dict(V, importance=[0.5])]}, "nodes[0].importance",
+         "importance must be a number, got [0.5]"),
+        ({"nodes": [dict(V, importance=1.5)]}, "nodes[0].importance",
+         "importance 1.5 outside [-1, 1]"),
+        ({"nodes": [V, dict(P, importance=-3)]}, "nodes[1].importance",
+         "importance -3.0 outside [-1, 1]"),
+        ({"nodes": [dict(V, importance=float("nan"))]}, "nodes[0].importance",
+         "importance nan outside [-1, 1]"),
+        ({"edges": ["v"]}, "edges[0]", "expected an object, got str"),
+        ({"edges": [{"child": "p"}]}, "edges[0].parent", "missing required field"),
+        ({"edges": [{"parent": 1}]}, "edges[0].child", "missing required field"),
+        ({"edges": [{"parent": "v", "child": 3}]}, "edges[0]",
+         "edge endpoints must be node id strings"),
+        ({"edges": [{"parent": None, "child": "p"}]}, "edges[0]",
+         "edge endpoints must be node id strings"),
+        ({"edges": [{"parent": "v", "child": "p"}, {"parent": "p", "child": "v"},
+                    {"parent": "v", "child": "p"}]}, "edges[2]", "duplicate edge 'v' -> 'p'"),
+        ({"edges": [{"parent": "p", "child": "v"}]}, "rule PropertyNodeNotLeaf",
+         "property node 'p' has child 'v'; property nodes must be leaves"),
+        ({"edges": [{"parent": "v", "child": "ghost"}, {"parent": "p", "child": "v"}]},
+         "rule UnknownEdgeEndpoint", "edge ('v', 'ghost') references unknown node 'ghost'"),
+        ({"nodes": [V, {"id": "w", "kind": "label"}], "edges": [
+            {"parent": "v", "child": "w"}, {"parent": "w", "child": "v"}]},
+         "rule CycleDetected", "cycle detected: v -> w -> v"),
+    ])
+    def test_every_raise_site_keeps_its_location_and_message(self, doc, location, detail):
+        if isinstance(doc, dict):  # fields over a valid document, or a whole one
+            doc = json.dumps(doc if "schema_version" in doc
+                             else {"schema_version": 1, "nodes": [self.V, self.P], **doc})
         with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy("{not json")
-        assert "line 1" in excinfo.value.location
+            parse_taxonomy(doc)
+        assert excinfo.value.location == location
+        assert str(excinfo.value) == f"{location}: {detail}"
 
-    def test_duplicate_node_id(self):
-        text = self.doc(nodes=[{"id": "v", "kind": "label"}, {"id": "v", "kind": "label"}])
+    def test_json_syntax_error_location_and_message(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy(text)
-        assert excinfo.value.location == "nodes[1].id"
+            parse_taxonomy('{"schema_version": 1,\n "nodes": [}')
+        assert str(excinfo.value) == (
+            "line 2, column 12: invalid taxonomy document: Expecting value")
 
-    def test_duplicate_edge(self):
-        text = self.doc(edges=[{"parent": "v", "child": "p"}, {"parent": "v", "child": "p"}])
-        with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy(text)
-        assert excinfo.value.location == "edges[1]"
-
-    def test_missing_required_field(self):
-        text = self.doc(edges=[{"parent": "v"}])
-        with pytest.raises(ParseError) as excinfo:
-            parse_taxonomy(text)
-        assert excinfo.value.location == "edges[0].child"
+    def test_null_importance_means_none_assigned(self):
+        text = json.dumps({"schema_version": 1, "nodes": [dict(self.V, importance=None)]})
+        assert dict(parse_taxonomy(text).importance) == {}
 
     def test_strict_parse_rejects_cycles(self):
         text = json.dumps({
@@ -317,6 +419,52 @@ class TestEventLogFold:
         for error in (parsed.value, folded.value):
             assert error.index == index
             assert str(error) == f"malformed event at position {index}: {detail}"
+
+
+DEEP = "[" * 100_000
+HUGE = "1" * 5000  # past the interpreter's 4,300-digit limit on int conversion
+HUGE_RECORD = f'{{"kind": "offer", "member": "a", "timestamp": {HUGE}}}'
+
+
+class TestParsersRaiseOnlyTaxonomyErrors:
+    @pytest.mark.parametrize("parse, text, what", [
+        (parse_taxonomy, DEEP, "taxonomy document"),
+        (parse_taxonomy, f'{{"schema_version": {HUGE}, "nodes": []}}', "taxonomy document"),
+        (parse_taxonomy, f'{{"schema_version": 1, "nodes": [{{"id": "v", "kind": "label", '
+                         f'"importance": {HUGE}}}]}}', "taxonomy document"),
+        (parse_context, '{"id": ' * 100_000, "context document"),
+        (parse_context, f'{{"schema_version": 1, "id": "c", "property_importance": '
+                        f'{{"p": -{HUGE}}}}}', "context document"),
+    ], ids=["taxonomy-nested-too-deep", "huge-schema-version", "huge-importance",
+            "context-nested-too-deep", "huge-context-importance"])
+    def test_documents_nested_too_deep_or_with_huge_ints(self, parse, text, what):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert excinfo.value.location == "document"
+        assert str(excinfo.value).startswith(f"document: invalid {what}: ")
+
+    @pytest.mark.parametrize("text", [DEEP, HUGE_RECORD], ids=["nested-too-deep", "huge-int"])
+    def test_event_records_nested_too_deep_or_with_huge_ints(self, tmp_path, text):
+        text = TestEventLogFold.GOOD + "\n\n" + text + "\n"
+        with pytest.raises(MalformedEvent) as parsed:
+            parse_event_log(text)
+        with pytest.raises(MalformedEvent) as folded:
+            fold_file(tmp_path, text)
+        for error in (parsed.value, folded.value):
+            assert error.index == 3
+            assert str(error).startswith("malformed event at position 3: invalid record: ")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_taxonomy, json.dumps({"schema_version": 1, "nodes": [
+            {"id": "v", "kind": "label", "importance": 10 ** 400}]}),
+         "nodes[0].importance: importance inf outside [-1, 1]"),
+        (parse_context, json.dumps({"schema_version": 1, "id": "c", "property_importance": {
+            "p": -10 ** 400}}), "property_importance.p: importance -inf outside [-1, 1]"),
+    ], ids=["taxonomy", "context"])
+    def test_importance_past_the_float_range(self, parse, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == message
 
 
 class TestDotExport:

@@ -3,7 +3,7 @@
 The 16k-node guard takes about 0.35 s on a 2-vCPU machine, and took about
 37 s while duplicate checks scanned lists and two-means selection rescored
 every cut from scratch. Its 5 s bound catches a return to quadratic work,
-not machine-speed noise.
+not machine-speed noise, as does the same bound on writing that tree back.
 
 The propagation guards took about 1.7 s and 2.3 s while propagation swept
 every node once per pass until nothing changed; the 1 s bounds catch a
@@ -31,6 +31,7 @@ from valuetax import (
     parse_taxonomy,
     propagate,
     select_nodes,
+    serialize_taxonomy,
 )
 
 
@@ -56,6 +57,15 @@ def test_16k_node_parse_and_two_means_selection_stay_fast():
     assert len(taxonomy) == 16001
     assert 0 < len(selected) < 12001
     assert elapsed < 5.0, f"16k-node parse and selection took {elapsed:.2f}s"
+
+
+def test_16k_node_serialization_stays_fast():
+    taxonomy = parse_taxonomy(tree_document(4000, random.Random(16)))
+    started = time.perf_counter()
+    text = serialize_taxonomy(taxonomy)
+    elapsed = time.perf_counter() - started
+    assert text.count('"kind"') == 16001
+    assert elapsed < 5.0, f"16k-node serialization took {elapsed:.2f}s"
 
 
 def timed_propagate(taxonomy: ValueTaxonomy):

@@ -79,6 +79,39 @@ class TestConstruction:
         assert validate(t).ok
 
 
+STRUCTURE_CACHES = ("_children", "_parents", "_validation")
+
+
+class TestWithImportance:
+    def test_equals_a_fresh_build_and_shares_the_structure(self):
+        rng = random.Random(29)
+        for trial in range(300):
+            t = random_taxonomy(rng)
+            derived = STRUCTURE_CACHES[:trial % 4]  # none, some or all derived beforehand
+            for name in derived:
+                getattr(t, name)
+            values = {n: rng.uniform(-1.0, 1.0) for n in t.nodes if rng.random() < 0.5}
+            copy = t.with_importance(values)
+            assert copy == ValueTaxonomy.build(t.nodes.values(), t.edges, values)
+            assert dict(copy.importance) == values
+            assert copy.nodes is t.nodes and copy.edges is t.edges
+            for name in STRUCTURE_CACHES:
+                assert (name in vars(copy)) == (name in derived)
+                if name in derived:
+                    assert getattr(copy, name) is getattr(t, name)
+                else:
+                    assert getattr(copy, name) == getattr(t, name)
+
+    def test_checks_the_new_mapping(self):
+        t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b")], {"a": 0.5})
+        with pytest.raises(UnknownNode):
+            t.with_importance({"ghost": 0.1})
+        with pytest.raises(ValueError):
+            t.with_importance({"b": -1.5})
+        assert dict(t.with_importance({"b": 1}).importance) == {"b": 1.0}
+        assert dict(t.importance) == {"a": 0.5}
+
+
 class TestValidate:
     def test_fairness_example_is_valid(self, fairness):
         report = validate(fairness)
@@ -109,6 +142,14 @@ class TestValidate:
         report = validate(t)
         assert not report.ok
         assert any(v.rule == "UnknownEdgeEndpoint" for v in report.violations)
+
+    def test_unknown_endpoints_are_reported_before_property_leaves(self):
+        t = ValueTaxonomy(
+            {"a": label_node("a"), "p": property_node("p"), "q": property_node("q")},
+            frozenset({("p", "a"), ("a", "ghost"), ("q", "a"), ("zed", "q")}), {})
+        assert [(v.rule, v.subject) for v in validate(t).violations] == [
+            ("UnknownEdgeEndpoint", "a->ghost"), ("UnknownEdgeEndpoint", "zed->q"),
+            ("PropertyNodeNotLeaf", "p"), ("PropertyNodeNotLeaf", "q")]
 
     def test_validate_is_idempotent(self, fairness):
         assert validate(fairness) == validate(fairness)
