@@ -49,7 +49,6 @@ from .io_formats import (
     parse_event_log,
     parse_taxonomy,
     serialize_context,
-    serialize_event_log,
     serialize_taxonomy,
 )
 from .mutual_aid import (

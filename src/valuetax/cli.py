@@ -13,6 +13,7 @@ propagation conflict, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -37,7 +38,6 @@ from .io_formats import (
     export_dot,
     ingest_event_log,
     parse_context,
-    parse_event_log,
     parse_taxonomy,
     serialize_taxonomy,
 )
@@ -49,7 +49,6 @@ from .mutual_aid import (
     DomainConfig,
     Measure,
     fairness_taxonomy,
-    ingest,
     property_evaluators,
 )
 from .propagation import check_coherence, propagate
@@ -334,9 +333,9 @@ def _cmd_demo(args) -> tuple[int, str]:
         importances = {p: ctx.property_importance.get(p, 0.0) for p in general.property_nodes()}
         kmeans_pick[name] = sorted(select_nodes(importances, KMEANS_SELECTION))
 
-    log_text = demo_event_log()
-    events = parse_event_log(log_text)
-    state = ingest(events)
+    state = ingest_event_log(io.StringIO(demo_event_log()))
+    entries = sum(sum(counter.values()) for counter in (
+        state.requests, state.offers, state.volunteering, state.task_distribution))
     cfg = DomainConfig()
     provider = CommunitySdProvider(state, cfg)
 
@@ -360,7 +359,7 @@ def _cmd_demo(args) -> tuple[int, str]:
                     "taxonomy": json.loads(serialize_taxonomy(built[name])),
                     "coherent": coherent[name],
                 } for name in ("community-c", "elder-support")},
-            "event_log_entries": len(events),
+            "event_log_entries": entries,
             "members": list(state.members),
             "context_holds": holds,
             "satisfaction": sd_values,
@@ -386,7 +385,7 @@ def _cmd_demo(args) -> tuple[int, str]:
         lines.append(f"  two-means selection picks: {', '.join(kmeans_pick[name])}")
         lines.append(f"  coherence: {'ok' if coherent[name] else 'FAILED'}")
     lines.append("")
-    lines.append(f"Event log: {len(events)} events; members: {', '.join(state.members)}")
+    lines.append(f"Event log: {entries} events; members: {', '.join(state.members)}")
     counts = ", ".join(
         f"{m}: requests={state.requests.get(m, 0)} offers={state.offers.get(m, 0)} "
         f"tasks={state.task_distribution.get(m, 0)}" for m in state.members)

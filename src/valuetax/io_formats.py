@@ -12,24 +12,42 @@ write it, but by the C encoder (``indent=`` drops ``json`` to pure Python):
 each entry list is encoded with the separator ``",\\n      "``, a key's newline
 and indent. No encoded string holds a raw newline and no entry a nested object,
 so ``"},\\n      {"`` occurs only between entries, where one replace splits it.
+
+An event log is read in blocks of lines. A block is counted from one anchored
+regular-expression scan when each line ends with the block's only newlines,
+holds a canonical record - ``{"kind": K, "member": M, "timestamp": T}`` in that
+key order, M free of escapes and control characters (its text is its value), T
+an unsigned integer of at most 18 digits with no leading zero, spaces and tabs
+around any token - and no timestamp decreases. Any other block (a blank line,
+another key order, an escape, a BOM) is read exactly, line by line, by the
+decoder that words every error.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, Iterable, Iterator, Mapping
+import re
+from itertools import chain, islice, repeat
+from operator import le
+from typing import Any, Generator, Iterable, Iterator, Mapping
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
 from .mutual_aid import CommunityState, Event, EventKind
-from .taxonomy import Node, NodeKind, ValueTaxonomy, require_valid, validate
+from .taxonomy import Node, NodeKind, ValueTaxonomy, importance_float, require_valid, validate
 
 SCHEMA_VERSION = 1
 _encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 _decode_record = json.JSONDecoder().raw_decode
+# the canonical event record of the module docstring, one per line
+_find_canonical = re.compile(r"[ \t]*".join([
+    "^", r"\{", '"kind"', ":", '"(' + "|".join(re.escape(k.value) for k in EventKind) + ')"', ",",
+    '"member"', ":", r'"([^"\\\x00-\x1f]+)"', ",", '"timestamp"', ":", "(0|[1-9][0-9]{0,17})",
+    r"\}", "$"]), re.M).findall
+_BLOCK_LINES = 256  # thousands of lines per block raise peak memory
 _BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
@@ -59,10 +77,7 @@ def _check_version(doc: Any) -> None:
 def _parse_importance(raw: Any, location: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ParseError(location, f"importance must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an int past the float range
-        value = float("inf") if raw > 0 else float("-inf")
+    value = importance_float(raw)
     if not (-1.0 <= value <= 1.0):
         raise ParseError(location, f"importance {value} outside [-1, 1]")
     return value
@@ -199,9 +214,41 @@ def _event_records(lines: Iterable[str],
                    kinds: Mapping[str, Any]) -> Iterator[tuple[Any, str, int]]:
     """Yield ``(kinds[kind], member, timestamp)`` for each non-blank line of an
     event log. A bad record, or a timestamp below the one before, raises
-    :class:`MalformedEvent` with its 1-based line number, blank lines counted."""
-    last_timestamp = 0
-    for lineno, line in enumerate(lines, start=1):
+    :class:`MalformedEvent` with its 1-based line number, blank lines counted.
+
+    Blocks of canonical records are scanned whole; any other block goes to
+    :func:`_line_records`, which alone words errors."""
+    lines = iter(lines)
+    lineno, last_timestamp = 1, 0
+    while True:
+        block: list[str] = []
+        try:
+            block.extend(islice(lines, _BLOCK_LINES))
+        except Exception:  # such as undecodable bytes: the lines read before come first
+            yield from _line_records(block, kinds, lineno, last_timestamp)
+            raise
+        if not block:
+            return
+        text = "".join(block)
+        # each line ends with its only newline, so scanned lines are the given ones
+        if text.count("\n") == len(block) and all(map(str.endswith, block, repeat("\n"))):
+            found = _find_canonical(text)
+            if len(found) == len(block):
+                names, members, digits = zip(*found)
+                stamps = list(map(int, digits))
+                if all(map(le, chain((last_timestamp,), stamps), stamps)):
+                    yield from zip(map(kinds.__getitem__, names), members, stamps)
+                    lineno, last_timestamp = lineno + len(block), stamps[-1]
+                    continue
+        last_timestamp = yield from _line_records(block, kinds, lineno, last_timestamp)
+        lineno += len(block)
+
+
+def _line_records(lines: Iterable[str], kinds: Mapping[str, Any], first_lineno: int,
+                  last_timestamp: int) -> Generator[tuple[Any, str, int], None, int]:
+    """:func:`_event_records` over ``lines``, numbered from ``first_lineno``, one
+    JSON decode per line; returns the last timestamp read."""
+    for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
         if not line:
             continue
@@ -233,6 +280,7 @@ def _event_records(lines: Iterable[str],
             raise MalformedEvent(lineno, f"timestamp {timestamp} decreases from {last_timestamp}")
         last_timestamp = timestamp
         yield target, member, timestamp
+    return last_timestamp
 
 
 def parse_event_log(text: str) -> list[Event]:
@@ -243,18 +291,16 @@ def parse_event_log(text: str) -> list[Event]:
 
 
 def ingest_event_log(lines: Iterable[str]) -> CommunityState:
-    """Count an event log into a :class:`CommunityState` line by line, with the
-    checks of :func:`parse_event_log` but no events; an open file is read lazily."""
+    """Count an event log into a :class:`CommunityState`, with the checks of
+    :func:`parse_event_log` but no events; an open file is read lazily, a few
+    hundred lines at a time. A block of canonical records (one ``{"kind": K,
+    "member": M, "timestamp": T}`` per line, as the module docstring defines)
+    is counted after one scan proves every line holds one and no timestamp
+    decreases; any other layout is read exactly, line by line."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     for bucket, member, _ in _event_records(lines, buckets):
         bucket[member] = bucket.get(member, 0) + 1
     return CommunityState(*buckets.values())
-
-
-def serialize_event_log(events: Iterable[Event]) -> str:
-    lines = [json.dumps({"kind": e.kind.value, "member": e.member, "timestamp": e.timestamp})
-             for e in events]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _dot_quote(text: str) -> str:

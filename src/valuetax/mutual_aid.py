@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -90,7 +91,7 @@ class CommunityState:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
             object.__setattr__(self, name, MappingProxyType(counts))
 
-    @property
+    @cached_property  # stored in __dict__ directly, past the frozen __setattr__
     def members(self) -> tuple[str, ...]:
         seen = set(self.requests) | set(self.offers) | set(self.volunteering) \
             | set(self.task_distribution)

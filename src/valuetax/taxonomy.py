@@ -79,8 +79,17 @@ def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
     return Node(node_id, NodeKind.PROPERTY, property_id=property_id if property_id is not None else node_id)
 
 
+def importance_float(value: float) -> float:
+    """``float(value)``, with an int past the float range taken as the infinity
+    of its sign, so that the range check rejects it like any other value."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def check_importance(value: float, what: str = "importance") -> float:
-    value = float(value)
+    value = importance_float(value)
     if not (IMPORTANCE_MIN <= value <= IMPORTANCE_MAX):
         raise ValueError(f"{what} {value} outside [{IMPORTANCE_MIN}, {IMPORTANCE_MAX}]")
     return value

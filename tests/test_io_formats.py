@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuetax import (
+    CommunityState,
     ContextSpec,
-    Event,
     EventKind,
     NodeKind,
     SelectionKind,
@@ -29,9 +29,9 @@ from valuetax import (
     parse_taxonomy,
     property_node,
     serialize_context,
-    serialize_event_log,
     serialize_taxonomy,
 )
+from valuetax import io_formats
 from valuetax.errors import (
     InvalidTaxonomy,
     MalformedEvent,
@@ -317,13 +317,6 @@ class TestEventLogs:
         with pytest.raises(MalformedEvent):
             parse_event_log('{"kind": "party", "member": "a", "timestamp": 0}')
 
-    def test_serialize_round_trip(self):
-        events = parse_event_log(serialize_event_log([
-            Event(EventKind.REQUEST, "m", 3),
-            Event(EventKind.OFFER, "m", 4),
-        ]))
-        assert [e.timestamp for e in events] == [3, 4]
-
 
 def fold_file(tmp_path, text: str):
     """The lazy CLI path: ``text`` written byte for byte, folded from the open file."""
@@ -419,6 +412,158 @@ class TestEventLogFold:
         for error in (parsed.value, folded.value):
             assert error.index == index
             assert str(error) == f"malformed event at position {index}: {detail}"
+
+
+def outcome(read):
+    """The four counters ``read()`` folds, or the position and text of its error."""
+    try:
+        state = read()
+    except MalformedEvent as exc:
+        return exc.index, str(exc)
+    return [dict(state.requests), dict(state.offers), dict(state.volunteering),
+            dict(state.task_distribution)]
+
+
+def line_by_line(lines) -> CommunityState:
+    """The fold with every line decoded on its own: the reference for blocks."""
+    buckets = {kind.value: {} for kind in EventKind}
+    for bucket, member, _ in io_formats._line_records(lines, buckets, 1, 0):
+        bucket[member] = bucket.get(member, 0) + 1
+    return CommunityState(*buckets.values())
+
+
+def offer(timestamp="1", member='"a"') -> str:
+    return f'{{"kind": "offer", "member": {member}, "timestamp": {timestamp}}}'
+
+
+A = offer()
+B = '{"kind": "request", "member": "b", "timestamp": 2}'
+OFFER_A = [{}, {"a": 1}, {}, {}]
+
+
+def error(index: int, detail: str):
+    return index, f"malformed event at position {index}: {detail}"
+
+
+@pytest.fixture(params=[1, 2, 3, io_formats._BLOCK_LINES], ids=lambda n: f"blocks-of-{n}")
+def block_lines(request, monkeypatch):
+    monkeypatch.setattr(io_formats, "_BLOCK_LINES", request.param)
+    return request.param
+
+
+class TestCanonicalBlocks:
+    """Blocks of canonical records are scanned whole; everything else must be
+    read exactly as the line-by-line decoder reads it."""
+
+    # each log with the counts or error of the line-by-line reader
+    @pytest.mark.parametrize("lines, expected", [
+        (['{"kind": "offer", "member": "a",\n', ' "timestamp": 1}\n', A + " " + B + "\n"],
+         error(1, "invalid record: Expecting property name enclosed in double quotes")),
+        ([A + "\n", A + B + "\n"], error(2, "invalid record: Extra data")),
+        ([A + " " + B + "\n"], error(1, "invalid record: Extra data")),
+        ([A + "\n" + B + "\n", "\n"], error(1, "invalid record: Extra data")),
+        ([A + "\n" + B, "\n"], error(1, "invalid record: Extra data")),
+        ([A + "\x1e\n"], OFFER_A),
+        ([A + "\u2028\n"], OFFER_A),
+        (["\ufeff" + A + "\n"],
+         error(1, "invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)")),
+        ([offer("01") + "\n"], error(1, "invalid record: Expecting ',' delimiter")),
+        ([offer("1e3") + "\n"],
+         error(1, "event timestamp must be a non-negative integer, got 1000.0")),
+        ([offer("1234567890123456789") + "\n"], OFFER_A),
+        ([offer("1\u0663") + "\n"], error(1, "invalid record: Expecting ',' delimiter")),
+        ([A.replace(" ", "\xa0", 1) + "\n"], error(1, "invalid record: Expecting value")),
+        ([offer(member='"a\\u0062"') + "\n"], [{}, {"ab": 1}, {}, {}]),
+        ([offer(member='"a\x1fb"') + "\n"],
+         error(1, "invalid record: Invalid control character at")),
+        (['{"member": "a", "kind": "offer", "timestamp": 1}\n'], OFFER_A),
+        (['{"kind": "request", "kind": "offer", "member": "a", "timestamp": 1}\n'], OFFER_A),
+    ], ids=["split-record-then-two-records", "two-records-on-a-line", "two-records-spaced",
+            "element-of-two-lines", "element-of-two-lines-unterminated", "trailing-x1e",
+            "trailing-u2028", "bom", "leading-zero", "exponent", "19-digit-timestamp",
+            "arabic-indic-digit", "no-break-space-between-tokens", "escaped-member",
+            "control-in-member", "keys-reordered", "duplicate-kind"])
+    def test_adversarial_logs_read_as_line_by_line(self, block_lines, lines, expected):
+        assert outcome(lambda: ingest_event_log(lines)) == expected
+        assert outcome(lambda: line_by_line(lines)) == expected
+
+    CANONICAL = [offer(timestamp) + "\n" for timestamp in (5, 5, 5)]
+
+    @pytest.mark.parametrize("tail, expected", [
+        (["[]\n"], error(4, "record must be an object")),
+        ([offer(4) + "\n"], error(4, "timestamp 4 decreases from 5")),
+        ([offer(5) + "\n", offer(4) + "\n"], error(5, "timestamp 4 decreases from 5")),
+        (["\n", "  \n", offer(6) + "\n", "[]\n"], error(7, "record must be an object")),
+        (["\n", offer(7) + "\n", offer(7) + "\n", offer(6) + "\n"],
+         error(7, "timestamp 6 decreases from 7")),
+        (["\n", offer(5) + "\n", "\n"] + CANONICAL, [{}, {"a": 7}, {}, {}]),
+    ], ids=["bad-record", "decrease-at-boundary", "decrease-inside-block",
+            "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks"])
+    def test_block_boundaries_keep_positions_and_order(self, block_lines, tmp_path, tail,
+                                                       expected):
+        lines = self.CANONICAL + tail
+        assert outcome(lambda: ingest_event_log(lines)) == expected
+        assert outcome(lambda: fold_file(tmp_path, "".join(lines))) == expected
+        assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
+
+    def test_lines_before_a_read_error_are_checked_first(self, block_lines, tmp_path):
+        path = tmp_path / "events.jsonl"  # the bad byte lies past the first 8 KiB read
+        path.write_bytes((A + "\n[]\n" + (A + "\n") * 200).encode() + b"\xff\n")
+        with open(path, encoding="utf-8") as handle, pytest.raises(MalformedEvent) as excinfo:
+            ingest_event_log(handle)
+        assert (excinfo.value.index, str(excinfo.value)) == error(2, "record must be an object")
+        with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
+            ingest_event_log(line for line in handle if line != "[]\n")
+
+    PIECES = [
+        lambda t: offer(t),
+        lambda t: f'{{"kind":"task_assigned","member":"m\u00e9","timestamp":{t}}}',
+        lambda t: f'\t{{ "kind" : "request" ,\t"member" : "b" , "timestamp" : {t} }} ',
+        lambda t: offer(t) + " " + offer(t),  # two records on a line
+        lambda t: '{"kind": "offer",\n"member": "a", "timestamp": %d}' % t,  # split record
+        lambda t: "\ufeff" + offer(t),
+        lambda t: offer(t, member='"\\u00e9"'),
+        lambda t: offer(f"0{t}"),
+        lambda t: offer("1\u0663"),
+        lambda t: offer(t).replace(" ", "\xa0", 1),
+        lambda t: offer(10 ** 19 + t),
+        lambda t: offer(t) + "\x1e",
+        lambda t: '{"member": "a", "kind": "offer", "timestamp": %d}' % t,
+        lambda t: "",
+        lambda t: " ",
+    ]
+
+    def random_lines(self, rng: random.Random) -> list[str]:
+        timestamp, lines = 0, []
+        for _ in range(rng.randint(0, 12)):
+            timestamp = max(0, timestamp + rng.choice((-1, 0, 0, 1, 1, 2)))
+            piece = rng.choice(self.PIECES[:3] * 3 + self.PIECES)(timestamp)
+            lines.append(piece + rng.choice(("\n",) * 6 + ("\r\n", "")))
+        if len(lines) > 1 and rng.random() < 0.2:  # one element holding two lines
+            at = rng.randrange(len(lines) - 1)
+            lines[at:at + 2] = [lines[at] + lines[at + 1]]
+        return lines
+
+    def test_fold_equals_the_line_by_line_reader(self, monkeypatch):
+        rng = random.Random(6)
+        for trial in range(3000):
+            monkeypatch.setattr(io_formats, "_BLOCK_LINES", 1 + trial % 4)
+            lines = self.random_lines(rng)
+            text = "".join(lines)
+            assert outcome(lambda: ingest_event_log(lines)) == outcome(lambda: line_by_line(lines))
+            assert outcome(lambda: ingest_event_log(io.StringIO(text))) == outcome(
+                lambda: line_by_line(io.StringIO(text)))
+            try:
+                expected = list(io_formats._line_records(
+                    io.StringIO(text, newline=None), io_formats._EVENT_KINDS, 1, 0))
+            except MalformedEvent as exc:
+                expected = (exc.index, str(exc))
+            try:
+                events = parse_event_log(text)
+            except MalformedEvent as exc:
+                assert (exc.index, str(exc)) == expected
+            else:
+                assert [(e.kind, e.member, e.timestamp) for e in events] == expected
 
 
 DEEP = "[" * 100_000

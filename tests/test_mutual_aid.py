@@ -69,6 +69,14 @@ class TestIngest:
         assert state.members == ()
         assert dict(state.requests) == {}
 
+    def test_members_are_computed_once_and_stay_out_of_equality(self):
+        state = state_with(requests={"b": 1}, offers={"a": 2}, tasks={"c": 1, "b": 3})
+        assert state.members == ("a", "b", "c")
+        assert state.members is state.members
+        fresh = state_with(requests={"b": 1}, offers={"a": 2}, tasks={"c": 1, "b": 3})
+        assert state == fresh and fresh == state
+        assert repr(state) == repr(fresh)
+
     def test_task_distribution(self):
         log = (events_for("v1", EventKind.TASK_ASSIGNED, 2)
                + events_for("v2", EventKind.TASK_ASSIGNED, 2, 5))

@@ -70,6 +70,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ValueTaxonomy.build([label_node("a")], importance={"a": 1.5})
 
+    @pytest.mark.parametrize("value, shown", [(10 ** 400, "inf"), (-10 ** 400, "-inf")],
+                             ids=["positive", "negative"])
+    def test_importance_past_the_float_range_rejected(self, value, shown):
+        with pytest.raises(ValueError) as excinfo:
+            ValueTaxonomy.build([label_node("a")], importance={"a": value})
+        assert str(excinfo.value) == f"importance of 'a' {shown} outside [-1.0, 1.0]"
+
     def test_importance_for_unknown_node_rejected(self):
         with pytest.raises(UnknownNode):
             ValueTaxonomy.build([label_node("a")], importance={"ghost": 0.1})
@@ -110,6 +117,12 @@ class TestWithImportance:
             t.with_importance({"b": -1.5})
         assert dict(t.with_importance({"b": 1}).importance) == {"b": 1.0}
         assert dict(t.importance) == {"a": 0.5}
+
+    def test_importance_past_the_float_range_rejected(self):
+        t = ValueTaxonomy.build([label_node("a")])
+        with pytest.raises(ValueError) as excinfo:
+            t.with_importance({"a": -10 ** 400})
+        assert str(excinfo.value) == "importance of 'a' -inf outside [-1.0, 1.0]"
 
 
 class TestValidate:
