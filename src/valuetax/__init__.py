@@ -29,7 +29,6 @@ from .alignment import (
     SatisfactionProvider,
     SdTable,
     align,
-    align_context_spec,
     explain,
 )
 from .context import (
@@ -48,7 +47,6 @@ from .io_formats import (
     parse_context,
     parse_event_log,
     parse_taxonomy,
-    serialize_context,
     serialize_taxonomy,
 )
 from .mutual_aid import (
@@ -62,7 +60,6 @@ from .mutual_aid import (
     Event,
     EventKind,
     Measure,
-    MemberAggregation,
     difference_satisfaction,
     emd_1d,
     fairness_taxonomy,
@@ -83,8 +80,6 @@ from .propagation import (
     propagate,
 )
 from .taxonomy import (
-    HolderRef,
-    HolderRegistry,
     Node,
     NodeKind,
     ValidationReport,
@@ -92,13 +87,8 @@ from .taxonomy import (
     Violation,
     all_paths_counts,
     ancestors,
-    children,
-    descendants,
     label_node,
-    parents,
-    paths_count,
     property_node,
-    roots,
     topological_order,
     validate,
 )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, runtime_checkable
 
-from .context import ContextSpec
 from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
 from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, require_valid
 
@@ -75,22 +74,6 @@ def _sd_value(sd: SatisfactionProvider, entity: str, node: NodeId) -> float:
     return value
 
 
-def _score(entity: str, scheme: AlignmentScheme,
-           entries: list[tuple[NodeId, float, float, int]]) -> AlignmentReport:
-    per_property = []
-    for node, sd_val, imp, paths in entries:
-        factor = paths if scheme is AlignmentScheme.PATH_WEIGHTED else 1
-        per_property.append(PropertyContribution(
-            node=node, sd=sd_val, importance=imp, paths=paths,
-            contribution=factor * imp * sd_val))
-    score = sum(p.contribution for p in per_property) / len(per_property)
-    bound = float(max(p.paths for p in per_property)) \
-        if scheme is AlignmentScheme.PATH_WEIGHTED else 1.0
-    return AlignmentReport(
-        entity=entity, scheme=scheme, score=score, score_bound=bound,
-        per_property=tuple(per_property))
-
-
 def align(entity: str, taxonomy: ValueTaxonomy, sd: SatisfactionProvider,
           scheme: AlignmentScheme = AlignmentScheme.MEAN_WEIGHTED) -> AlignmentReport:
     """Score ``entity``'s behaviour against a taxonomy's property nodes.
@@ -103,37 +86,22 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: SatisfactionProvider,
     if not props:
         raise NoPropertyNodes("taxonomy has no property nodes to align against")
     paths = all_paths_counts(taxonomy)
-    entries = []
+    weighted = scheme is AlignmentScheme.PATH_WEIGHTED
+    per_property = []
     for node in props:
         if node not in taxonomy.importance:
             raise MissingImportance(node)
-        entries.append((node, _sd_value(sd, entity, node),
-                        taxonomy.importance[node], paths[node]))
-    return _score(entity, scheme, entries)
-
-
-def align_context_spec(entity: str, general: ValueTaxonomy, ctx: ContextSpec,
-                       sd: SatisfactionProvider,
-                       scheme: AlignmentScheme = AlignmentScheme.MEAN_WEIGHTED) -> AlignmentReport:
-    """Score against a context's full recorded property set, detested
-    (negative-importance) properties included.
-
-    Use this instead of :func:`align` on a built context taxonomy when
-    behaviour satisfying a detested property should pull the score down.
-    Path counts come from the general taxonomy.
-    """
-    require_valid(general)
-    property_ids = set(general.property_nodes())
-    recorded = sorted(ctx.property_importance)
-    if not recorded:
-        raise NoPropertyNodes(f"context {ctx.id!r} records no property importances")
-    stray = [n for n in recorded if n not in property_ids]
-    if stray:
-        raise ValueError(f"context {ctx.id!r} records non-property nodes: {stray}")
-    paths = all_paths_counts(general)
-    entries = [(node, _sd_value(sd, entity, node), ctx.property_importance[node], paths[node])
-               for node in recorded]
-    return _score(entity, scheme, entries)
+        sd_val = _sd_value(sd, entity, node)
+        imp = taxonomy.importance[node]
+        factor = paths[node] if weighted else 1
+        per_property.append(PropertyContribution(
+            node=node, sd=sd_val, importance=imp, paths=paths[node],
+            contribution=factor * imp * sd_val))
+    score = sum(p.contribution for p in per_property) / len(per_property)
+    bound = float(max(paths[n] for n in props)) if weighted else 1.0
+    return AlignmentReport(
+        entity=entity, scheme=scheme, score=score, score_bound=bound,
+        per_property=tuple(per_property))
 
 
 def explain(report: AlignmentReport) -> tuple[PropertyContribution, ...]:

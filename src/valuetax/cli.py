@@ -33,7 +33,14 @@ from .context import (
     context_holds,
     select_nodes,
 )
-from .errors import ParseError, PropagationError, TaxonomyError
+from .errors import (
+    EmptyDistribution,
+    EmptyInput,
+    ParseError,
+    PropagationError,
+    TaxonomyError,
+    UndefinedRatio,
+)
 from .io_formats import (
     export_dot,
     ingest_event_log,
@@ -219,6 +226,8 @@ def _cmd_align(args) -> tuple[int, str]:
     scheme = AlignmentScheme(args.scheme)
     try:
         report = align(args.entity, taxonomy, provider, scheme)
+    except (EmptyDistribution, UndefinedRatio, EmptyInput) as exc:  # the log's counts
+        raise _Fail(EXIT_INVALID, f"{args.log}: {exc}") from exc
     except TaxonomyError as exc:
         raise _Fail(EXIT_INVALID, f"{args.input}: {exc}") from exc
     return EXIT_OK, _render_alignment(report, args.format)
@@ -445,7 +454,8 @@ def _parser() -> argparse.ArgumentParser:
     cmd = command("align", _cmd_align, "score behaviour from an event log against a taxonomy")
     cmd.add_argument("--input", required=True, help="taxonomy document (context-based)")
     cmd.add_argument("--log", required=True, help="event log (one JSON record per line)")
-    cmd.add_argument("--entity", default="community", help="entity being assessed")
+    cmd.add_argument("--entity", default="community",
+                     help="name of the report; the score is the mean over all members")
     cmd.add_argument("--scheme", choices=("mean", "path"), default="mean")
     cmd.add_argument("--max-r", type=float, default=5.0, dest="max_r",
                      help="ratio mapped to full satisfaction (default 5)")

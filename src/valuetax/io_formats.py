@@ -1,7 +1,7 @@
-"""Document formats: taxonomies and contexts as JSON, event logs as JSON
-lines, and DOT export for rendering.
+"""Document formats: taxonomies as JSON (read and written), contexts as JSON
+(read only), event logs as JSON lines, and DOT export for rendering.
 
-Serialization is deterministic - nodes and edges are emitted in sorted
+Taxonomy serialization is deterministic - nodes and edges are emitted in sorted
 order and floats use their shortest exact decimal form - so that
 serialize(parse(serialize(t))) is byte-identical and round-trips preserve
 node, edge, and importance content exactly. Parse failures carry a location
@@ -75,9 +75,10 @@ def _check_version(doc: Any) -> None:
 
 
 def _parse_importance(raw: Any, location: str) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ParseError(location, f"importance must be a number, got {raw!r}")
-    value = importance_float(raw)
+    try:
+        value = importance_float(raw)
+    except ValueError as exc:
+        raise ParseError(location, str(exc)) from None
     if not (-1.0 <= value <= 1.0):
         raise ParseError(location, f"importance {value} outside [-1, 1]")
     return value
@@ -197,17 +198,6 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
         threshold = raw.get("threshold", 0.0)
         return SelectionStrategy(selection_kind, _parse_importance(threshold, "selection.threshold"))
     return SelectionStrategy(selection_kind)
-
-
-def serialize_context(ctx: ContextSpec) -> str:
-    selection: dict[str, Any] = {"kind": ctx.selection.kind.value}
-    if ctx.selection.kind is SelectionKind.POSITIVE_THRESHOLD:
-        selection["threshold"] = ctx.selection.threshold
-    doc = {"schema_version": SCHEMA_VERSION, "id": ctx.id,
-           "defining_properties": sorted(ctx.defining_properties),
-           "property_importance": dict(sorted(ctx.property_importance.items())),
-           "selection": selection}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _event_records(lines: Iterable[str],

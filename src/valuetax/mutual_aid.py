@@ -117,11 +117,6 @@ class Measure(Enum):
     EARTH_MOVERS_1D = "emd"
 
 
-class MemberAggregation(Enum):
-    MEAN_OVER_MEMBERS = "mean_over_members"
-    SINGLE_ENTITY = "single_entity"
-
-
 @dataclass(frozen=True)
 class DomainConfig:
     """Tunable domain parameters.
@@ -129,16 +124,13 @@ class DomainConfig:
     ``max_ratio`` caps the requests-to-offers ratio (must exceed 1);
     ``epsilon`` is the imbalance tolerated before task distribution starts
     to dissatisfy, and ``max_delta`` the imbalance mapped to full
-    dissatisfaction. ``undefined_ratio_as_max`` opts into treating requests
-    with zero offers as the capped maximum ratio instead of an error.
+    dissatisfaction.
     """
 
     max_ratio: float = 5.0
     epsilon: float = 0.1
     max_delta: float = 1.0
     difference_measure: Measure = Measure.EARTH_MOVERS_1D
-    member_aggregation: MemberAggregation = MemberAggregation.MEAN_OVER_MEMBERS
-    undefined_ratio_as_max: bool = False
 
     def __post_init__(self):
         if not self.max_ratio > 1:
@@ -173,13 +165,11 @@ def difference_satisfaction(delta: float, epsilon: float, max_delta: float) -> f
     return -(delta - epsilon) / (max_delta - epsilon)
 
 
-def _ratio(numerator: int, denominator: int, member: str, what: str, cfg: DomainConfig) -> float:
+def _ratio(numerator: int, denominator: int, member: str, what: str) -> float:
     if denominator == 0:
         if numerator == 0:
             # no evidence either way: neutral ratio
             return 1.0
-        if cfg.undefined_ratio_as_max:
-            return cfg.max_ratio
         raise UndefinedRatio(member, f"{numerator} requests against zero {what}")
     return numerator / denominator
 
@@ -187,14 +177,14 @@ def _ratio(numerator: int, denominator: int, member: str, what: str, cfg: Domain
 def sd_offer_ratio(state: CommunityState, member: str, cfg: DomainConfig) -> float:
     """Satisfaction of ``offer_ratio`` for one member."""
     ratio = _ratio(state.requests.get(member, 0), state.offers.get(member, 0),
-                   member, "offers", cfg)
+                   member, "offers")
     return ratio_satisfaction(ratio, cfg.max_ratio)
 
 
 def sd_volunteer_ratio(state: CommunityState, member: str, cfg: DomainConfig) -> float:
     """Satisfaction of ``volunteer_ratio`` for one member."""
     ratio = _ratio(state.requests.get(member, 0), state.volunteering.get(member, 0),
-                   member, "volunteering", cfg)
+                   member, "volunteering")
     return ratio_satisfaction(ratio, cfg.max_ratio)
 
 
@@ -275,9 +265,9 @@ def emd_1d(d: DistributionLike, u: DistributionLike) -> float:
 class CommunitySdProvider:
     """Satisfaction degrees for the three community properties.
 
-    Per-member properties are lifted to the community level according to the
-    configured member aggregation: the mean over all members, or the single
-    member named by the entity id. Task balance is community-wide either way.
+    The entity only names the report: per-member properties are lifted to
+    the community level as the mean over all members, and task balance is
+    community-wide.
     """
 
     state: CommunityState
@@ -285,16 +275,14 @@ class CommunitySdProvider:
 
     def lookup(self, entity: str, node: str) -> float:
         if node == OFFER_RATIO:
-            return self._member_sd(sd_offer_ratio, entity)
+            return self._member_mean(sd_offer_ratio)
         if node == VOLUNTEER_RATIO:
-            return self._member_sd(sd_volunteer_ratio, entity)
+            return self._member_mean(sd_volunteer_ratio)
         if node == TASK_BALANCE:
             return sd_task_balance(self.state, self.cfg)
         raise MissingSatisfaction(node)
 
-    def _member_sd(self, sd_fn, entity: str) -> float:
-        if self.cfg.member_aggregation is MemberAggregation.SINGLE_ENTITY:
-            return sd_fn(self.state, entity, self.cfg)
+    def _member_mean(self, sd_fn) -> float:
         members = self.state.members
         if not members:
             raise EmptyInput("community has no members to aggregate over")
@@ -306,10 +294,10 @@ def property_evaluators(cfg: DomainConfig):
     used to decide whether a context holds. Ratio properties are judged on
     community totals."""
     def offer_ratio_holds(state: CommunityState) -> bool:
-        return _total_ratio(state.requests, state.offers, cfg) > 1.0
+        return _total_ratio(state.requests, state.offers) > 1.0
 
     def volunteer_ratio_holds(state: CommunityState) -> bool:
-        return _total_ratio(state.requests, state.volunteering, cfg) > 1.0
+        return _total_ratio(state.requests, state.volunteering) > 1.0
 
     def task_balance_holds(state: CommunityState) -> bool:
         return task_imbalance(state, cfg) < cfg.epsilon
@@ -321,9 +309,8 @@ def property_evaluators(cfg: DomainConfig):
     }
 
 
-def _total_ratio(numerators: Mapping[str, int], denominators: Mapping[str, int],
-                 cfg: DomainConfig) -> float:
-    return _ratio(sum(numerators.values()), sum(denominators.values()), "community", "total", cfg)
+def _total_ratio(numerators: Mapping[str, int], denominators: Mapping[str, int]) -> float:
+    return _ratio(sum(numerators.values()), sum(denominators.values()), "community", "total")
 
 
 def fairness_taxonomy() -> ValueTaxonomy:

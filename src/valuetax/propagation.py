@@ -66,8 +66,8 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def _close(a: float, b: float, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,7 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
 
 
 def check_coherence(taxonomy: ValueTaxonomy,
-                    op: AggregationOperator = MEAN,
-                    rel_tol: float = REL_TOL,
-                    abs_tol: float = ABS_TOL) -> CoherenceReport:
+                    op: AggregationOperator = MEAN) -> CoherenceReport:
     """Verify each valued parent's importance against the aggregate of its
     children's importances.
 
@@ -288,7 +286,7 @@ def check_coherence(taxonomy: ValueTaxonomy,
             unevaluable.append(node)
             continue
         expected = op.apply(tuple(child_values))
-        if not _close(actual, expected, rel_tol, abs_tol):
+        if not _close(actual, expected):
             violations.append(CoherenceViolation(node, expected, actual))
     return CoherenceReport(
         coherent=not violations,

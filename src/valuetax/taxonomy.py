@@ -80,8 +80,13 @@ def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
 
 
 def importance_float(value: float) -> float:
-    """``float(value)``, with an int past the float range taken as the infinity
-    of its sign, so that the range check rejects it like any other value."""
+    """``float(value)`` for an int or a float (not a bool), with an int past the
+    float range taken as the infinity of its sign, so that the range check
+    rejects it like any other value. Anything else raises ValueError."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"importance must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -263,25 +268,6 @@ def require_valid(taxonomy: ValueTaxonomy) -> None:
         raise InvalidTaxonomy(report)
 
 
-def roots(taxonomy: ValueTaxonomy) -> set[NodeId]:
-    """All nodes with no incoming edge. Raises InvalidTaxonomy on invalid input."""
-    require_valid(taxonomy)
-    parents = taxonomy._parents
-    return {n for n in taxonomy.nodes if not parents[n]}
-
-
-def children(taxonomy: ValueTaxonomy, node: NodeId) -> set[NodeId]:
-    if node not in taxonomy.nodes:
-        raise UnknownNode(node)
-    return set(taxonomy._children[node])
-
-
-def parents(taxonomy: ValueTaxonomy, node: NodeId) -> set[NodeId]:
-    if node not in taxonomy.nodes:
-        raise UnknownNode(node)
-    return set(taxonomy._parents[node])
-
-
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     """Nodes ordered parents-first; ties broken by node id for reproducibility.
 
@@ -319,33 +305,10 @@ def ancestors(taxonomy: ValueTaxonomy, nodes: Iterable[NodeId]) -> set[NodeId]:
     return seen
 
 
-def descendants(taxonomy: ValueTaxonomy, nodes: Iterable[NodeId]) -> set[NodeId]:
-    children_map = taxonomy._children
-    seen: set[NodeId] = set()
-    stack = [c for n in nodes for c in children_map.get(n, ())]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(children_map.get(node, ()))
-    return seen
-
-
-def paths_count(taxonomy: ValueTaxonomy, node: NodeId) -> int:
-    """Number of distinct directed paths from any root down to ``node``.
-
-    A root counts one path to itself; for any other node the count is the
-    sum over its parents.
-    """
-    require_valid(taxonomy)
-    if node not in taxonomy.nodes:
-        raise UnknownNode(node)
-    return all_paths_counts(taxonomy)[node]
-
-
 def all_paths_counts(taxonomy: ValueTaxonomy) -> dict[NodeId, int]:
-    """Path counts from the roots for every node, computed in one topological sweep."""
+    """Number of distinct directed paths from any root down to each node,
+    computed in one topological sweep: a root counts one path to itself, any
+    other node the sum over its parents."""
     require_valid(taxonomy)
     parents_map = taxonomy._parents
     counts: dict[NodeId, int] = {}
@@ -353,43 +316,3 @@ def all_paths_counts(taxonomy: ValueTaxonomy) -> dict[NodeId, int]:
         ps = parents_map[node]
         counts[node] = 1 if not ps else sum(counts[p] for p in ps)
     return counts
-
-
-@dataclass(frozen=True)
-class HolderRef:
-    """Identifies whose values a taxonomy describes.
-
-    ``holder`` alone means the holder's own values; with ``subject`` set it
-    means what the holder believes the subject's values to be.
-    """
-
-    holder: str
-    subject: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.holder:
-            raise ValueError("holder must be a non-empty string")
-
-
-class HolderRegistry:
-    """Taxonomies indexed by (holder, subject).
-
-    Reads are safe to run concurrently; writers must be serialized by the
-    caller (single-writer, many-reader contract).
-    """
-
-    def __init__(self):
-        self._entries: dict[HolderRef, ValueTaxonomy] = {}
-
-    def put(self, ref: HolderRef, taxonomy: ValueTaxonomy) -> None:
-        require_valid(taxonomy)
-        self._entries[ref] = taxonomy
-
-    def get(self, ref: HolderRef) -> Optional[ValueTaxonomy]:
-        return self._entries.get(ref)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, ref: HolderRef) -> bool:
-        return ref in self._entries

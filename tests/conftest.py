@@ -9,6 +9,7 @@ average formula.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from valuetax import (
     ContextSpec,
+    SelectionKind,
     ValueTaxonomy,
     fairness_taxonomy,
     label_node,
@@ -173,15 +175,40 @@ def taxonomies(draw, max_nodes: int = 10, leaf_importance_only: bool = False):
     return ValueTaxonomy.build(nodes, sorted(edges), importance)
 
 
+def context_document(ctx: ContextSpec) -> str:
+    """A context document holding everything ``ctx`` records."""
+    selection: dict = {"kind": ctx.selection.kind.value}
+    if ctx.selection.kind is SelectionKind.POSITIVE_THRESHOLD:
+        selection["threshold"] = ctx.selection.threshold
+    return json.dumps({"schema_version": 1, "id": ctx.id,
+                       "defining_properties": sorted(ctx.defining_properties),
+                       "property_importance": dict(ctx.property_importance),
+                       "selection": selection})
+
+
 # -- independent oracles ------------------------------------------------------
+
+
+def children_of(taxonomy: ValueTaxonomy) -> dict[str, set[str]]:
+    """Each node's children, read from the edge set alone."""
+    return {n: {c for p, c in taxonomy.edges if p == n} for n in taxonomy.nodes}
+
+
+def parents_of(taxonomy: ValueTaxonomy) -> dict[str, set[str]]:
+    """Each node's parents, read from the edge set alone."""
+    return {n: {p for p, c in taxonomy.edges if c == n} for n in taxonomy.nodes}
+
+
+def roots_of(taxonomy: ValueTaxonomy) -> set[str]:
+    return {n for n, ps in parents_of(taxonomy).items() if not ps}
 
 
 def subtree_mean_oracle(taxonomy: ValueTaxonomy) -> dict[str, float]:
     """Bottom-up recursive mean over a tree whose leaves are all valued."""
-    children = {n: sorted(c for p, c in taxonomy.edges if p == n) for n in taxonomy.nodes}
+    children = children_of(taxonomy)
 
     def value(node: str) -> float:
-        kids = children[node]
+        kids = sorted(children[node])
         if not kids:
             return taxonomy.importance[node]
         return sum(value(k) for k in kids) / len(kids)
@@ -191,7 +218,7 @@ def subtree_mean_oracle(taxonomy: ValueTaxonomy) -> dict[str, float]:
 
 def enumerate_paths_oracle(taxonomy: ValueTaxonomy, target: str) -> int:
     """Count root-to-target paths by explicit depth-first enumeration."""
-    parents = {n: sorted(p for p, c in taxonomy.edges if c == n) for n in taxonomy.nodes}
+    parents = parents_of(taxonomy)
 
     def count(node: str) -> int:
         ps = parents[node]

@@ -12,7 +12,6 @@ from valuetax import (
     SdTable,
     ValueTaxonomy,
     align,
-    align_context_spec,
     build_context_taxonomy,
     explain,
     label_node,
@@ -200,10 +199,10 @@ class TestAlignProperties:
         assert checked > 30
 
 
-class TestAlignContextSpec:
+class TestContextImportance:
     def test_detested_properties_pull_the_score_down(self, fairness, context_c_prime):
         sd = SdTable({"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0})
-        report = align_context_spec("e", fairness, context_c_prime, sd)
+        report = align("e", fairness.with_importance(context_c_prime.property_importance), sd)
         assert report.score == pytest.approx((-0.5 - 0.5 + 0.9) / 3, abs=1e-12)
         assert sorted(p.node for p in report.per_property) == [
             "offer_ratio", "task_balance", "volunteer_ratio"]
@@ -213,12 +212,3 @@ class TestAlignContextSpec:
         sd = SdTable({"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0})
         report = align("e", built, sd)
         assert report.score == pytest.approx(0.9, abs=1e-12)
-
-    def test_empty_record_rejected(self, fairness):
-        with pytest.raises(NoPropertyNodes):
-            align_context_spec("e", fairness, ContextSpec("empty"), GOLDEN_SD)
-
-    def test_non_property_record_rejected(self, fairness):
-        ctx = ContextSpec("bad", property_importance={"fairness": 0.2})
-        with pytest.raises(ValueError):
-            align_context_spec("e", fairness, ctx, GOLDEN_SD)

@@ -12,10 +12,11 @@ from valuetax import (
     build_context_taxonomy,
     fairness_taxonomy,
     label_node,
-    serialize_context,
     serialize_taxonomy,
 )
 from valuetax.cli import demo_event_log, main
+
+from conftest import context_document
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ def elder_context_file(tmp_path):
     ctx = ContextSpec("elder-support", property_importance={
         "offer_ratio": -0.5, "volunteer_ratio": -0.5, "task_balance": 0.9})
     path = tmp_path / "elder.json"
-    path.write_text(serialize_context(ctx), encoding="utf-8")
+    path.write_text(context_document(ctx), encoding="utf-8")
     return str(path)
 
 
@@ -206,7 +207,7 @@ class TestContextCommand:
     def test_empty_selection_warns_but_succeeds(self, capsys, fairness_file, tmp_path):
         ctx = ContextSpec("none", property_importance={"offer_ratio": -0.5})
         path = tmp_path / "none.json"
-        path.write_text(serialize_context(ctx), encoding="utf-8")
+        path.write_text(context_document(ctx), encoding="utf-8")
         code, out, err = run(capsys, "context", "--input", fairness_file,
                              "--context", str(path))
         assert code == 0
@@ -294,6 +295,27 @@ class TestAlignCommand:
         assert out == ""
         assert err.startswith(f"{path}: malformed event at position 113: invalid record: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("log, message", [
+        ('{"kind": "offer", "member": "a", "timestamp": 0}\n', "no tasks have been assigned"),
+        ('{"kind": "request", "member": "a", "timestamp": 0}\n',
+         "undefined ratio for member 'a': 1 requests against zero offers"),
+        ("", "community has no members to aggregate over"),
+    ], ids=["no-tasks", "requests-without-offers", "empty"])
+    def test_a_log_that_cannot_be_scored_is_named(
+            self, capsys, alignment_taxonomy_file, tmp_path, log, message):
+        path = tmp_path / "events.jsonl"
+        path.write_text(log, encoding="utf-8")
+        code, out, err = run(capsys, "align", "--input", alignment_taxonomy_file,
+                             "--log", str(path))
+        assert (code, out, err) == (1, "", f"{path}: {message}\n")
+
+    def test_a_taxonomy_without_importance_is_named(self, capsys, log_file, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(serialize_taxonomy(fairness_taxonomy()), encoding="utf-8")
+        code, out, err = run(capsys, "align", "--input", str(path), "--log", log_file)
+        assert (code, out) == (1, "")
+        assert err == f"{path}: property node 'offer_ratio' has no assigned importance\n"
 
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "absent.jsonl"

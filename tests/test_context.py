@@ -15,13 +15,12 @@ from valuetax import (
     build_context_taxonomy,
     check_coherence,
     context_holds,
-    roots,
     select_nodes,
     validate,
 )
 from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
 
-from conftest import random_taxonomy, subtree_mean_oracle
+from conftest import random_taxonomy, roots_of, subtree_mean_oracle
 
 KMEANS = SelectionStrategy(SelectionKind.KMEANS_TWO)
 
@@ -211,7 +210,7 @@ class TestBuildContextTaxonomy:
 
             for node in built.nodes:
                 assert reaches_selected(node)
-            assert roots(built) <= roots(general)
+            assert roots_of(built) <= roots_of(general)
         assert checked > 20
 
 

@@ -28,7 +28,6 @@ from valuetax import (
     parse_event_log,
     parse_taxonomy,
     property_node,
-    serialize_context,
     serialize_taxonomy,
 )
 from valuetax import io_formats
@@ -39,7 +38,7 @@ from valuetax.errors import (
     SchemaVersionUnsupported,
 )
 
-from conftest import importance_values, random_taxonomy, taxonomies
+from conftest import context_document, importance_values, random_taxonomy, taxonomies
 
 
 class TestTaxonomyRoundTrip:
@@ -258,11 +257,11 @@ class TestContextDocuments:
             property_importance={"offer_ratio": 0.8, "task_balance": 0.7},
             selection=SelectionStrategy(SelectionKind.KMEANS_TWO),
         )
-        assert parse_context(serialize_context(ctx)) == ctx
+        assert parse_context(context_document(ctx)) == ctx
 
     def test_threshold_round_trip(self):
         ctx = ContextSpec("t", selection=SelectionStrategy(threshold=0.25))
-        back = parse_context(serialize_context(ctx))
+        back = parse_context(context_document(ctx))
         assert back.selection.threshold == 0.25
 
     def test_defaults_to_positive_selection(self):

@@ -20,7 +20,6 @@ from valuetax import (
     Event,
     EventKind,
     Measure,
-    MemberAggregation,
     align,
     build_context_taxonomy,
     ContextSpec,
@@ -202,11 +201,6 @@ class TestMemberSatisfaction:
         with pytest.raises(UndefinedRatio):
             sd_offer_ratio(state, "m", CFG)
 
-    def test_undefined_ratio_optin_clamps_to_max(self):
-        cfg = DomainConfig(undefined_ratio_as_max=True)
-        state = state_with(requests={"m": 2})
-        assert sd_offer_ratio(state, "m", cfg) == 1.0
-
 
 class TestDistributionMeasures:
     def test_kl_of_identical_uniform_is_zero(self):
@@ -331,11 +325,10 @@ class TestCommunityProvider:
         provider = CommunitySdProvider(state, CFG)
         assert provider.lookup("whole", OFFER_RATIO) == pytest.approx(0.4, abs=1e-12)
 
-    def test_single_entity_uses_that_member(self):
-        state = state_with(requests={"a": 3}, offers={"a": 1})
-        cfg = DomainConfig(member_aggregation=MemberAggregation.SINGLE_ENTITY)
-        provider = CommunitySdProvider(state, cfg)
-        assert provider.lookup("a", OFFER_RATIO) == pytest.approx(0.5, abs=1e-12)
+    def test_entity_only_names_the_report(self):
+        state = state_with(requests={"a": 9, "b": 17}, offers={"a": 5, "b": 5})
+        provider = CommunitySdProvider(state, CFG)
+        assert provider.lookup("a", OFFER_RATIO) == provider.lookup("whole", OFFER_RATIO)
 
     def test_unknown_property_raises(self):
         provider = CommunitySdProvider(self.golden_state(), CFG)

@@ -386,7 +386,6 @@ class TestCheckCoherence:
         assert check_coherence(t, op=op_min).coherent
         assert not check_coherence(t, op=MEAN).coherent
 
-    def test_tolerance_is_configurable(self):
-        t = taxonomy([("p", "a")], {"p": 0.5005, "a": 0.5})
-        assert not check_coherence(t).coherent
-        assert check_coherence(t, abs_tol=1e-2).coherent
+    def test_tolerance_is_relative_1e_9(self):
+        assert check_coherence(taxonomy([("p", "a")], {"p": 0.5 + 4e-10, "a": 0.5})).coherent
+        assert not check_coherence(taxonomy([("p", "a")], {"p": 0.5 + 6e-10, "a": 0.5})).coherent

@@ -7,24 +7,27 @@ import random
 import pytest
 
 from valuetax import (
-    HolderRef,
-    HolderRegistry,
+    ContextSpec,
     Node,
     NodeKind,
+    SelectionStrategy,
     ValueTaxonomy,
+    all_paths_counts,
     ancestors,
-    children,
     label_node,
-    parents,
-    paths_count,
     property_node,
-    roots,
     topological_order,
     validate,
 )
 from valuetax.errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
 
-from conftest import enumerate_paths_oracle, random_taxonomy
+from conftest import (
+    children_of,
+    enumerate_paths_oracle,
+    parents_of,
+    random_taxonomy,
+    roots_of,
+)
 
 
 def chain(*names):
@@ -84,6 +87,23 @@ class TestConstruction:
     def test_two_nodes_may_share_label_text(self):
         t = ValueTaxonomy.build([label_node("a", "same"), label_node("b", "same")])
         assert validate(t).ok
+
+
+# Every place that takes an importance.
+IMPORTANCE_TAKERS = {
+    "build": lambda v: ValueTaxonomy.build([label_node("a")], [], {"a": v}),
+    "with_importance": lambda v: ValueTaxonomy.build([label_node("a")]).with_importance({"a": v}),
+    "ContextSpec": lambda v: ContextSpec("c", property_importance={"p": v}),
+    "SelectionStrategy": lambda v: SelectionStrategy(threshold=v),
+}
+
+
+@pytest.mark.parametrize("taker", IMPORTANCE_TAKERS)
+@pytest.mark.parametrize("value", ["0.5", True, None], ids=["str", "bool", "None"])
+def test_importance_must_be_an_int_or_a_float(taker, value):
+    with pytest.raises(ValueError) as excinfo:
+        IMPORTANCE_TAKERS[taker](value)
+    assert str(excinfo.value) == f"importance must be a number, got {value!r}"
 
 
 STRUCTURE_CACHES = ("_children", "_parents", "_validation")
@@ -172,64 +192,28 @@ class TestValidate:
     def test_orphan_label_leaf_is_legal(self, fairness):
         # "equal_pay" has no property child; it is a legal, inert leaf
         assert "equal_pay" in fairness.nodes
-        assert children(fairness, "equal_pay") == set()
+        assert children_of(fairness)["equal_pay"] == set()
         assert validate(fairness).ok
 
 
 class TestQueries:
-    def test_fairness_root(self, fairness):
-        assert roots(fairness) == {"fairness"}
-
-    def test_single_node_is_its_own_root(self):
-        t = ValueTaxonomy.build([label_node("only")])
-        assert roots(t) == {"only"}
-
-    def test_disconnected_chains_have_both_heads(self):
-        t = ValueTaxonomy.build(
-            [label_node(n) for n in "abcd"],
-            chain("a", "b") + chain("c", "d"),
-        )
-        assert roots(t) == {"a", "c"}
-
-    def test_roots_refuses_invalid_taxonomy(self):
-        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
-            roots(bad)
-
-    def test_children_of_fairness(self, fairness):
-        assert children(fairness, "fairness") == {"reciprocity", "equal_treatment"}
-
-    def test_property_node_has_no_children(self, fairness):
-        assert children(fairness, "offer_ratio") == set()
-
-    def test_children_unknown_node(self, fairness):
-        with pytest.raises(UnknownNode):
-            children(fairness, "nope")
-
-    def test_shared_child_returned_once(self):
-        t = ValueTaxonomy.build(
-            [label_node("a"), label_node("b"), label_node("shared")],
-            [("a", "shared"), ("b", "shared")],
-        )
-        assert children(t, "a") == {"shared"}
-        assert children(t, "b") == {"shared"}
-
     def test_paths_single_chain(self, fairness):
-        assert paths_count(fairness, "task_balance") == 1
+        assert all_paths_counts(fairness)["task_balance"] == 1
 
     def test_paths_diamond(self):
         t = ValueTaxonomy.build(
             [label_node("root"), label_node("a"), label_node("b"), property_node("leaf")],
             [("root", "a"), ("root", "b"), ("a", "leaf"), ("b", "leaf")],
         )
-        assert paths_count(t, "leaf") == 2
+        assert all_paths_counts(t)["leaf"] == 2
 
     def test_paths_of_root_is_one(self, fairness):
-        assert paths_count(fairness, "fairness") == 1
+        assert all_paths_counts(fairness)["fairness"] == 1
 
-    def test_paths_unknown_node(self, fairness):
-        with pytest.raises(UnknownNode):
-            paths_count(fairness, "nope")
+    def test_paths_refuse_invalid_taxonomy(self):
+        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
+        with pytest.raises(InvalidTaxonomy):
+            all_paths_counts(bad)
 
     def test_paths_grow_exponentially_on_a_diamond_ladder(self):
         # 20 stacked diamonds; counting must not enumerate the 2^20 paths
@@ -240,7 +224,7 @@ class TestQueries:
             nodes += [label_node(left), label_node(right), label_node(nxt)]
             edges += [(top, left), (top, right), (left, nxt), (right, nxt)]
         t = ValueTaxonomy.build(nodes, edges)
-        assert paths_count(t, "t20") == 2 ** 20
+        assert all_paths_counts(t)["t20"] == 2 ** 20
 
 
 def relabelled(t: ValueTaxonomy, rng: random.Random) -> ValueTaxonomy:
@@ -267,10 +251,11 @@ class TestTopologicalOrder:
             t = relabelled(random_taxonomy(rng, max_nodes=20), rng)
             order = topological_order(t)
             assert sorted(order) == sorted(t.nodes)
+            parents = parents_of(t)
             placed: set[str] = set()
             for node in order:
                 ready = [n for n in t.nodes
-                         if n not in placed and parents(t, n) <= placed]
+                         if n not in placed and parents[n] <= placed]
                 assert node == min(ready)
                 placed.add(node)
 
@@ -286,56 +271,23 @@ class TestStructuralInvariants:
         for _ in range(50):
             t = random_taxonomy(rng)
             assert validate(t).ok
+            children = children_of(t)
+            counts = all_paths_counts(t)
             for node in t.nodes:
-                assert children(t, node).isdisjoint(ancestors(t, [node]))
+                assert children[node].isdisjoint(ancestors(t, [node]))
                 if t.nodes[node].kind is NodeKind.PROPERTY:
-                    assert not children(t, node)
-                assert paths_count(t, node) == enumerate_paths_oracle(t, node)
+                    assert not children[node]
+                assert counts[node] == enumerate_paths_oracle(t, node)
 
     def test_paths_sum_over_parents(self):
         rng = random.Random(99)
         for _ in range(25):
             t = random_taxonomy(rng)
-            root_set = roots(t)
+            root_set = roots_of(t)
+            parents = parents_of(t)
+            counts = all_paths_counts(t)
             for node in t.nodes:
                 if node in root_set:
-                    assert paths_count(t, node) == 1
+                    assert counts[node] == 1
                 else:
-                    assert paths_count(t, node) == sum(
-                        paths_count(t, p) for p in parents(t, node))
-
-
-class TestRegistry:
-    def test_put_then_get(self, fairness):
-        registry = HolderRegistry()
-        ref = HolderRef("communityC")
-        registry.put(ref, fairness)
-        assert registry.get(ref) is fairness
-
-    def test_get_unknown_is_absent(self):
-        assert HolderRegistry().get(HolderRef("nobody")) is None
-
-    def test_subject_does_not_shadow_own_values(self, fairness):
-        registry = HolderRegistry()
-        own = ValueTaxonomy.build([label_node("own")])
-        registry.put(HolderRef("x"), own)
-        registry.put(HolderRef("x", subject="y"), fairness)
-        assert registry.get(HolderRef("x")) is own
-        assert registry.get(HolderRef("x", subject="y")) is fairness
-
-    def test_put_overwrites_same_ref(self, fairness):
-        registry = HolderRegistry()
-        first = ValueTaxonomy.build([label_node("v1")])
-        registry.put(HolderRef("x"), first)
-        registry.put(HolderRef("x"), fairness)
-        assert registry.get(HolderRef("x")) is fairness
-        assert len(registry) == 1
-
-    def test_put_rejects_invalid(self):
-        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
-            HolderRegistry().put(HolderRef("x"), bad)
-
-    def test_empty_holder_rejected(self):
-        with pytest.raises(ValueError):
-            HolderRef("")
+                    assert counts[node] == sum(counts[p] for p in parents[node])
