@@ -57,7 +57,6 @@ from .mutual_aid import (
     CommunitySdProvider,
     CommunityState,
     DomainConfig,
-    Event,
     EventKind,
     Measure,
     difference_satisfaction,

@@ -2,8 +2,9 @@
 
 A parent node's importance has to agree with an aggregate of its children's
 importances. Any averaging operator may be plugged in for coherence
-checking; the arithmetic mean is the default and the only operator that
-supports exact down-propagation (solving for unknown children).
+checking; the arithmetic mean is the default. Propagation is fixed to the
+mean: it aggregates with :func:`mean_aggregate` and solves for unknown
+children with :func:`mean_invert`.
 
 The harness checks the algebraic laws an importance aggregator should
 satisfy - symmetry, idempotence, monotonicity, and the compensative bounds
@@ -44,19 +45,14 @@ def mean_invert(parent: float, known: Sequence[float], unknown_count: int = 1) -
 
 @dataclass(frozen=True)
 class AggregationOperator:
-    """A named aggregation function over importance tuples.
-
-    ``invert``, when present, solves for missing children given the parent
-    value (exact down-propagation); only operators with this capability can
-    drive propagation downward.
-    """
+    """A named aggregation function over importance tuples, as the law
+    harness and :func:`~valuetax.propagation.check_coherence` take it."""
 
     name: str
     apply: Callable[[Sequence[float]], float]
-    invert: Optional[Callable[[float, Sequence[float], int], float]] = None
 
 
-MEAN = AggregationOperator("mean", mean_aggregate, mean_invert)
+MEAN = AggregationOperator("mean", mean_aggregate)
 
 
 class Law(Enum):

@@ -36,7 +36,6 @@ from .context import (
 from .errors import (
     EmptyDistribution,
     EmptyInput,
-    ParseError,
     PropagationError,
     TaxonomyError,
     UndefinedRatio,
@@ -92,9 +91,13 @@ def _read(path: str, consume: Callable[[TextIO], _T] = lambda handle: handle.rea
         raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
 
 
-def _load_taxonomy(path: str, strict: bool = True) -> ValueTaxonomy:
+def _load(path: str, parse: Callable[[str], _T]) -> _T:
+    """``parse`` applied to the text of the file at ``path``. The file is
+    closed before parsing, since parsing while it is open raises peak memory;
+    a document ``parse`` rejects exits 1."""
+    text = _read(path)
     try:
-        return parse_taxonomy(_read(path), require_valid_structure=strict)
+        return parse(text)
     except TaxonomyError as exc:
         raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
 
@@ -125,7 +128,7 @@ def _domain_config(args) -> DomainConfig:
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input, strict=False)
+    taxonomy = _load(args.input, lambda text: parse_taxonomy(text, require_valid_structure=False))
     report = validate(taxonomy)
     if args.format == "machine":
         doc = {"ok": report.ok, "violations": [
@@ -140,7 +143,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_propagate(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input)
+    taxonomy = _load(args.input, parse_taxonomy)
     try:
         result = propagate(taxonomy)
     except PropagationError as exc:
@@ -155,7 +158,7 @@ def _cmd_propagate(args) -> tuple[int, str]:
 
 
 def _cmd_coherence(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input)
+    taxonomy = _load(args.input, parse_taxonomy)
     report = check_coherence(taxonomy)
     if args.format == "machine":
         doc = {
@@ -194,11 +197,8 @@ def _selection_override(args, default: SelectionStrategy) -> SelectionStrategy:
 
 
 def _cmd_context(args) -> tuple[int, str]:
-    general = _load_taxonomy(args.input)
-    try:
-        ctx = parse_context(_read(args.context))
-    except ParseError as exc:
-        raise _Fail(EXIT_INVALID, f"{args.context}: {exc}") from exc
+    general = _load(args.input, parse_taxonomy)
+    ctx = _load(args.context, parse_context)
     strategy = _selection_override(args, ctx.selection)
     ctx = ContextSpec(ctx.id, ctx.defining_properties, dict(ctx.property_importance), strategy)
     with warnings.catch_warnings(record=True) as caught:
@@ -220,7 +220,7 @@ def _cmd_context(args) -> tuple[int, str]:
 
 
 def _cmd_align(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input)
+    taxonomy = _load(args.input, parse_taxonomy)
     state = _read(args.log, ingest_event_log)
     provider = CommunitySdProvider(state, _domain_config(args))
     scheme = AlignmentScheme(args.scheme)
@@ -257,7 +257,7 @@ def _render_alignment(report: AlignmentReport, fmt: str) -> str:
 
 
 def _cmd_paths(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input)
+    taxonomy = _load(args.input, parse_taxonomy)
     counts = all_paths_counts(taxonomy)
     if args.node is not None:
         if args.node not in counts:
@@ -272,7 +272,7 @@ def _cmd_paths(args) -> tuple[int, str]:
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
-    taxonomy = _load_taxonomy(args.input)
+    taxonomy = _load(args.input, parse_taxonomy)
     return EXIT_OK, export_dot(taxonomy)
 
 

@@ -13,14 +13,16 @@ each entry list is encoded with the separator ``",\\n      "``, a key's newline
 and indent. No encoded string holds a raw newline and no entry a nested object,
 so ``"},\\n      {"`` occurs only between entries, where one replace splits it.
 
-An event log is read in blocks of lines. A block is counted from one anchored
-regular-expression scan when each line ends with the block's only newlines,
-holds a canonical record - ``{"kind": K, "member": M, "timestamp": T}`` in that
-key order, M free of escapes and control characters (its text is its value), T
-an unsigned integer of at most 18 digits with no leading zero, spaces and tabs
-around any token - and no timestamp decreases. Any other block (a blank line,
-another key order, an escape, a BOM) is read exactly, line by line, by the
-decoder that words every error.
+An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
+the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
+:func:`~valuetax.mutual_aid.ingest` counts. It is read in blocks of lines. A
+block's records come from one anchored regular-expression scan when each line
+ends with the block's only newlines, holds a canonical record - ``{"kind": K,
+"member": M, "timestamp": T}`` in that key order, M free of escapes and control
+characters (its text is its value), T an unsigned integer of at most 18 digits
+with no leading zero, spaces and tabs around any token - and no timestamp
+decreases. Any other block (a blank line, another key order, an escape, a BOM)
+is read exactly, line by line, by the decoder that words every error.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ import json
 import re
 from itertools import chain, islice, repeat
 from operator import le
-from typing import Any, Generator, Iterable, Iterator, Mapping
+from typing import Any, Generator, Iterable, Iterator
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
-from .mutual_aid import CommunityState, Event, EventKind
-from .taxonomy import Node, NodeKind, ValueTaxonomy, importance_float, require_valid, validate
+from .mutual_aid import CommunityState, EventKind, ingest
+from .taxonomy import Node, NodeKind, ValueTaxonomy, check_importance, require_valid, validate
 
 SCHEMA_VERSION = 1
 _encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
-_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+_EVENT_KINDS = frozenset(kind.value for kind in EventKind)
 _decode_record = json.JSONDecoder().raw_decode
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(r"[ \t]*".join([
@@ -76,12 +78,9 @@ def _check_version(doc: Any) -> None:
 
 def _parse_importance(raw: Any, location: str) -> float:
     try:
-        value = importance_float(raw)
+        return check_importance(raw)
     except ValueError as exc:
         raise ParseError(location, str(exc)) from None
-    if not (-1.0 <= value <= 1.0):
-        raise ParseError(location, f"importance {value} outside [-1, 1]")
-    return value
 
 
 def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxonomy:
@@ -200,11 +199,11 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
     return SelectionStrategy(selection_kind)
 
 
-def _event_records(lines: Iterable[str],
-                   kinds: Mapping[str, Any]) -> Iterator[tuple[Any, str, int]]:
-    """Yield ``(kinds[kind], member, timestamp)`` for each non-blank line of an
-    event log. A bad record, or a timestamp below the one before, raises
-    :class:`MalformedEvent` with its 1-based line number, blank lines counted.
+def _event_records(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
+    """Yield ``(kind, member, timestamp)`` for each non-blank line of an event
+    log, ``kind`` being an :class:`~valuetax.mutual_aid.EventKind` value. A bad
+    record, or a timestamp below the one before, raises :class:`MalformedEvent`
+    with its 1-based line number, blank lines counted.
 
     Blocks of canonical records are scanned whole; any other block goes to
     :func:`_line_records`, which alone words errors."""
@@ -215,7 +214,7 @@ def _event_records(lines: Iterable[str],
         try:
             block.extend(islice(lines, _BLOCK_LINES))
         except Exception:  # such as undecodable bytes: the lines read before come first
-            yield from _line_records(block, kinds, lineno, last_timestamp)
+            yield from _line_records(block, lineno, last_timestamp)
             raise
         if not block:
             return
@@ -227,15 +226,15 @@ def _event_records(lines: Iterable[str],
                 names, members, digits = zip(*found)
                 stamps = list(map(int, digits))
                 if all(map(le, chain((last_timestamp,), stamps), stamps)):
-                    yield from zip(map(kinds.__getitem__, names), members, stamps)
+                    yield from zip(names, members, stamps)
                     lineno, last_timestamp = lineno + len(block), stamps[-1]
                     continue
-        last_timestamp = yield from _line_records(block, kinds, lineno, last_timestamp)
+        last_timestamp = yield from _line_records(block, lineno, last_timestamp)
         lineno += len(block)
 
 
-def _line_records(lines: Iterable[str], kinds: Mapping[str, Any], first_lineno: int,
-                  last_timestamp: int) -> Generator[tuple[Any, str, int], None, int]:
+def _line_records(lines: Iterable[str], first_lineno: int,
+                  last_timestamp: int) -> Generator[tuple[str, str, int], None, int]:
     """:func:`_event_records` over ``lines``, numbered from ``first_lineno``, one
     JSON decode per line; returns the last timestamp read."""
     for lineno, line in enumerate(lines, start=first_lineno):
@@ -255,10 +254,8 @@ def _line_records(lines: Iterable[str], kinds: Mapping[str, Any], first_lineno: 
         if not isinstance(raw, dict):
             raise MalformedEvent(lineno, "record must be an object")
         kind = raw.get("kind")
-        try:
-            target = kinds[kind]
-        except (KeyError, TypeError):
-            raise MalformedEvent(lineno, f"unknown event kind: {kind!r}") from None
+        if not isinstance(kind, str) or kind not in _EVENT_KINDS:  # a list is unhashable
+            raise MalformedEvent(lineno, f"unknown event kind: {kind!r}")
         member = raw.get("member")
         if not isinstance(member, str) or not member:
             raise MalformedEvent(lineno, f"event member must be a non-empty string, got {member!r}")
@@ -269,28 +266,24 @@ def _line_records(lines: Iterable[str], kinds: Mapping[str, Any], first_lineno: 
         if timestamp < last_timestamp:
             raise MalformedEvent(lineno, f"timestamp {timestamp} decreases from {last_timestamp}")
         last_timestamp = timestamp
-        yield target, member, timestamp
+        yield kind, member, timestamp
     return last_timestamp
 
 
-def parse_event_log(text: str) -> list[Event]:
-    """Parse a line-delimited event log; blank lines are skipped. Lines end at
-    newlines only, as in a text file, so JSON strings may hold U+2028 and the
-    like raw. Timestamps must be non-decreasing in file order."""
-    return [Event(*r) for r in _event_records(io.StringIO(text, newline=None), _EVENT_KINDS)]
+def parse_event_log(text: str) -> list[tuple[str, str, int]]:
+    """The records of a line-delimited event log, as :func:`_event_records`
+    yields them; blank lines are skipped. Lines end at newlines only, as in a
+    text file, so JSON strings may hold U+2028 and the like raw. Timestamps
+    must be non-decreasing in file order."""
+    return list(_event_records(io.StringIO(text, newline=None)))
 
 
 def ingest_event_log(lines: Iterable[str]) -> CommunityState:
-    """Count an event log into a :class:`CommunityState`, with the checks of
-    :func:`parse_event_log` but no events; an open file is read lazily, a few
-    hundred lines at a time. A block of canonical records (one ``{"kind": K,
-    "member": M, "timestamp": T}`` per line, as the module docstring defines)
-    is counted after one scan proves every line holds one and no timestamp
-    decreases; any other layout is read exactly, line by line."""
-    buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
-    for bucket, member, _ in _event_records(lines, buckets):
-        bucket[member] = bucket.get(member, 0) + 1
-    return CommunityState(*buckets.values())
+    """Count an event log into a :class:`CommunityState` with
+    :func:`~valuetax.mutual_aid.ingest`, checking it as :func:`parse_event_log`
+    does but keeping no records; an open file is read lazily, a few hundred
+    lines at a time."""
+    return ingest(_event_records(lines))
 
 
 def _dot_quote(text: str) -> str:

@@ -1,9 +1,10 @@
-"""Mutual-aid community domain: events, counters, and satisfaction degrees.
+"""Mutual-aid community domain: counters and satisfaction degrees.
 
 A community produces a stream of events - members asking for help, offering
-help, being chosen to volunteer, and receiving task assignments. Folding a
-log of these yields a :class:`CommunityState` of per-member counters plus
-the distribution of tasks over volunteers.
+help, being chosen to volunteer, and receiving task assignments. The module
+holds no events: :func:`ingest` folds the records of an event log, as
+:mod:`valuetax.io_formats` reads them, into a :class:`CommunityState` of
+per-member counters plus the distribution of tasks over volunteers.
 
 Three named properties give the community's fairness concepts computational
 meaning:
@@ -32,7 +33,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import (
     EmptyDistribution,
     EmptyInput,
-    MalformedEvent,
     MissingSatisfaction,
     SupportMismatch,
     UndefinedRatio,
@@ -59,22 +59,6 @@ class EventKind(Enum):
 
 
 @dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    member: str
-    timestamp: int
-
-    def __post_init__(self):
-        if not isinstance(self.kind, EventKind):
-            raise ValueError(f"unknown event kind: {self.kind!r}")
-        if not isinstance(self.member, str) or not self.member:
-            raise ValueError(f"event member must be a non-empty string, got {self.member!r}")
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int) \
-                or self.timestamp < 0:
-            raise ValueError(f"event timestamp must be a non-negative integer, got {self.timestamp!r}")
-
-
-@dataclass(frozen=True)
 class CommunityState:
     """Counted behavioural facts for one community."""
 
@@ -98,17 +82,15 @@ class CommunityState:
         return tuple(sorted(seen))
 
 
-def ingest(events: Iterable[Event]) -> CommunityState:
-    """Fold an event sequence into counters. Counting is order-insensitive;
-    malformed entries are rejected with their position."""
-    buckets: dict[EventKind, dict[str, int]] = {kind: {} for kind in EventKind}
-    for index, event in enumerate(events):
-        if not isinstance(event, Event):
-            raise MalformedEvent(index, f"not an Event: {event!r}")
-        bucket = buckets.get(event.kind)
-        if bucket is None:
-            raise MalformedEvent(index, f"unknown event kind: {event.kind!r}")
-        bucket[event.member] = bucket.get(event.member, 0) + 1
+def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
+    """Fold event records into counters; counting is order-insensitive. A
+    record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
+    value, taken as the event-log reader yields it, already checked (see
+    :func:`~valuetax.io_formats.parse_event_log`)."""
+    buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
+    for kind, member, _ in records:
+        bucket = buckets[kind]
+        bucket[member] = bucket.get(member, 0) + 1
     return CommunityState(*buckets.values())
 
 

@@ -37,8 +37,9 @@ valued descendant" is a flag set by an upward walk that stops at the first
 flagged node, so a run costs O(nodes + edges) whatever the depth.
 Pre-assigned values are never modified, only extended.
 
-Down-propagation inverts the aggregation operator, which is exact only for
-the arithmetic mean, so :func:`propagate` is mean-specific. The standalone
+:func:`propagate` is fixed to the arithmetic mean: it aggregates with
+:func:`~valuetax.aggregation.mean_aggregate` and solves for unknown children
+with :func:`~valuetax.aggregation.mean_invert`. The standalone
 :func:`check_coherence` accepts any averaging operator.
 """
 
@@ -49,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .aggregation import MEAN, AggregationOperator
+from .aggregation import MEAN, AggregationOperator, mean_aggregate, mean_invert
 from .errors import ConflictingAssignment, IncoherentInput, RangeViolation
 from .taxonomy import (
     IMPORTANCE_MAX,
@@ -173,16 +174,16 @@ class _Run:
             value = values.get(node)
             if value is None:
                 if not left:
-                    self.assign(node, MEAN.apply([values[c] for c in kids]))
+                    self.assign(node, mean_aggregate([values[c] for c in kids]))
             elif not left:
                 self.verify(node, value, kids)
             elif left == 1:
                 known = [values[c] for c in kids if c in values]
                 child = next(c for c in kids if c not in values)
-                self.assign(child, MEAN.invert(value, known, 1))
+                self.assign(child, mean_invert(value, known, 1))
 
     def verify(self, node: NodeId, value: float, kids: tuple[NodeId, ...]) -> None:
-        expected = MEAN.apply([self.values[c] for c in kids])
+        expected = mean_aggregate([self.values[c] for c in kids])
         if _close(value, expected):
             return
         propagated = [n for n in (node, *kids) if n in self.assigned]
@@ -209,10 +210,10 @@ class _Run:
                 continue
             known = [values[c] for c in kids if c in values]
             if value is None:
-                share = MEAN.apply(known)
+                share = mean_aggregate(known)
                 proposals.setdefault(node, []).append(share)
             else:
-                share = MEAN.invert(value, known, left)
+                share = mean_invert(value, known, left)
             for child in kids:
                 if child not in values:
                     proposals.setdefault(child, []).append(share)

@@ -79,24 +79,19 @@ def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
     return Node(node_id, NodeKind.PROPERTY, property_id=property_id if property_id is not None else node_id)
 
 
-def importance_float(value: float) -> float:
-    """``float(value)`` for an int or a float (not a bool), with an int past the
-    float range taken as the infinity of its sign, so that the range check
-    rejects it like any other value. Anything else raises ValueError."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"importance must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
-
-
 def check_importance(value: float, what: str = "importance") -> float:
-    value = importance_float(value)
+    """``value`` as a float in [-1, 1]. It must be an int or a float, not a
+    bool; an int past the float range is taken as the infinity of its sign, so
+    that the range check rejects it like any other value. Raises ValueError."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"importance must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = float("inf") if value > 0 else float("-inf")
     if not (IMPORTANCE_MIN <= value <= IMPORTANCE_MAX):
-        raise ValueError(f"{what} {value} outside [{IMPORTANCE_MIN}, {IMPORTANCE_MAX}]")
+        raise ValueError(f"{what} {value} outside [-1, 1]")
     return value
 
 

@@ -79,6 +79,8 @@ class TestDemo:
         from valuetax import parse_event_log
         events = parse_event_log(demo_event_log())
         assert len(events) == 112
+        assert events[0] == ("request", "alice", 0)
+        assert events[-1] == ("task_assigned", "bruno", 111)
 
 
 class TestValidateCommand:

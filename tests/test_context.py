@@ -244,7 +244,7 @@ class TestContextSpec:
     def test_importance_past_the_float_range_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             ContextSpec("c", property_importance={"p": 10 ** 400})
-        assert str(excinfo.value) == "importance of 'p' inf outside [-1.0, 1.0]"
+        assert str(excinfo.value) == "importance of 'p' inf outside [-1, 1]"
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
@@ -257,7 +257,7 @@ class TestContextSpec:
     def test_threshold_past_the_float_range_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             SelectionStrategy(threshold=-10 ** 400)
-        assert str(excinfo.value) == "selection threshold -inf outside [-1.0, 1.0]"
+        assert str(excinfo.value) == "selection threshold -inf outside [-1, 1]"
 
     def test_negative_entries_stay_in_the_record(self, fairness, context_c_prime):
         assert context_c_prime.property_importance["offer_ratio"] == -0.5

@@ -17,7 +17,6 @@ from valuetax import (
     VOLUNTEER_RATIO,
     CommunityState,
     DomainConfig,
-    Event,
     EventKind,
     Measure,
     align,
@@ -39,7 +38,6 @@ from valuetax import (
 from valuetax.errors import (
     EmptyDistribution,
     EmptyInput,
-    MalformedEvent,
     MissingSatisfaction,
     SupportMismatch,
     UndefinedRatio,
@@ -49,7 +47,8 @@ CFG = DomainConfig()
 
 
 def events_for(member: str, kind: EventKind, count: int, start: int = 0):
-    return [Event(kind, member, start + i) for i in range(count)]
+    """``count`` event records as the event-log reader yields them."""
+    return [(kind.value, member, start + i) for i in range(count)]
 
 
 def state_with(requests=None, offers=None, volunteering=None, tasks=None):
@@ -92,19 +91,6 @@ class TestIngest:
         shuffled = log[:]
         rng.shuffle(shuffled)
         assert ingest(log) == ingest(shuffled)
-
-    def test_non_event_rejected_with_position(self):
-        with pytest.raises(MalformedEvent) as excinfo:
-            ingest([Event(EventKind.REQUEST, "a", 0), "not an event"])
-        assert excinfo.value.index == 1
-
-    def test_event_field_validation(self):
-        with pytest.raises(ValueError):
-            Event(EventKind.REQUEST, "", 0)
-        with pytest.raises(ValueError):
-            Event(EventKind.REQUEST, "m", -1)
-        with pytest.raises(ValueError):
-            Event("request", "m", 0)
 
     def test_negative_counter_rejected(self):
         with pytest.raises(ValueError):

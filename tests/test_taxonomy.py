@@ -78,7 +78,7 @@ class TestConstruction:
     def test_importance_past_the_float_range_rejected(self, value, shown):
         with pytest.raises(ValueError) as excinfo:
             ValueTaxonomy.build([label_node("a")], importance={"a": value})
-        assert str(excinfo.value) == f"importance of 'a' {shown} outside [-1.0, 1.0]"
+        assert str(excinfo.value) == f"importance of 'a' {shown} outside [-1, 1]"
 
     def test_importance_for_unknown_node_rejected(self):
         with pytest.raises(UnknownNode):
@@ -142,7 +142,7 @@ class TestWithImportance:
         t = ValueTaxonomy.build([label_node("a")])
         with pytest.raises(ValueError) as excinfo:
             t.with_importance({"a": -10 ** 400})
-        assert str(excinfo.value) == "importance of 'a' -inf outside [-1.0, 1.0]"
+        assert str(excinfo.value) == "importance of 'a' -inf outside [-1, 1]"
 
 
 class TestValidate:
