@@ -15,10 +15,10 @@ counterexample when a law fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import Record, setfield
 from .errors import EmptyInput
 
 LAW_TOLERANCE = 1e-12
@@ -43,13 +43,15 @@ def mean_invert(parent: float, known: Sequence[float], unknown_count: int = 1) -
     return (parent * total - sum(known)) / unknown_count
 
 
-@dataclass(frozen=True)
-class AggregationOperator:
+class AggregationOperator(Record):
     """A named aggregation function over importance tuples, as the law
     harness and :func:`~valuetax.propagation.check_coherence` take it."""
 
-    name: str
-    apply: Callable[[Sequence[float]], float]
+    __slots__ = ("name", "apply")
+
+    def __init__(self, name: str, apply: Callable[[Sequence[float]], float]):
+        setfield(self, "name", name)
+        setfield(self, "apply", apply)
 
 
 MEAN = AggregationOperator("mean", mean_aggregate)
@@ -62,15 +64,15 @@ class Law(Enum):
     COMPENSATIVE_BOUNDS = "CompensativeBounds"
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: Law
-    passed: bool
-    counterexample: Optional[tuple] = None
+class LawReport(Record):
+    __slots__ = ("law", "passed", "counterexample")
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+    def __init__(self, law: Law, passed: bool, counterexample: Optional[tuple] = None):
+        if not passed and counterexample is None:
             raise ValueError("a failed law report must carry a counterexample")
+        setfield(self, "law", law)
+        setfield(self, "passed", passed)
+        setfield(self, "counterexample", counterexample)
 
 
 def _rng(rng: Optional[random.Random]) -> random.Random:

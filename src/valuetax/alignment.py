@@ -10,10 +10,10 @@ unclamped together with their theoretical bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, runtime_checkable
 
+from ._record import Record, setfield
 from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
 from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, require_valid
 
@@ -30,11 +30,13 @@ class SatisfactionProvider(Protocol):
     def lookup(self, entity: str, node: NodeId) -> float: ...
 
 
-@dataclass(frozen=True)
-class SdTable:
+class SdTable(Record):
     """Entity-independent satisfaction degrees from a plain mapping."""
 
-    table: Mapping[NodeId, float]
+    __slots__ = ("table",)
+
+    def __init__(self, table: Mapping[NodeId, float]):
+        setfield(self, "table", table)
 
     def lookup(self, entity: str, node: NodeId) -> float:
         if node not in self.table:
@@ -42,17 +44,18 @@ class SdTable:
         return self.table[node]
 
 
-@dataclass(frozen=True)
-class PropertyContribution:
-    node: NodeId
-    sd: float
-    importance: float
-    paths: int
-    contribution: float
+class PropertyContribution(Record):
+    __slots__ = ("node", "sd", "importance", "paths", "contribution")
+
+    def __init__(self, node: NodeId, sd: float, importance: float, paths: int, contribution: float):
+        setfield(self, "node", node)
+        setfield(self, "sd", sd)
+        setfield(self, "importance", importance)
+        setfield(self, "paths", paths)
+        setfield(self, "contribution", contribution)
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(Record):
     """Alignment score with its per-property breakdown.
 
     ``score`` is the scheme's average of the contributions; ``score_bound``
@@ -60,11 +63,15 @@ class AlignmentReport:
     (1 for the mean scheme, the maximum path count otherwise).
     """
 
-    entity: str
-    scheme: AlignmentScheme
-    score: float
-    score_bound: float
-    per_property: tuple[PropertyContribution, ...]
+    __slots__ = ("entity", "scheme", "score", "score_bound", "per_property")
+
+    def __init__(self, entity: str, scheme: AlignmentScheme, score: float, score_bound: float,
+                 per_property: tuple[PropertyContribution, ...]):
+        setfield(self, "entity", entity)
+        setfield(self, "scheme", scheme)
+        setfield(self, "score", score)
+        setfield(self, "score_bound", score_bound)
+        setfield(self, "per_property", per_property)
 
 
 def _sd_value(sd: SatisfactionProvider, entity: str, node: NodeId) -> float:

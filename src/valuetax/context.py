@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
+from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
 from .propagation import propagate
 from .taxonomy import (
@@ -37,8 +37,7 @@ class SelectionKind(Enum):
     KMEANS_TWO = "kmeans2"
 
 
-@dataclass(frozen=True)
-class SelectionStrategy:
+class SelectionStrategy(Record):
     """How relevant property nodes are picked from their context importances.
 
     ``POSITIVE_THRESHOLD`` keeps nodes strictly above ``threshold`` (default
@@ -47,19 +46,20 @@ class SelectionStrategy:
     cluster; it needs no threshold.
     """
 
-    kind: SelectionKind = SelectionKind.POSITIVE_THRESHOLD
-    threshold: float = 0.0
+    __slots__ = ("kind", "threshold")
 
-    def __post_init__(self):
-        check_importance(self.threshold, "selection threshold")
+    def __init__(self, kind: SelectionKind = SelectionKind.POSITIVE_THRESHOLD,
+                 threshold: float = 0.0):
+        check_importance(threshold, "selection threshold")
+        setfield(self, "kind", kind)
+        setfield(self, "threshold", threshold)
 
 
 POSITIVE_SELECTION = SelectionStrategy()
 KMEANS_SELECTION = SelectionStrategy(SelectionKind.KMEANS_TWO)
 
 
-@dataclass(frozen=True)
-class ContextSpec:
+class ContextSpec(Record):
     """A context: its defining properties, per-property-node importances,
     and the selection strategy used when deriving a taxonomy from it.
 
@@ -70,19 +70,20 @@ class ContextSpec:
     selection.
     """
 
-    id: str
-    defining_properties: frozenset[str] = frozenset()
-    property_importance: Mapping[NodeId, float] = field(default_factory=dict)
-    selection: SelectionStrategy = POSITIVE_SELECTION
+    __slots__ = ("id", "defining_properties", "property_importance", "selection")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, defining_properties: frozenset[str] = frozenset(),
+                 property_importance: Mapping[NodeId, float] = EMPTY_MAPPING,
+                 selection: SelectionStrategy = POSITIVE_SELECTION):
+        if not id:
             raise ValueError("context id must be a non-empty string")
         cleaned = {}
-        for node, value in dict(self.property_importance).items():
+        for node, value in dict(property_importance).items():
             cleaned[node] = check_importance(value, f"importance of {node!r}")
-        object.__setattr__(self, "defining_properties", frozenset(self.defining_properties))
-        object.__setattr__(self, "property_importance", MappingProxyType(cleaned))
+        setfield(self, "id", id)
+        setfield(self, "defining_properties", frozenset(defining_properties))
+        setfield(self, "property_importance", MappingProxyType(cleaned))
+        setfield(self, "selection", selection)
 
 
 # Rounding in the centred running sums moves a cut's error by up to about

@@ -24,12 +24,12 @@ one-dimensional earth mover's distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import (
     EmptyDistribution,
     EmptyInput,
@@ -58,24 +58,24 @@ class EventKind(Enum):
     TASK_ASSIGNED = "task_assigned"
 
 
-@dataclass(frozen=True)
-class CommunityState:
+class CommunityState(Record):
     """Counted behavioural facts for one community."""
 
-    requests: Mapping[str, int] = field(default_factory=dict)
-    offers: Mapping[str, int] = field(default_factory=dict)
-    volunteering: Mapping[str, int] = field(default_factory=dict)
-    task_distribution: Mapping[str, int] = field(default_factory=dict)
+    # __dict__ holds the cached members.
+    __slots__ = ("requests", "offers", "volunteering", "task_distribution", "__dict__")
 
-    def __post_init__(self):
-        for name in ("requests", "offers", "volunteering", "task_distribution"):
-            counts = dict(getattr(self, name))
+    def __init__(self, requests: Mapping[str, int] = EMPTY_MAPPING,
+                 offers: Mapping[str, int] = EMPTY_MAPPING,
+                 volunteering: Mapping[str, int] = EMPTY_MAPPING,
+                 task_distribution: Mapping[str, int] = EMPTY_MAPPING):
+        for name, counts in zip(self._fields, (requests, offers, volunteering, task_distribution)):
+            counts = dict(counts)
             for member, count in counts.items():
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
-            object.__setattr__(self, name, MappingProxyType(counts))
+            setfield(self, name, MappingProxyType(counts))
 
-    @cached_property  # stored in __dict__ directly, past the frozen __setattr__
+    @cached_property  # stored in __dict__ directly, past Record.__setattr__
     def members(self) -> tuple[str, ...]:
         seen = set(self.requests) | set(self.offers) | set(self.volunteering) \
             | set(self.task_distribution)
@@ -99,8 +99,7 @@ class Measure(Enum):
     EARTH_MOVERS_1D = "emd"
 
 
-@dataclass(frozen=True)
-class DomainConfig:
+class DomainConfig(Record):
     """Tunable domain parameters.
 
     ``max_ratio`` caps the requests-to-offers ratio (must exceed 1);
@@ -109,18 +108,20 @@ class DomainConfig:
     dissatisfaction.
     """
 
-    max_ratio: float = 5.0
-    epsilon: float = 0.1
-    max_delta: float = 1.0
-    difference_measure: Measure = Measure.EARTH_MOVERS_1D
+    __slots__ = ("max_ratio", "epsilon", "max_delta", "difference_measure")
 
-    def __post_init__(self):
-        if not self.max_ratio > 1:
+    def __init__(self, max_ratio: float = 5.0, epsilon: float = 0.1, max_delta: float = 1.0,
+                 difference_measure: Measure = Measure.EARTH_MOVERS_1D):
+        if not max_ratio > 1:
             raise ValueError("max_ratio must be greater than 1")
-        if not self.epsilon > 0:
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.max_delta > self.epsilon:
+        if not max_delta > epsilon:
             raise ValueError("max_delta must exceed epsilon")
+        setfield(self, "max_ratio", max_ratio)
+        setfield(self, "epsilon", epsilon)
+        setfield(self, "max_delta", max_delta)
+        setfield(self, "difference_measure", difference_measure)
 
 
 def ratio_satisfaction(ratio: float, max_ratio: float) -> float:
@@ -243,8 +244,7 @@ def emd_1d(d: DistributionLike, u: DistributionLike) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CommunitySdProvider:
+class CommunitySdProvider(Record):
     """Satisfaction degrees for the three community properties.
 
     The entity only names the report: per-member properties are lifted to
@@ -252,8 +252,11 @@ class CommunitySdProvider:
     community-wide.
     """
 
-    state: CommunityState
-    cfg: DomainConfig
+    __slots__ = ("state", "cfg")
+
+    def __init__(self, state: CommunityState, cfg: DomainConfig):
+        setfield(self, "state", state)
+        setfield(self, "cfg", cfg)
 
     def lookup(self, entity: str, node: str) -> float:
         if node == OFFER_RATIO:

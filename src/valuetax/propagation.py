@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record, setfield
 from .aggregation import MEAN, AggregationOperator, mean_aggregate, mean_invert
 from .errors import ConflictingAssignment, IncoherentInput, RangeViolation
 from .taxonomy import (
@@ -71,8 +71,7 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(Record):
     """Outcome of a successful propagation run.
 
     ``taxonomy`` carries the enlarged importance mapping, ``assigned`` the
@@ -82,23 +81,31 @@ class PropagationResult:
     something. A run that needs no default takes 1.
     """
 
-    taxonomy: ValueTaxonomy
-    assigned: dict[NodeId, float]
-    iterations: int
+    __slots__ = ("taxonomy", "assigned", "iterations")
+
+    def __init__(self, taxonomy: ValueTaxonomy, assigned: dict[NodeId, float], iterations: int):
+        setfield(self, "taxonomy", taxonomy)
+        setfield(self, "assigned", assigned)
+        setfield(self, "iterations", iterations)
 
 
-@dataclass(frozen=True)
-class CoherenceViolation:
-    parent: NodeId
-    expected: float
-    actual: float
+class CoherenceViolation(Record):
+    __slots__ = ("parent", "expected", "actual")
+
+    def __init__(self, parent: NodeId, expected: float, actual: float):
+        setfield(self, "parent", parent)
+        setfield(self, "expected", expected)
+        setfield(self, "actual", actual)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    coherent: bool
-    violations: tuple[CoherenceViolation, ...] = ()
-    unevaluable: tuple[NodeId, ...] = ()
+class CoherenceReport(Record):
+    __slots__ = ("coherent", "violations", "unevaluable")
+
+    def __init__(self, coherent: bool, violations: tuple[CoherenceViolation, ...] = (),
+                 unevaluable: tuple[NodeId, ...] = ()):
+        setfield(self, "coherent", coherent)
+        setfield(self, "violations", violations)
+        setfield(self, "unevaluable", unevaluable)
 
 
 class _Run:

@@ -16,12 +16,12 @@ candidates can be inspected rather than rejected outright.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
+from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
 
 # Node identifiers and importance values are plain builtins; the aliases
@@ -43,26 +43,27 @@ class NodeKind(Enum):
     PROPERTY = "property"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """One value concept: an abstract label or a concrete property reference."""
 
-    id: NodeId
-    kind: NodeKind
-    label_text: Optional[str] = None
-    property_id: Optional[str] = None
+    __slots__ = ("id", "kind", "label_text", "property_id")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: NodeId, kind: NodeKind, label_text: Optional[str] = None,
+                 property_id: Optional[str] = None):
+        if not id:
             raise ValueError("node id must be a non-empty string")
-        if self.kind is NodeKind.LABEL:
-            if self.label_text is None or self.property_id is not None:
-                raise ValueError(f"label node {self.id!r} must carry label_text only")
-        elif self.kind is NodeKind.PROPERTY:
-            if self.property_id is None or self.label_text is not None:
-                raise ValueError(f"property node {self.id!r} must carry property_id only")
+        if kind is NodeKind.LABEL:
+            if label_text is None or property_id is not None:
+                raise ValueError(f"label node {id!r} must carry label_text only")
+        elif kind is NodeKind.PROPERTY:
+            if property_id is None or label_text is not None:
+                raise ValueError(f"property node {id!r} must carry property_id only")
         else:
-            raise ValueError(f"unknown node kind: {self.kind!r}")
+            raise ValueError(f"unknown node kind: {kind!r}")
+        setfield(self, "id", id)
+        setfield(self, "kind", kind)
+        setfield(self, "label_text", label_text)
+        setfield(self, "property_id", property_id)
 
     @property
     def display(self) -> str:
@@ -95,21 +96,24 @@ def check_importance(value: float, what: str = "importance") -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    subject: str
-    message: str
+class Violation(Record):
+    __slots__ = ("rule", "subject", "message")
+
+    def __init__(self, rule: str, subject: str, message: str):
+        setfield(self, "rule", rule)
+        setfield(self, "subject", subject)
+        setfield(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        setfield(self, "ok", ok)
+        setfield(self, "violations", violations)
 
 
-@dataclass(frozen=True, eq=True)
-class ValueTaxonomy:
+class ValueTaxonomy(Record):
     """An importance-annotated DAG of value concepts.
 
     ``nodes`` maps node id to :class:`Node`, ``edges`` is a set of
@@ -117,18 +121,19 @@ class ValueTaxonomy:
     id to a value in [-1, 1]. Equality is structural over all three.
     """
 
-    nodes: Mapping[NodeId, Node] = field(default_factory=dict)
-    edges: frozenset[tuple[NodeId, NodeId]] = frozenset()
-    importance: Mapping[NodeId, Importance] = field(default_factory=dict)
+    # __dict__ holds the structure derived on demand (the cached properties).
+    __slots__ = ("nodes", "edges", "importance", "__dict__")
 
-    def __post_init__(self):
-        nodes = dict(self.nodes)
+    def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
+                 edges: frozenset[tuple[NodeId, NodeId]] = frozenset(),
+                 importance: Mapping[NodeId, Importance] = EMPTY_MAPPING):
+        nodes = dict(nodes)
         for node_id, node in nodes.items():
             if node_id != node.id:
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
-        object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "importance", _checked_importance(nodes, self.importance))
+        setfield(self, "nodes", MappingProxyType(nodes))
+        setfield(self, "edges", frozenset(edges))
+        setfield(self, "importance", _checked_importance(nodes, importance))
 
     @classmethod
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
@@ -149,8 +154,12 @@ class ValueTaxonomy:
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
         """Copy of this taxonomy with the importance mapping replaced. The copy
         shares the nodes, the edges and whatever structure was derived from them."""
+        checked = _checked_importance(self.nodes, importance)
         copy = object.__new__(ValueTaxonomy)
-        copy.__dict__.update(self.__dict__, importance=_checked_importance(self.nodes, importance))
+        setfield(copy, "nodes", self.nodes)
+        setfield(copy, "edges", self.edges)
+        setfield(copy, "importance", checked)
+        copy.__dict__.update(self.__dict__)
         return copy
 
     # Adjacency maps are derived once; the instance is immutable.

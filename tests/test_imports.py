@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""What package modules import: every imported name is used, and the CLI
+starts without the modules `dataclasses` pulls in."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,16 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# What `dataclasses` alone pulls in; the CLI starts without any of them.
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_starts_without_code_generation_modules():
+    check = ("import sys, valuetax.cli; "
+             f"print(' '.join(m for m in {STARTUP_FREE!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given
 from valuetax import (
     MEAN,
     AggregationOperator,
+    Node,
     ValueTaxonomy,
     check_coherence,
     label_node,
@@ -249,7 +249,8 @@ class TestPropagateProperties:
 
 def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
     return ValueTaxonomy.build(
-        [dataclasses.replace(t.nodes[n], id=relabel[n]) for n in sorted(t.nodes)],
+        [Node(relabel[n], node.kind, node.label_text, node.property_id)
+         for n, node in sorted(t.nodes.items())],
         [(relabel[p], relabel[c]) for p, c in t.edges],
         {relabel[n]: v for n, v in t.importance.items()},
     )
