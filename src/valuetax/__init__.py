@@ -26,8 +26,6 @@ from .alignment import (
     AlignmentReport,
     AlignmentScheme,
     PropertyContribution,
-    SatisfactionProvider,
-    SdTable,
     align,
     explain,
 )
@@ -54,7 +52,6 @@ from .mutual_aid import (
     PROPERTY_CATALOG,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
-    CommunitySdProvider,
     CommunityState,
     DomainConfig,
     EventKind,
@@ -66,6 +63,7 @@ from .mutual_aid import (
     kl_divergence,
     property_evaluators,
     ratio_satisfaction,
+    satisfaction_degrees,
     sd_offer_ratio,
     sd_task_balance,
     sd_volunteer_ratio,

@@ -51,4 +51,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        # pickle refuses a mappingproxy; every constructor copies its mappings.
+        return type(self), tuple([dict(value) if type(value) is MappingProxyType else value
+                                  for value in self._values()])

@@ -11,7 +11,7 @@ unclamped together with their theoretical bound.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping
 
 from ._record import Record, setfield
 from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
@@ -21,27 +21,6 @@ from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, require_valid
 class AlignmentScheme(Enum):
     MEAN_WEIGHTED = "mean"
     PATH_WEIGHTED = "path"
-
-
-@runtime_checkable
-class SatisfactionProvider(Protocol):
-    """Source of satisfaction degrees sd in [-1, 1] for (entity, property node) pairs."""
-
-    def lookup(self, entity: str, node: NodeId) -> float: ...
-
-
-class SdTable(Record):
-    """Entity-independent satisfaction degrees from a plain mapping."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: Mapping[NodeId, float]):
-        setfield(self, "table", table)
-
-    def lookup(self, entity: str, node: NodeId) -> float:
-        if node not in self.table:
-            raise MissingSatisfaction(node)
-        return self.table[node]
 
 
 class PropertyContribution(Record):
@@ -74,19 +53,22 @@ class AlignmentReport(Record):
         setfield(self, "per_property", per_property)
 
 
-def _sd_value(sd: SatisfactionProvider, entity: str, node: NodeId) -> float:
-    value = float(sd.lookup(entity, node))
+def _sd_value(sd: Mapping[NodeId, float], node: NodeId) -> float:
+    if node not in sd:
+        raise MissingSatisfaction(node)
+    value = float(sd[node])
     if not (-1.0 <= value <= 1.0):
         raise ValueError(f"satisfaction degree {value} for {node!r} outside [-1, 1]")
     return value
 
 
-def align(entity: str, taxonomy: ValueTaxonomy, sd: SatisfactionProvider,
+def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
           scheme: AlignmentScheme = AlignmentScheme.MEAN_WEIGHTED) -> AlignmentReport:
-    """Score ``entity``'s behaviour against a taxonomy's property nodes.
+    """Score the satisfaction degrees ``sd`` (property node to a value in
+    [-1, 1]) against a taxonomy's property nodes; ``entity`` names the report.
 
     Every property node must carry an importance and have a satisfaction
-    degree available; missing data is an error, never assumed zero.
+    degree in ``sd``; missing data is an error, never assumed zero.
     """
     require_valid(taxonomy)
     props = taxonomy.property_nodes()
@@ -98,7 +80,7 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: SatisfactionProvider,
     for node in props:
         if node not in taxonomy.importance:
             raise MissingImportance(node)
-        sd_val = _sd_value(sd, entity, node)
+        sd_val = _sd_value(sd, node)
         imp = taxonomy.importance[node]
         factor = paths[node] if weighted else 1
         per_property.append(PropertyContribution(

@@ -33,13 +33,7 @@ from .context import (
     context_holds,
     select_nodes,
 )
-from .errors import (
-    EmptyDistribution,
-    EmptyInput,
-    PropagationError,
-    TaxonomyError,
-    UndefinedRatio,
-)
+from .errors import PropagationError, TaxonomyError
 from .io_formats import (
     export_dot,
     ingest_event_log,
@@ -51,11 +45,11 @@ from .mutual_aid import (
     OFFER_RATIO,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
-    CommunitySdProvider,
     DomainConfig,
     Measure,
     fairness_taxonomy,
     property_evaluators,
+    satisfaction_degrees,
 )
 from .propagation import check_coherence, propagate
 from .taxonomy import ValueTaxonomy, all_paths_counts, topological_order, validate
@@ -189,6 +183,9 @@ def _selection_override(args, default: SelectionStrategy) -> SelectionStrategy:
         kind = SelectionKind.POSITIVE_THRESHOLD
     elif args.strategy == "kmeans2":
         kind = SelectionKind.KMEANS_TWO
+    if args.threshold is not None and kind is SelectionKind.KMEANS_TWO:
+        raise _Fail(EXIT_INVALID, "bad selection override: "
+                                  "--threshold applies only to positive selection, not kmeans2")
     threshold = default.threshold if args.threshold is None else args.threshold
     try:
         return SelectionStrategy(kind, threshold)
@@ -222,12 +219,14 @@ def _cmd_context(args) -> tuple[int, str]:
 def _cmd_align(args) -> tuple[int, str]:
     taxonomy = _load(args.input, parse_taxonomy)
     state = _read(args.log, ingest_event_log)
-    provider = CommunitySdProvider(state, _domain_config(args))
+    cfg = _domain_config(args)
     scheme = AlignmentScheme(args.scheme)
     try:
-        report = align(args.entity, taxonomy, provider, scheme)
-    except (EmptyDistribution, UndefinedRatio, EmptyInput) as exc:  # the log's counts
+        sd = satisfaction_degrees(state, cfg, taxonomy.property_nodes())
+    except TaxonomyError as exc:  # the log's counts cannot be scored
         raise _Fail(EXIT_INVALID, f"{args.log}: {exc}") from exc
+    try:
+        report = align(args.entity, taxonomy, sd, scheme)
     except TaxonomyError as exc:
         raise _Fail(EXIT_INVALID, f"{args.input}: {exc}") from exc
     return EXIT_OK, _render_alignment(report, args.format)
@@ -346,14 +345,12 @@ def _cmd_demo(args) -> tuple[int, str]:
     entries = sum(sum(counter.values()) for counter in (
         state.requests, state.offers, state.volunteering, state.task_distribution))
     cfg = DomainConfig()
-    provider = CommunitySdProvider(state, cfg)
 
     align_ctx = contexts["alignment-example"]
     align_taxonomy = build_context_taxonomy(general, align_ctx)
     holds = context_holds(align_ctx, state, property_evaluators(cfg))
-    sd_values = {node: provider.lookup(DEMO_ENTITY, node)
-                 for node in align_taxonomy.property_nodes()}
-    alignment = align(DEMO_ENTITY, align_taxonomy, provider)
+    sd_values = satisfaction_degrees(state, cfg, align_taxonomy.property_nodes())
+    alignment = align(DEMO_ENTITY, align_taxonomy, sd_values)
     dot = export_dot(built["community-c"])
 
     if args.format == "machine":

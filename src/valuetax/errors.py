@@ -115,7 +115,7 @@ class EmptyDistribution(TaxonomyError, ValueError):
 
 
 class SupportMismatch(TaxonomyError, ValueError):
-    """Two distributions being compared do not share the same support."""
+    """Two distributions being compared differ in length, so not on the same support."""
 
 
 class MalformedEvent(TaxonomyError, ValueError):

@@ -27,13 +27,12 @@ import math
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import (
     EmptyDistribution,
     EmptyInput,
-    MissingSatisfaction,
     SupportMismatch,
     UndefinedRatio,
 )
@@ -177,10 +176,11 @@ def task_imbalance(state: CommunityState, cfg: DomainConfig) -> float:
     distribution = state.task_distribution
     if not distribution or sum(distribution.values()) == 0:
         raise EmptyDistribution("no tasks have been assigned")
-    uniform = {v: 1 for v in distribution}
+    counts = [distribution[v] for v in sorted(distribution)]
+    uniform = [1] * len(counts)
     if cfg.difference_measure is Measure.KL_DIVERGENCE:
-        return kl_divergence(distribution, uniform)
-    return emd_1d(distribution, uniform)
+        return kl_divergence(counts, uniform)
+    return emd_1d(counts, uniform)
 
 
 def sd_task_balance(state: CommunityState, cfg: DomainConfig) -> float:
@@ -188,36 +188,51 @@ def sd_task_balance(state: CommunityState, cfg: DomainConfig) -> float:
     return difference_satisfaction(task_imbalance(state, cfg), cfg.epsilon, cfg.max_delta)
 
 
-DistributionLike = Union[Mapping[str, float], Sequence[float]]
+def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
+                         nodes: Iterable[str]) -> dict[str, float]:
+    """Satisfaction degree of each community property among ``nodes``,
+    evaluated in their order; other nodes are left out. Per-member
+    properties are lifted to the community level as the mean over all
+    members, and task balance is community-wide."""
+    degrees = {}
+    for node in nodes:
+        if node == TASK_BALANCE:
+            degrees[node] = sd_task_balance(state, cfg)
+        elif node in (OFFER_RATIO, VOLUNTEER_RATIO):
+            # looked up per call, as bench/worker.py rebinds them to count evaluations
+            sd_fn = sd_offer_ratio if node == OFFER_RATIO else sd_volunteer_ratio
+            members = state.members
+            if not members:
+                raise EmptyInput("community has no members to aggregate over")
+            degrees[node] = sum(sd_fn(state, m, cfg) for m in members) / len(members)
+    return degrees
 
 
-def _normalize(dist: DistributionLike, name: str) -> tuple[tuple, tuple[float, ...]]:
-    """Sorted support and probabilities from counts or weights."""
-    if isinstance(dist, Mapping):
-        items = sorted(dist.items())
-        support = tuple(k for k, _ in items)
-        weights = [float(v) for _, v in items]
-    else:
-        weights = [float(v) for v in dist]
-        support = tuple(range(len(weights)))
+def _normalize(dist: Sequence[float], name: str) -> tuple[float, ...]:
+    """Probabilities from counts or weights."""
+    weights = [float(v) for v in dist]
     if any(w < 0 for w in weights):
         raise ValueError(f"{name} has negative mass")
     total = sum(weights)
-    if not support or total <= 0:
+    if not weights or total <= 0:
         raise EmptyDistribution(f"{name} has no mass to normalize")
-    return support, tuple(w / total for w in weights)
+    return tuple(w / total for w in weights)
 
 
-def kl_divergence(d: DistributionLike, u: DistributionLike) -> float:
+def _normalize_pair(d: Sequence[float], u: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    probs_d = _normalize(d, "first distribution")
+    probs_u = _normalize(u, "second distribution")
+    if len(probs_d) != len(probs_u):
+        raise SupportMismatch(f"supports differ: {len(probs_d)} vs {len(probs_u)} points")
+    return probs_d, probs_u
+
+
+def kl_divergence(d: Sequence[float], u: Sequence[float]) -> float:
     """Kullback-Leibler divergence of ``d`` from ``u`` in nats, with inputs
     normalized from counts; 0*log(0) is taken as 0. The reference must be
     strictly positive wherever ``d`` has mass."""
-    support_d, probs_d = _normalize(d, "first distribution")
-    support_u, probs_u = _normalize(u, "second distribution")
-    if support_d != support_u:
-        raise SupportMismatch(f"supports differ: {support_d} vs {support_u}")
     total = 0.0
-    for p, q in zip(probs_d, probs_u):
+    for p, q in zip(*_normalize_pair(d, u)):
         if p == 0.0:
             continue
         if q == 0.0:
@@ -226,52 +241,19 @@ def kl_divergence(d: DistributionLike, u: DistributionLike) -> float:
     return total
 
 
-def emd_1d(d: DistributionLike, u: DistributionLike) -> float:
+def emd_1d(d: Sequence[float], u: Sequence[float]) -> float:
     """Exact earth mover's distance between two distributions on the same
-    ordered support with unit ground distance: the summed absolute
-    difference of their cumulative distributions."""
-    support_d, probs_d = _normalize(d, "first distribution")
-    support_u, probs_u = _normalize(u, "second distribution")
-    if support_d != support_u:
-        raise SupportMismatch(f"supports differ: {support_d} vs {support_u}")
+    ordered support, given as sequences of equal length, with unit ground
+    distance: the summed absolute difference of their cumulative
+    distributions."""
     total = 0.0
     cdf_d = 0.0
     cdf_u = 0.0
-    for p, q in zip(probs_d, probs_u):
+    for p, q in zip(*_normalize_pair(d, u)):
         cdf_d += p
         cdf_u += q
         total += abs(cdf_d - cdf_u)
     return total
-
-
-class CommunitySdProvider(Record):
-    """Satisfaction degrees for the three community properties.
-
-    The entity only names the report: per-member properties are lifted to
-    the community level as the mean over all members, and task balance is
-    community-wide.
-    """
-
-    __slots__ = ("state", "cfg")
-
-    def __init__(self, state: CommunityState, cfg: DomainConfig):
-        setfield(self, "state", state)
-        setfield(self, "cfg", cfg)
-
-    def lookup(self, entity: str, node: str) -> float:
-        if node == OFFER_RATIO:
-            return self._member_mean(sd_offer_ratio)
-        if node == VOLUNTEER_RATIO:
-            return self._member_mean(sd_volunteer_ratio)
-        if node == TASK_BALANCE:
-            return sd_task_balance(self.state, self.cfg)
-        raise MissingSatisfaction(node)
-
-    def _member_mean(self, sd_fn) -> float:
-        members = self.state.members
-        if not members:
-            raise EmptyInput("community has no members to aggregate over")
-        return sum(sd_fn(self.state, m, self.cfg) for m in members) / len(members)
 
 
 def property_evaluators(cfg: DomainConfig):

@@ -57,7 +57,6 @@ from .taxonomy import (
     IMPORTANCE_MIN,
     NodeId,
     ValueTaxonomy,
-    require_valid,
     topological_order,
 )
 
@@ -265,7 +264,6 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     disagree, and RangeViolation when a propagated value leaves [-1, 1].
     Each exception carries the values assigned before detection.
     """
-    require_valid(taxonomy)
     values, assigned, rounds = _resolve(taxonomy)
     return PropagationResult(
         taxonomy=taxonomy.with_importance(values),

@@ -313,10 +313,10 @@ def all_paths_counts(taxonomy: ValueTaxonomy) -> dict[NodeId, int]:
     """Number of distinct directed paths from any root down to each node,
     computed in one topological sweep: a root counts one path to itself, any
     other node the sum over its parents."""
-    require_valid(taxonomy)
+    order = topological_order(taxonomy)
     parents_map = taxonomy._parents
     counts: dict[NodeId, int] = {}
-    for node in topological_order(taxonomy):
+    for node in order:
         ps = parents_map[node]
         counts[node] = 1 if not ps else sum(counts[p] for p in ps)
     return counts

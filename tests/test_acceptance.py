@@ -20,7 +20,6 @@ from valuetax import (
     CommunityState,
     ContextSpec,
     DomainConfig,
-    SdTable,
     SelectionKind,
     SelectionStrategy,
     align,
@@ -78,7 +77,7 @@ def test_criterion_01_golden_alignment(fairness):
         started = time.perf_counter()
         ctx = ContextSpec("golden", property_importance={OFFER_RATIO: 1.0, TASK_BALANCE: 0.5})
         taxonomy = build_context_taxonomy(fairness, ctx)
-        sd = SdTable({OFFER_RATIO: 0.5, TASK_BALANCE: 0.9})
+        sd = {OFFER_RATIO: 0.5, TASK_BALANCE: 0.9}
         report = align("community", taxonomy, sd, AlignmentScheme.MEAN_WEIGHTED)
         assert abs(report.score - 0.475) <= 1e-12
         assert time.perf_counter() - started < 1.0
@@ -254,7 +253,7 @@ def test_criterion_11_alignment_brute_force():
             sd_map = {p: rng.uniform(-1, 1) for p in props}
             importance = {p: t.importance[p] for p in props}
             paths = {p: enumerate_paths_oracle(t, p) for p in props}
-            sd = SdTable(sd_map)
+            sd = sd_map
             mean_score = align("e", t, sd, AlignmentScheme.MEAN_WEIGHTED).score
             assert abs(mean_score - literal_alignment_oracle(sd_map, importance)) <= 1e-12
             path_score = align("e", t, sd, AlignmentScheme.PATH_WEIGHTED).score

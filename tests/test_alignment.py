@@ -9,7 +9,6 @@ import pytest
 from valuetax import (
     AlignmentScheme,
     ContextSpec,
-    SdTable,
     ValueTaxonomy,
     align,
     build_context_taxonomy,
@@ -37,7 +36,7 @@ def golden_taxonomy(fairness):
     return build_context_taxonomy(fairness, ctx)
 
 
-GOLDEN_SD = SdTable({"offer_ratio": 0.5, "task_balance": 0.9})
+GOLDEN_SD = {"offer_ratio": 0.5, "task_balance": 0.9}
 
 
 class TestAlign:
@@ -47,7 +46,7 @@ class TestAlign:
         assert report.score_bound == 1.0
 
     def test_zero_satisfaction_scores_zero(self, golden_taxonomy):
-        report = align("e", golden_taxonomy, SdTable({"offer_ratio": 0.0, "task_balance": 0.0}))
+        report = align("e", golden_taxonomy, {"offer_ratio": 0.0, "task_balance": 0.0})
         assert report.score == 0.0
 
     def test_path_weighted_equals_mean_when_all_paths_single(self, golden_taxonomy):
@@ -62,7 +61,7 @@ class TestAlign:
             [("root", "a"), ("root", "b"), ("a", "p"), ("b", "p")],
             {"p": 1.0},
         )
-        report = align("e", t, SdTable({"p": 1.0}), AlignmentScheme.PATH_WEIGHTED)
+        report = align("e", t, {"p": 1.0}, AlignmentScheme.PATH_WEIGHTED)
         assert report.score == pytest.approx(2.0)
         assert report.score_bound == 2.0
 
@@ -85,14 +84,14 @@ class TestAlignErrors:
     def test_missing_importance(self):
         t = ValueTaxonomy.build([property_node("p")])
         with pytest.raises(MissingImportance):
-            align("e", t, SdTable({"p": 0.5}))
+            align("e", t, {"p": 0.5})
 
     def test_missing_satisfaction(self, golden_taxonomy):
         with pytest.raises(MissingSatisfaction):
-            align("e", golden_taxonomy, SdTable({"offer_ratio": 0.5}))
+            align("e", golden_taxonomy, {"offer_ratio": 0.5})
 
     def test_out_of_range_satisfaction_rejected(self, golden_taxonomy):
-        bad = SdTable({"offer_ratio": 1.5, "task_balance": 0.9})
+        bad = {"offer_ratio": 1.5, "task_balance": 0.9}
         with pytest.raises(ValueError):
             align("e", golden_taxonomy, bad)
 
@@ -111,7 +110,7 @@ class TestExplain:
         t = ValueTaxonomy.build(
             [label_node("v"), property_node("p")], [("v", "p")],
             {"p": 1.0, "v": 1.0})
-        report = align("e", t, SdTable({"p": 1.0}))
+        report = align("e", t, {"p": 1.0})
         breakdown = explain(report)
         assert [(b.node, b.contribution) for b in breakdown] == [("p", 1.0)]
         assert report.score == 1.0
@@ -122,7 +121,7 @@ class TestExplain:
             [("v", "pa"), ("v", "pb")],
             {"pa": 0.5, "pb": -0.5},
         )
-        report = align("e", t, SdTable({"pa": 1.0, "pb": 1.0}))
+        report = align("e", t, {"pa": 1.0, "pb": 1.0})
         assert [p.node for p in explain(report)] == ["pa", "pb"]
 
 
@@ -134,7 +133,7 @@ class TestAlignProperties:
             props = t.property_nodes()
             if not props:
                 continue
-            sd = SdTable({p: rng.uniform(-1, 1) for p in props})
+            sd = {p: rng.uniform(-1, 1) for p in props}
             report = align("e", t, sd)
             assert -1.0 - 1e-12 <= report.score <= 1.0 + 1e-12
 
@@ -146,8 +145,8 @@ class TestAlignProperties:
             if not props:
                 continue
             base = {p: rng.uniform(-0.5, 0.5) for p in props}
-            single = align("e", t, SdTable(base)).score
-            doubled = align("e", t, SdTable({p: 2 * v for p, v in base.items()})).score
+            single = align("e", t, base).score
+            doubled = align("e", t, {p: 2 * v for p, v in base.items()}).score
             assert doubled == pytest.approx(2 * single, abs=1e-12)
 
     def test_raising_sd_moves_score_with_importance_sign(self):
@@ -161,8 +160,8 @@ class TestAlignProperties:
             target = rng.choice(props)
             bumped = dict(sd)
             bumped[target] = sd[target] + rng.uniform(0, 1 - sd[target])
-            before = align("e", t, SdTable(sd)).score
-            after = align("e", t, SdTable(bumped)).score
+            before = align("e", t, sd).score
+            after = align("e", t, bumped).score
             if t.importance[target] > 0:
                 assert after >= before - 1e-12
             elif t.importance[target] < 0:
@@ -172,7 +171,7 @@ class TestAlignProperties:
         rng = random.Random(62)
         t = random_taxonomy(rng, all_property_importance=True, max_nodes=12)
         props = t.property_nodes()
-        sd = SdTable({p: rng.uniform(-1, 1) for p in props})
+        sd = {p: rng.uniform(-1, 1) for p in props}
         nodes = list(t.nodes.values())
         rng.shuffle(nodes)
         reordered = ValueTaxonomy.build(nodes, sorted(t.edges), dict(t.importance))
@@ -190,10 +189,10 @@ class TestAlignProperties:
             sd_map = {p: rng.uniform(-1, 1) for p in props}
             importance = {p: t.importance[p] for p in props}
             paths = {p: enumerate_paths_oracle(t, p) for p in props}
-            mean_report = align("e", t, SdTable(sd_map))
+            mean_report = align("e", t, sd_map)
             assert mean_report.score == pytest.approx(
                 literal_alignment_oracle(sd_map, importance), abs=1e-12)
-            path_report = align("e", t, SdTable(sd_map), AlignmentScheme.PATH_WEIGHTED)
+            path_report = align("e", t, sd_map, AlignmentScheme.PATH_WEIGHTED)
             assert path_report.score == pytest.approx(
                 literal_alignment_oracle(sd_map, importance, paths), abs=1e-12)
         assert checked > 30
@@ -201,7 +200,7 @@ class TestAlignProperties:
 
 class TestContextImportance:
     def test_detested_properties_pull_the_score_down(self, fairness, context_c_prime):
-        sd = SdTable({"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0})
+        sd = {"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0}
         report = align("e", fairness.with_importance(context_c_prime.property_importance), sd)
         assert report.score == pytest.approx((-0.5 - 0.5 + 0.9) / 3, abs=1e-12)
         assert sorted(p.node for p in report.per_property) == [
@@ -209,6 +208,6 @@ class TestContextImportance:
 
     def test_built_taxonomy_mode_ignores_detested(self, fairness, context_c_prime):
         built = build_context_taxonomy(fairness, context_c_prime)
-        sd = SdTable({"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0})
+        sd = {"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0}
         report = align("e", built, sd)
         assert report.score == pytest.approx(0.9, abs=1e-12)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from valuetax import (
+    KMEANS_SELECTION,
     ContextSpec,
     ValueTaxonomy,
     build_context_taxonomy,
@@ -17,6 +19,8 @@ from valuetax import (
 from valuetax.cli import demo_event_log, main
 
 from conftest import context_document
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -74,6 +78,13 @@ class TestDemo:
         assert doc["contexts"]["community-c"]["coherent"] is True
         assert doc["context_holds"] is True
         assert doc["validation_ok"] is True
+
+    @pytest.mark.parametrize("argv, golden", [
+        ((), "demo.txt"), (("--format", "machine"), "demo.json")], ids=["text", "machine"])
+    def test_output_matches_the_golden_file(self, capsys, argv, golden):
+        code, out, err = run(capsys, "demo", *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_event_log_fixture_is_well_formed(self):
         from valuetax import parse_event_log
@@ -206,6 +217,33 @@ class TestContextCommand:
         ids = [n["id"] for n in json.loads(out)["nodes"]]
         assert "task_balance" in ids
 
+    @pytest.fixture
+    def kmeans_context_file(self, tmp_path):
+        ctx = ContextSpec("two-means", property_importance={
+            "offer_ratio": 0.8, "volunteer_ratio": 0.1, "task_balance": 0.7},
+            selection=KMEANS_SELECTION)
+        path = tmp_path / "kmeans.json"
+        path.write_text(context_document(ctx), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("strategy", [(), ("--strategy", "kmeans2")], ids=["context", "flag"])
+    def test_threshold_under_two_means_selection_is_rejected(
+            self, capsys, fairness_file, kmeans_context_file, strategy):
+        code, out, err = run(capsys, "context", "--input", fairness_file,
+                             "--context", kmeans_context_file, "--threshold", "0.9", *strategy)
+        assert (code, out) == (1, "")
+        assert err == ("bad selection override: "
+                       "--threshold applies only to positive selection, not kmeans2\n")
+
+    def test_threshold_with_positive_strategy_overrides_two_means(
+            self, capsys, fairness_file, kmeans_context_file):
+        code, out, _ = run(capsys, "context", "--input", fairness_file,
+                           "--context", kmeans_context_file, "--strategy", "positive",
+                           "--threshold", "0.75", "--format", "machine")
+        assert code == 0
+        ids = [n["id"] for n in json.loads(out)["nodes"]]
+        assert ids == ["fairness", "give_take", "offer_ratio", "reciprocity"]
+
     def test_empty_selection_warns_but_succeeds(self, capsys, fairness_file, tmp_path):
         ctx = ContextSpec("none", property_importance={"offer_ratio": -0.5})
         path = tmp_path / "none.json"
@@ -318,6 +356,15 @@ class TestAlignCommand:
         code, out, err = run(capsys, "align", "--input", str(path), "--log", log_file)
         assert (code, out) == (1, "")
         assert err == f"{path}: property node 'offer_ratio' has no assigned importance\n"
+
+    def test_a_log_that_cannot_be_scored_is_named_before_the_taxonomy(self, capsys, tmp_path):
+        # the degrees are computed before scoring, so the log's fault comes first
+        taxonomy = tmp_path / "bare.json"
+        taxonomy.write_text(serialize_taxonomy(fairness_taxonomy()), encoding="utf-8")
+        log = tmp_path / "events.jsonl"
+        log.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "align", "--input", str(taxonomy), "--log", str(log))
+        assert (code, out, err) == (1, "", f"{log}: community has no members to aggregate over\n")
 
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "absent.jsonl"

@@ -19,17 +19,19 @@ from valuetax import (
     DomainConfig,
     EventKind,
     Measure,
+    ValueTaxonomy,
     align,
     build_context_taxonomy,
     ContextSpec,
-    CommunitySdProvider,
     difference_satisfaction,
     emd_1d,
     fairness_taxonomy,
     ingest,
     kl_divergence,
     property_evaluators,
+    property_node,
     ratio_satisfaction,
+    satisfaction_degrees,
     sd_offer_ratio,
     sd_task_balance,
     sd_volunteer_ratio,
@@ -207,7 +209,7 @@ class TestDistributionMeasures:
 
     def test_kl_support_mismatch(self):
         with pytest.raises(SupportMismatch):
-            kl_divergence({"a": 1, "b": 1}, {"a": 1, "c": 1})
+            kl_divergence((1, 1), (1, 1, 1))
 
     def test_kl_zero_reference_mass_undefined(self):
         with pytest.raises(ValueError):
@@ -238,9 +240,6 @@ class TestDistributionMeasures:
         assert emd_1d((1, 2), (2, 4)) == pytest.approx(0.0, abs=1e-12)
         assert kl_divergence((1, 2), (2, 1)) > 1e-12
         assert emd_1d((1, 2), (2, 1)) > 1e-12
-
-    def test_mapping_support_sorted_by_key(self):
-        assert emd_1d({"v2": 1, "v1": 0}, {"v1": 1, "v2": 1}) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(EmptyDistribution):
@@ -287,7 +286,7 @@ class TestDomainConfig:
             DomainConfig(epsilon=0.5, max_delta=0.5)
 
 
-class TestCommunityProvider:
+class TestSatisfactionDegrees:
     def golden_state(self):
         return state_with(
             requests={"alice": 3, "bruno": 3},
@@ -296,35 +295,40 @@ class TestCommunityProvider:
         )
 
     def test_reproduces_the_worked_alignment(self, fairness):
-        provider = CommunitySdProvider(self.golden_state(), CFG)
-        assert provider.lookup("community", OFFER_RATIO) == pytest.approx(0.5, abs=1e-12)
-        assert provider.lookup("community", TASK_BALANCE) == pytest.approx(0.9, abs=1e-9)
         ctx = ContextSpec("alignment", property_importance={
             OFFER_RATIO: 1.0, TASK_BALANCE: 0.5})
         taxonomy = build_context_taxonomy(fairness, ctx)
-        report = align("community", taxonomy, provider)
+        sd = satisfaction_degrees(self.golden_state(), CFG, taxonomy.property_nodes())
+        assert sd[OFFER_RATIO] == pytest.approx(0.5, abs=1e-12)
+        assert sd[TASK_BALANCE] == pytest.approx(0.9, abs=1e-9)
+        report = align("community", taxonomy, sd)
         assert report.score == pytest.approx(0.475, abs=1e-9)
 
     def test_mean_over_members(self):
         # 0.2 needs ratio 1.8, 0.6 needs ratio 3.4 at max_ratio 5
         state = state_with(requests={"a": 9, "b": 17}, offers={"a": 5, "b": 5})
-        provider = CommunitySdProvider(state, CFG)
-        assert provider.lookup("whole", OFFER_RATIO) == pytest.approx(0.4, abs=1e-12)
-
-    def test_entity_only_names_the_report(self):
-        state = state_with(requests={"a": 9, "b": 17}, offers={"a": 5, "b": 5})
-        provider = CommunitySdProvider(state, CFG)
-        assert provider.lookup("a", OFFER_RATIO) == provider.lookup("whole", OFFER_RATIO)
+        sd = satisfaction_degrees(state, CFG, [OFFER_RATIO])
+        assert sd[OFFER_RATIO] == pytest.approx(0.4, abs=1e-12)
 
     def test_unknown_property_raises(self):
-        provider = CommunitySdProvider(self.golden_state(), CFG)
+        taxonomy = ValueTaxonomy.build(
+            [property_node("mystery"), property_node(OFFER_RATIO)],
+            importance={"mystery": 0.5, OFFER_RATIO: 0.5})
+        sd = satisfaction_degrees(self.golden_state(), CFG, taxonomy.property_nodes())
+        assert list(sd) == [OFFER_RATIO]
         with pytest.raises(MissingSatisfaction):
-            provider.lookup("community", "mystery")
+            align("community", taxonomy, sd)
 
     def test_no_members_rejected(self):
-        provider = CommunitySdProvider(state_with(), CFG)
         with pytest.raises(EmptyInput):
-            provider.lookup("community", OFFER_RATIO)
+            satisfaction_degrees(state_with(), CFG, [OFFER_RATIO])
+
+    def test_degrees_follow_the_node_order(self):
+        # no members and no tasks: whichever property comes first names the failure
+        with pytest.raises(EmptyDistribution):
+            satisfaction_degrees(state_with(), CFG, [TASK_BALANCE, OFFER_RATIO])
+        with pytest.raises(EmptyInput):
+            satisfaction_degrees(state_with(), CFG, [OFFER_RATIO, TASK_BALANCE])
 
 
 class TestPropertyEvaluators:
