@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -94,6 +96,51 @@ class TestAlignErrors:
         bad = {"offer_ratio": 1.5, "task_balance": 0.9}
         with pytest.raises(ValueError):
             align("e", golden_taxonomy, bad)
+
+
+class TestSatisfactionMapping:
+    def test_entity_only_names_the_report(self, golden_taxonomy):
+        first = align("alice", golden_taxonomy, GOLDEN_SD)
+        second = align("whole", golden_taxonomy, GOLDEN_SD)
+        assert (first.entity, second.entity) == ("alice", "whole")
+        assert first.per_property == second.per_property
+        assert first.score == second.score
+
+    def test_any_mapping_scores_like_a_dict(self, golden_taxonomy):
+        proxied = align("e", golden_taxonomy, MappingProxyType(dict(GOLDEN_SD)))
+        assert proxied == align("e", golden_taxonomy, GOLDEN_SD)
+
+    def test_entries_for_other_nodes_are_ignored(self, golden_taxonomy):
+        padded = dict(GOLDEN_SD, volunteer_ratio=-1.0, unrelated=0.3)
+        assert align("e", golden_taxonomy, padded) == align("e", golden_taxonomy, GOLDEN_SD)
+
+    def test_the_mapping_is_left_unchanged(self, golden_taxonomy):
+        sd = dict(GOLDEN_SD)
+        align("e", golden_taxonomy, sd)
+        assert sd == GOLDEN_SD
+
+    def test_degrees_are_read_as_floats(self):
+        t = ValueTaxonomy.build([property_node("p")], importance={"p": 1.0})
+        (contribution,) = align("e", t, {"p": 1}).per_property
+        assert type(contribution.sd) is float and contribution.sd == 1.0
+
+    def test_missing_satisfaction_names_the_first_missing_node(self):
+        t = ValueTaxonomy.build(
+            [property_node("a"), property_node("b"), property_node("c")],
+            importance={"a": 1.0, "b": 1.0, "c": 1.0})
+        with pytest.raises(MissingSatisfaction) as excinfo:
+            align("e", t, {"b": 0.5})
+        assert excinfo.value.node == "a"
+
+    @pytest.mark.parametrize("value", [-1.0, 1.0])
+    def test_range_ends_are_accepted(self, golden_taxonomy, value):
+        report = align("e", golden_taxonomy, {"offer_ratio": value, "task_balance": value})
+        assert report.score == pytest.approx(value * (1.0 + 0.5) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [-1.0000001, 1.0000001, math.nan, math.inf])
+    def test_values_outside_the_range_are_rejected(self, golden_taxonomy, value):
+        with pytest.raises(ValueError, match="outside"):
+            align("e", golden_taxonomy, {"offer_ratio": 0.5, "task_balance": value})
 
 
 class TestExplain:

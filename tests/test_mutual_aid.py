@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valuetax import mutual_aid
 from valuetax import (
     OFFER_RATIO,
     PROPERTY_CATALOG,
@@ -245,6 +246,15 @@ class TestDistributionMeasures:
         with pytest.raises(EmptyDistribution):
             emd_1d((), ())
 
+    @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
+    def test_negative_mass_rejected(self, measure):
+        with pytest.raises(ValueError, match="negative mass"):
+            measure((2, -1), (1, 1))
+
+    @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
+    def test_lists_and_tuples_measure_alike(self, measure):
+        assert measure([3, 1, 0], [1, 1, 1]) == measure((3, 1, 0), (1, 1, 1))
+
 
 class TestTaskBalance:
     def test_no_tasks_rejected(self):
@@ -270,6 +280,13 @@ class TestTaskBalance:
     def test_slightly_uneven_split(self):
         state = state_with(tasks={"v1": 51, "v2": 49})
         assert sd_task_balance(state, CFG) == pytest.approx(0.9, abs=1e-9)
+
+    def test_counts_are_listed_in_member_name_order(self):
+        # v1 holds no tasks, so the observed mass sits on the second point
+        state = state_with(tasks={"v2": 1, "v1": 0})
+        assert task_imbalance(state, CFG) == emd_1d([0, 1], [1, 1]) == pytest.approx(0.5, abs=1e-12)
+        flipped = state_with(tasks={"v1": 0, "v2": 1})
+        assert task_imbalance(flipped, CFG) == task_imbalance(state, CFG)
 
 
 class TestDomainConfig:
@@ -329,6 +346,38 @@ class TestSatisfactionDegrees:
             satisfaction_degrees(state_with(), CFG, [TASK_BALANCE, OFFER_RATIO])
         with pytest.raises(EmptyInput):
             satisfaction_degrees(state_with(), CFG, [OFFER_RATIO, TASK_BALANCE])
+
+    def test_no_nodes_give_no_degrees(self):
+        assert satisfaction_degrees(state_with(), CFG, []) == {}
+
+    def test_each_degree_matches_its_sd_function(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            members = [f"m{i}" for i in range(rng.randint(1, 5))]
+            state = state_with(
+                requests={m: rng.randint(0, 6) for m in members},
+                offers={m: rng.randint(1, 6) for m in members},
+                volunteering={m: rng.randint(1, 6) for m in members},
+                tasks={m: rng.randint(1, 6) for m in members})
+            sd = satisfaction_degrees(state, CFG, [VOLUNTEER_RATIO, OFFER_RATIO, TASK_BALANCE])
+            assert list(sd) == [VOLUNTEER_RATIO, OFFER_RATIO, TASK_BALANCE]
+            for node, sd_fn in ((OFFER_RATIO, sd_offer_ratio), (VOLUNTEER_RATIO, sd_volunteer_ratio)):
+                expected = sum(sd_fn(state, m, CFG) for m in members) / len(members)
+                assert sd[node] == pytest.approx(expected, abs=1e-12)
+            assert sd[TASK_BALANCE] == sd_task_balance(state, CFG)
+
+    @pytest.mark.parametrize("node, name", [
+        (OFFER_RATIO, "sd_offer_ratio"),
+        (VOLUNTEER_RATIO, "sd_volunteer_ratio"),
+        (TASK_BALANCE, "sd_task_balance"),
+    ])
+    def test_sd_functions_are_looked_up_by_module_name(self, monkeypatch, node, name):
+        # the benchmark tracer counts evaluations by rebinding these names
+        calls = []
+        monkeypatch.setattr(mutual_aid, name, lambda *args: calls.append(args) or -0.25)
+        sd = satisfaction_degrees(self.golden_state(), CFG, [node])
+        assert sd == {node: -0.25}
+        assert len(calls) == (1 if node == TASK_BALANCE else 2)
 
 
 class TestPropertyEvaluators:
