@@ -15,7 +15,7 @@ from typing import Mapping
 
 from ._record import Record, setfield
 from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
-from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, require_valid
+from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts
 
 
 class AlignmentScheme(Enum):
@@ -70,11 +70,10 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
     Every property node must carry an importance and have a satisfaction
     degree in ``sd``; missing data is an error, never assumed zero.
     """
-    require_valid(taxonomy)
+    paths = all_paths_counts(taxonomy)  # raises InvalidTaxonomy before NoPropertyNodes
     props = taxonomy.property_nodes()
     if not props:
         raise NoPropertyNodes("taxonomy has no property nodes to align against")
-    paths = all_paths_counts(taxonomy)
     weighted = scheme is AlignmentScheme.PATH_WEIGHTED
     per_property = []
     for node in props:

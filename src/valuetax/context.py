@@ -50,9 +50,8 @@ class SelectionStrategy(Record):
 
     def __init__(self, kind: SelectionKind = SelectionKind.POSITIVE_THRESHOLD,
                  threshold: float = 0.0):
-        check_importance(threshold, "selection threshold")
         setfield(self, "kind", kind)
-        setfield(self, "threshold", threshold)
+        setfield(self, "threshold", check_importance(threshold, "selection threshold"))
 
 
 POSITIVE_SELECTION = SelectionStrategy()

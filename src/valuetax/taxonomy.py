@@ -10,7 +10,8 @@ Taxonomies are immutable after construction and all queries are pure, so
 they are safe to share across threads. Construction enforces local
 invariants only (well-formed nodes, importance range, no duplicate edges);
 graph-level rules are checked by :func:`validate` so that malformed
-candidates can be inspected rather than rejected outright.
+candidates can be inspected rather than rejected outright. One cached Kahn
+pass gives both the acyclicity test and the parents-first order.
 """
 
 from __future__ import annotations
@@ -180,6 +181,22 @@ class ValueTaxonomy(Record):
         return {n: tuple(sorted(ps)) for n, ps in out.items()}
 
     @cached_property
+    def _order(self) -> list[NodeId]:
+        # Kahn's algorithm, smallest ready id first; leaves out the nodes on or below a cycle.
+        children_map = self._children
+        pending = {n: len(ps) for n, ps in self._parents.items()}
+        frontier = sorted(n for n, deg in pending.items() if deg == 0)
+        order: list[NodeId] = []
+        while frontier:
+            node = heapq.heappop(frontier)
+            order.append(node)
+            for child in children_map[node]:
+                pending[child] -= 1
+                if pending[child] == 0:
+                    heapq.heappush(frontier, child)
+        return order
+
+    @cached_property
     def _validation(self) -> ValidationReport:
         return _validate_structure(self)
 
@@ -218,8 +235,9 @@ def _validate_structure(taxonomy: ValueTaxonomy) -> ValidationReport:
                 RULE_PROPERTY_LEAF, parent,
                 f"property node {parent!r} has child {child!r}; property nodes must be leaves"))
 
-    cycle = _find_cycle(taxonomy)
-    if cycle is not None:
+    # The Kahn order decides that there is a cycle; the DFS only words it.
+    if len(taxonomy._order) < len(taxonomy.nodes):
+        cycle = _find_cycle(taxonomy)
         trace = " -> ".join(cycle)
         violations.append(Violation(RULE_CYCLE, cycle[0], f"cycle detected: {trace}"))
 
@@ -227,33 +245,26 @@ def _validate_structure(taxonomy: ValueTaxonomy) -> ValidationReport:
 
 
 def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
-    """Return one directed cycle as a node list ending where it starts, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in taxonomy.nodes}
+    """Return one directed cycle as a node list ending where it starts, or None.
+    Depth-first from each unvisited node in id order, children in id order."""
     children = taxonomy._children
+    on_path: dict[NodeId, bool] = {}  # False once a node's subtree is done
     for start in sorted(taxonomy.nodes):
-        if color[start] != WHITE:
+        if start in on_path:
             continue
-        stack: list[tuple[NodeId, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GRAY
+        path, stack = [start], [iter(children[start])]
+        on_path[start] = True
         while stack:
-            node, idx = stack[-1]
-            kids = children.get(node, ())
-            if idx < len(kids):
-                stack[-1] = (node, idx + 1)
-                nxt = kids[idx]
-                if color.get(nxt, BLACK) == GRAY:
-                    at = path.index(nxt)
-                    return path[at:] + [nxt]
-                if color.get(nxt, BLACK) == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
                 stack.pop()
-                path.pop()
+            elif on_path.get(nxt):
+                return path[path.index(nxt):] + [nxt]
+            elif nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                stack.append(iter(children[nxt]))
     return None
 
 
@@ -261,6 +272,7 @@ def validate(taxonomy: ValueTaxonomy) -> ValidationReport:
     """Check the graph-level invariants: known edge endpoints, acyclicity,
     and the restriction of property nodes to leaves.
 
+    One cached Kahn pass decides acyclicity and gives :func:`topological_order`.
     Violations are returned as data; nothing is raised.
     """
     return taxonomy._validation
@@ -275,23 +287,11 @@ def require_valid(taxonomy: ValueTaxonomy) -> None:
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     """Nodes ordered parents-first; ties broken by node id for reproducibility.
 
-    Kahn's algorithm that always takes the smallest ready id from a heap,
-    so the order is the lexicographically smallest parents-first one.
+    A fresh copy of the lexicographically smallest parents-first order, from
+    the cached Kahn pass that also decides acyclicity in :func:`validate`.
     """
     require_valid(taxonomy)
-    parents_map = taxonomy._parents
-    children_map = taxonomy._children
-    pending = {n: len(parents_map[n]) for n in taxonomy.nodes}
-    frontier = sorted(n for n, deg in pending.items() if deg == 0)
-    order: list[NodeId] = []
-    while frontier:
-        node = heapq.heappop(frontier)
-        order.append(node)
-        for child in children_map[node]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                heapq.heappush(frontier, child)
-    return order
+    return list(taxonomy._order)
 
 
 def ancestors(taxonomy: ValueTaxonomy, nodes: Iterable[NodeId]) -> set[NodeId]:

@@ -118,6 +118,13 @@ class TestValidateCommand:
         assert code == 1
         assert "CycleDetected" in out
 
+    def test_machine_report_of_every_rule_matches_the_golden_file(self, capsys):
+        # Two disjoint cycles: the report words the one the search from "a" meets.
+        code, out, err = run(capsys, "validate", "--format", "machine",
+                             "--input", str(GOLDEN / "invalid-taxonomy.json"))
+        assert (code, err) == (1, "")
+        assert out == (GOLDEN / "validate-invalid.json").read_text(encoding="utf-8")
+
     def test_missing_file_is_io_failure(self, capsys):
         code, _, err = run(capsys, "validate", "--input", "/nonexistent.json")
         assert code == 3

@@ -259,6 +259,11 @@ class TestContextSpec:
             SelectionStrategy(threshold=-10 ** 400)
         assert str(excinfo.value) == "selection threshold -inf outside [-1, 1]"
 
+    def test_threshold_is_stored_as_the_checked_float(self):
+        strategy = SelectionStrategy(threshold=1)
+        assert type(strategy.threshold) is float
+        assert "threshold=1.0)" in repr(strategy)
+
     def test_negative_entries_stay_in_the_record(self, fairness, context_c_prime):
         assert context_c_prime.property_importance["offer_ratio"] == -0.5
         built = build_context_taxonomy(fairness, context_c_prime)

@@ -199,7 +199,7 @@ class TestRecordContract:
 def test_taxonomy_equality_ignores_derived_structure():
     cached = build(CASES[3])
     fresh = build(CASES[3])
-    cached._children, cached._validation
+    cached._children, cached._order, cached._validation
     assert cached == fresh and fresh == cached
     assert "_children" in vars(cached) and "_children" not in vars(fresh)
     assert repr(cached) == repr(fresh) == TAXONOMY_REPR

@@ -19,6 +19,7 @@ from valuetax import (
     topological_order,
     validate,
 )
+from valuetax import taxonomy as taxonomy_module
 from valuetax.errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
 
 from conftest import (
@@ -106,7 +107,7 @@ def test_importance_must_be_an_int_or_a_float(taker, value):
     assert str(excinfo.value) == f"importance must be a number, got {value!r}"
 
 
-STRUCTURE_CACHES = ("_children", "_parents", "_validation")
+STRUCTURE_CACHES = ("_children", "_parents", "_order", "_validation")
 
 
 class TestWithImportance:
@@ -114,7 +115,7 @@ class TestWithImportance:
         rng = random.Random(29)
         for trial in range(300):
             t = random_taxonomy(rng)
-            derived = STRUCTURE_CACHES[:trial % 4]  # none, some or all derived beforehand
+            derived = STRUCTURE_CACHES[:trial % 5]  # none, some or all derived beforehand
             for name in derived:
                 getattr(t, name)
             values = {n: rng.uniform(-1.0, 1.0) for n in t.nodes if rng.random() < 0.5}
@@ -183,6 +184,70 @@ class TestValidate:
         assert [(v.rule, v.subject) for v in validate(t).violations] == [
             ("UnknownEdgeEndpoint", "a->ghost"), ("UnknownEdgeEndpoint", "zed->q"),
             ("PropertyNodeNotLeaf", "p"), ("PropertyNodeNotLeaf", "q")]
+
+    def test_cycle_is_worded_from_the_smallest_start_id(self):
+        # Kahn's algorithm leaves over both cycles; the search from "a" meets z first.
+        t = ValueTaxonomy.build(
+            [label_node(n) for n in ("a", "z", "z1", "b", "m", "m1")],
+            [("a", "z"), ("z", "z1"), ("z1", "z"), ("b", "m"), ("m", "m1"), ("m1", "m")])
+        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+            ("CycleDetected", "z", "cycle detected: z -> z1 -> z")]
+
+    def test_self_loop_flagged(self):
+        t = ValueTaxonomy.build([label_node("s")], [("s", "s")])
+        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+            ("CycleDetected", "s", "cycle detected: s -> s")]
+
+    def test_violations_keep_their_rule_order(self):
+        t = ValueTaxonomy(
+            {"a": label_node("a"), "b": label_node("b"), "p": property_node("p")},
+            frozenset({("a", "ghost"), ("p", "a"), ("a", "b"), ("b", "a")}), {})
+        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+            ("UnknownEdgeEndpoint", "a->ghost",
+             "edge ('a', 'ghost') references unknown node 'ghost'"),
+            ("PropertyNodeNotLeaf", "p",
+             "property node 'p' has child 'a'; property nodes must be leaves"),
+            ("CycleDetected", "a", "cycle detected: a -> b -> a")]
+
+    def test_cycle_reported_exactly_when_the_order_leaves_nodes_out(self):
+        rng = random.Random(11)
+        cyclic = 0
+        for _ in range(2500):
+            ids = [f"n{i:02d}" for i in range(rng.randint(1, 12))]
+            edges = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * len(ids)))}
+            if rng.random() < 0.2:
+                edges.add((rng.choice(ids), "ghost"))
+            t = ValueTaxonomy({n: label_node(n) for n in ids}, frozenset(edges), {})
+            children = children_of(t)
+            below: dict[str, set[str]] = {}
+            for n in ids:  # every node reachable from n by one or more edges
+                stack, seen = list(children[n]), set()
+                while stack:
+                    node = stack.pop()
+                    if node not in seen:
+                        seen.add(node)
+                        stack.extend(children.get(node, ()))
+                below[n] = seen
+            on_cycle = {n for n in ids if n in below[n]}
+            cycles = [v for v in validate(t).violations if v.rule == "CycleDetected"]
+            assert bool(cycles) == bool(on_cycle) == (len(t._order) < len(t.nodes))
+            assert set(t._order) == set(ids) - on_cycle - {m for n in on_cycle for m in below[n]}
+            if cycles:
+                cyclic += 1
+                trace = cycles[0].message.removeprefix("cycle detected: ").split(" -> ")
+                assert trace[0] == trace[-1] == cycles[0].subject
+                assert all((p, c) in edges for p, c in zip(trace, trace[1:]))
+        assert 500 < cyclic < 2000
+
+    def test_valid_taxonomy_validates_without_the_cycle_search(self, monkeypatch):
+        def refuse(taxonomy):
+            raise AssertionError("the cycle search ran on a valid taxonomy")
+        monkeypatch.setattr(taxonomy_module, "_find_cycle", refuse)
+        rng = random.Random(5)
+        for _ in range(50):
+            t = random_taxonomy(rng)
+            assert validate(t).ok
+            assert sorted(topological_order(t)) == sorted(t.nodes)
 
     def test_validate_is_idempotent(self, fairness):
         assert validate(fairness) == validate(fairness)
@@ -263,6 +328,13 @@ class TestTopologicalOrder:
         t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
         with pytest.raises(InvalidTaxonomy):
             topological_order(t)
+
+    def test_returns_a_fresh_list(self, fairness):
+        first = topological_order(fairness)
+        expected = list(first)
+        first.reverse()
+        first.append("ghost")
+        assert topological_order(fairness) == expected
 
 
 class TestStructuralInvariants:
