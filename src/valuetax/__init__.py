@@ -2,16 +2,14 @@
 
 The package models value systems as DAGs whose leaves reference verifiable
 properties, keeps the importance annotations on such a graph coherent under
-an averaging aggregator, derives context-specific taxonomies, and scores
-how well observed behaviour aligns with them.
+the mean, derives context-specific taxonomies, and scores how well observed
+behaviour aligns with them.
 """
 
 __version__ = "0.1.0"
 
 from . import errors
 from .aggregation import (
-    MEAN,
-    AggregationOperator,
     Law,
     LawReport,
     check_all_laws,

@@ -56,7 +56,10 @@ class AlignmentReport(Record):
 def _sd_value(sd: Mapping[NodeId, float], node: NodeId) -> float:
     if node not in sd:
         raise MissingSatisfaction(node)
-    value = float(sd[node])
+    value = sd[node]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"satisfaction degree for {node!r} must be a number, got {value!r}")
+    value = float(value)
     if not (-1.0 <= value <= 1.0):
         raise ValueError(f"satisfaction degree {value} for {node!r} outside [-1, 1]")
     return value

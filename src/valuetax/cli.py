@@ -21,7 +21,7 @@ import warnings
 from typing import Callable, Optional, TextIO, TypeVar
 
 from . import __version__
-from .aggregation import MEAN, check_all_laws
+from .aggregation import check_all_laws, mean_aggregate
 from .alignment import AlignmentReport, AlignmentScheme, align, explain
 from .context import (
     KMEANS_SELECTION,
@@ -328,7 +328,7 @@ def demo_contexts() -> dict[str, ContextSpec]:
 def _cmd_demo(args) -> tuple[int, str]:
     general = parse_taxonomy(serialize_taxonomy(fairness_taxonomy()))
     report = validate(general)
-    laws = check_all_laws(MEAN, trials=1000, rng=random.Random(20240601))
+    laws = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(20240601))
     contexts = demo_contexts()
 
     built = {}

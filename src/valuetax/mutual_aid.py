@@ -144,7 +144,7 @@ def difference_satisfaction(delta: float, epsilon: float, max_delta: float) -> f
     delta = min(max(delta, 0.0), max_delta)
     if delta < epsilon:
         return 1.0 - delta / epsilon
-    return -(delta - epsilon) / (max_delta - epsilon)
+    return (epsilon - delta) / (max_delta - epsilon)  # +0.0, not -0.0, at epsilon
 
 
 def _ratio(numerator: int, denominator: int, member: str, what: str) -> float:

@@ -37,10 +37,10 @@ valued descendant" is a flag set by an upward walk that stops at the first
 flagged node, so a run costs O(nodes + edges) whatever the depth.
 Pre-assigned values are never modified, only extended.
 
-:func:`propagate` is fixed to the arithmetic mean: it aggregates with
-:func:`~valuetax.aggregation.mean_aggregate` and solves for unknown children
-with :func:`~valuetax.aggregation.mean_invert`. The standalone
-:func:`check_coherence` accepts any averaging operator.
+:func:`propagate` aggregates with :func:`~valuetax.aggregation.mean_aggregate`
+and solves for unknown children with :func:`~valuetax.aggregation.mean_invert`.
+The standalone :func:`check_coherence` checks the same mean under the same
+tolerance.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from collections import deque
 from typing import Iterable
 
 from ._record import Record, setfield
-from .aggregation import MEAN, AggregationOperator, mean_aggregate, mean_invert
+from .aggregation import mean_aggregate, mean_invert
 from .errors import ConflictingAssignment, IncoherentInput, RangeViolation
 from .taxonomy import (
     IMPORTANCE_MAX,
@@ -272,10 +272,10 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     )
 
 
-def check_coherence(taxonomy: ValueTaxonomy,
-                    op: AggregationOperator = MEAN) -> CoherenceReport:
-    """Verify each valued parent's importance against the aggregate of its
-    children's importances.
+def check_coherence(taxonomy: ValueTaxonomy) -> CoherenceReport:
+    """Verify each valued parent's importance against the mean of its
+    children's importances, to the relative tolerance :func:`propagate`
+    verifies with.
 
     Parents that cannot be evaluated (own value or a child value missing)
     are listed as unevaluable, not as violations.
@@ -291,7 +291,7 @@ def check_coherence(taxonomy: ValueTaxonomy,
         if actual is None or any(v is None for v in child_values):
             unevaluable.append(node)
             continue
-        expected = op.apply(tuple(child_values))
+        expected = mean_aggregate(child_values)
         if not _close(actual, expected):
             violations.append(CoherenceViolation(node, expected, actual))
     return CoherenceReport(

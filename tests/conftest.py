@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from valuetax import (
     ContextSpec,
+    Node,
     SelectionKind,
     ValueTaxonomy,
     fairness_taxonomy,
@@ -127,6 +128,16 @@ def random_taxonomy(rng: random.Random, max_nodes: int = 14,
         elif not all_property_importance and rng.random() < importance_prob:
             importance[node.id] = rng.uniform(-1.0, 1.0)
     return ValueTaxonomy.build(nodes, sorted(edges), importance)
+
+
+def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
+    """``t`` with every node id renamed through ``relabel``."""
+    return ValueTaxonomy.build(
+        [Node(relabel[n], node.kind, node.label_text, node.property_id)
+         for n, node in sorted(t.nodes.items())],
+        [(relabel[p], relabel[c]) for p, c in t.edges],
+        {relabel[n]: v for n, v in t.importance.items()},
+    )
 
 
 importance_values = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

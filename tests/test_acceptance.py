@@ -14,8 +14,6 @@ import time
 from contextlib import contextmanager
 
 from valuetax import (
-    MEAN,
-    AggregationOperator,
     AlignmentScheme,
     CommunityState,
     ContextSpec,
@@ -161,14 +159,14 @@ def test_criterion_05_coherence_detection():
 def test_criterion_06_aggregator_law_suite():
     with criterion(6, "mean passes all laws; planted violators are caught"):
         rng = random.Random(20240606)
-        assert check_symmetry(MEAN, trials=1000, rng=rng).passed
-        assert check_idempotence(MEAN, trials=1000, rng=rng).passed
-        assert check_monotonicity(MEAN, trials=1000, rng=rng).passed
-        assert check_compensative_bounds(MEAN, trials=1000, rng=rng).passed
+        assert check_symmetry(mean_aggregate, trials=1000, rng=rng).passed
+        assert check_idempotence(mean_aggregate, trials=1000, rng=rng).passed
+        assert check_monotonicity(mean_aggregate, trials=1000, rng=rng).passed
+        assert check_compensative_bounds(mean_aggregate, trials=1000, rng=rng).passed
 
-        first = AggregationOperator("first", lambda v: v[0])
-        total = AggregationOperator("sum", lambda v: sum(v))
-        negated = AggregationOperator("negated-mean", lambda v: -mean_aggregate(v))
+        first = lambda v: v[0]
+        total = lambda v: sum(v)
+        negated = lambda v: -mean_aggregate(v)
 
         sym = check_symmetry(first, trials=1000, rng=rng)
         assert not sym.passed and sym.counterexample is not None

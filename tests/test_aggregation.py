@@ -1,4 +1,4 @@
-"""Aggregation operator and law harness tests."""
+"""Mean aggregation and law harness tests."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valuetax import (
-    MEAN,
-    AggregationOperator,
     Law,
     check_all_laws,
     check_compensative_bounds,
@@ -26,13 +24,18 @@ from valuetax.errors import EmptyInput
 importances = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 importance_tuples = st.lists(importances, min_size=1, max_size=8).map(tuple)
 
-FIRST = AggregationOperator("first", lambda v: v[0])
-SUM = AggregationOperator("sum", lambda v: sum(v))
-NEGATED_MEAN = AggregationOperator("negated-mean", lambda v: -mean_aggregate(v))
-ABOVE_MAX = AggregationOperator("above-max", lambda v: max(v) + 0.1)
-MIN = AggregationOperator("min", lambda v: min(v))
-MAX = AggregationOperator("max", lambda v: max(v))
-MEDIAN = AggregationOperator("median", lambda v: statistics.median(v))
+
+# Candidate aggregators are plain functions of a value sequence.
+def first(v):
+    return v[0]
+
+
+def negated_mean(v):
+    return -mean_aggregate(v)
+
+
+def above_max(v):
+    return max(v) + 0.1
 
 
 class TestMean:
@@ -69,52 +72,41 @@ class TestMean:
 
 class TestLawChecks:
     def test_mean_passes_every_law(self):
-        reports = check_all_laws(MEAN, trials=1000, rng=random.Random(7))
+        reports = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(7))
         assert all(report.passed for report in reports.values())
         assert all(report.counterexample is None for report in reports.values())
 
     def test_first_element_fails_symmetry_with_counterexample(self):
-        report = check_symmetry(FIRST, trials=500, rng=random.Random(3))
+        report = check_symmetry(first, trials=500, rng=random.Random(3))
         assert not report.passed
         values, permuted = report.counterexample
         assert sorted(values) == sorted(permuted)
-        assert FIRST.apply(values) != FIRST.apply(permuted)
-
-    def test_symmetry_vacuous_on_singletons(self):
-        singles = [(x,) for x in (-1.0, 0.0, 0.5)]
-        report = check_symmetry(FIRST, samples=singles, rng=random.Random(0))
-        assert report.passed
+        assert first(values) != first(permuted)
 
     def test_sum_fails_idempotence(self):
-        report = check_idempotence(SUM, samples=[0.5], rng=random.Random(5))
+        report = check_idempotence(sum, trials=10, rng=random.Random(5))
         assert not report.passed
         (constant,) = report.counterexample
         assert len(set(constant)) == 1
+        assert sum(constant) != constant[0]
 
     def test_idempotence_includes_boundaries(self):
         # default sampling starts with -1 and 1; a clamping operator fails there
-        clamped = AggregationOperator("clamp-half", lambda v: max(-0.5, min(0.5, mean_aggregate(v))))
+        def clamped(v):
+            return max(-0.5, min(0.5, mean_aggregate(v)))
+
         report = check_idempotence(clamped, trials=3, rng=random.Random(1))
         assert not report.passed
 
     def test_negated_mean_fails_monotonicity(self):
-        report = check_monotonicity(NEGATED_MEAN, trials=500, rng=random.Random(11))
+        report = check_monotonicity(negated_mean, trials=500, rng=random.Random(11))
         assert not report.passed
         lo, hi = report.counterexample
         assert all(a <= b for a, b in zip(lo, hi))
 
-    def test_monotonicity_with_equal_pairs_passes(self):
-        pairs = [((0.1, -0.4), (0.1, -0.4)), ((1.0,), (1.0,))]
-        assert check_monotonicity(MEAN, samples=pairs).passed
-
     def test_above_max_fails_compensative_bounds(self):
-        report = check_compensative_bounds(ABOVE_MAX, trials=50, rng=random.Random(2))
+        report = check_compensative_bounds(above_max, trials=50, rng=random.Random(2))
         assert not report.passed
-
-    def test_compensative_bounds_on_singletons(self):
-        singles = [(-0.3,), (0.9,)]
-        assert check_compensative_bounds(MEAN, samples=singles).passed
-        assert not check_compensative_bounds(ABOVE_MAX, samples=singles).passed
 
     def test_failed_report_requires_counterexample(self):
         from valuetax import LawReport
@@ -124,10 +116,31 @@ class TestLawChecks:
     def test_idempotence_plus_monotonicity_imply_bounds(self):
         # sampled restatement: every operator that passes the first two
         # checks also stays within [min, max] on fresh samples
-        operators = [MEAN, MIN, MAX, MEDIAN, FIRST, SUM, NEGATED_MEAN, ABOVE_MAX]
-        for op in operators:
+        operators = {"mean": mean_aggregate, "min": min, "max": max, "median": statistics.median,
+                     "first": first, "sum": sum, "negated-mean": negated_mean, "above-max": above_max}
+        for name, op in operators.items():
             rng = random.Random(31)
             idem = check_idempotence(op, trials=300, rng=rng)
             mono = check_monotonicity(op, trials=300, rng=rng)
             if idem.passed and mono.passed:
-                assert check_compensative_bounds(op, trials=300, rng=rng).passed, op.name
+                assert check_compensative_bounds(op, trials=300, rng=rng).passed, name
+
+    @pytest.mark.parametrize("op", [min, max, statistics.median], ids=["min", "max", "median"])
+    def test_other_averaging_functions_pass_every_law(self, op):
+        reports = check_all_laws(op, trials=300, rng=random.Random(13))
+        assert [law for law, report in reports.items() if not report.passed] == []
+
+    @pytest.mark.parametrize("check", [check_symmetry, check_idempotence, check_monotonicity,
+                                       check_compensative_bounds, check_all_laws])
+    def test_a_seeded_rng_is_required(self, check):
+        with pytest.raises(TypeError, match="rng"):
+            check(mean_aggregate, trials=10)
+
+    @pytest.mark.parametrize("check, violator", [
+        (check_symmetry, first), (check_idempotence, sum), (check_monotonicity, negated_mean),
+        (check_compensative_bounds, above_max)], ids=["symmetry", "idempotence", "monotonicity",
+                                                      "bounds"])
+    def test_the_same_seed_finds_the_same_counterexample(self, check, violator):
+        report = check(violator, trials=200, rng=random.Random(17))
+        assert report.counterexample is not None
+        assert check(violator, trials=200, rng=random.Random(17)) == report

@@ -130,6 +130,13 @@ class TestSatisfactionMapping:
         (contribution,) = align("e", t, {"p": 1}).per_property
         assert type(contribution.sd) is float and contribution.sd == 1.0
 
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_degrees_that_are_not_numbers_are_rejected(self, value):
+        t = ValueTaxonomy.build([property_node("p")], importance={"p": 1.0})
+        with pytest.raises(ValueError) as excinfo:
+            align("e", t, {"p": value})
+        assert str(excinfo.value) == f"satisfaction degree for 'p' must be a number, got {value!r}"
+
     def test_missing_satisfaction_names_the_first_missing_node(self):
         t = ValueTaxonomy.build(
             [property_node("a"), property_node("b"), property_node("c")],

@@ -194,6 +194,14 @@ class TestCoherenceCommand:
         assert doc["violations"][0]["parent"] == "p"
         assert doc["violations"][0]["expected"] == pytest.approx(0.1)
 
+    def test_machine_report_matches_the_golden_file(self, capsys):
+        # p is the minimum of its children but not their mean; q is coherent,
+        # r lacks a child value, and the root disagrees with its children.
+        code, out, err = run(capsys, "coherence", "--format", "machine",
+                             "--input", str(GOLDEN / "incoherent-taxonomy.json"))
+        assert (code, err) == (2, "")
+        assert out == (GOLDEN / "coherence-incoherent.json").read_text(encoding="utf-8")
+
     def test_coherent_document(self, capsys, tmp_path):
         ctx = ContextSpec("c", property_importance={
             "offer_ratio": 0.8, "task_balance": 0.7})
@@ -298,6 +306,31 @@ class TestAlignCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["score"] == pytest.approx((1.0 * 1.0 + 0.5 * 0.9) / 2, abs=1e-9)
+
+    @pytest.fixture
+    def split_log_file(self, tmp_path):
+        # tasks split 3:1 give an EMD of exactly 0.25; requests equal offers
+        events = [("task_assigned", "alice")] * 3 + [("task_assigned", "bruno")]
+        events += [("request", "alice"), ("offer", "alice"), ("request", "bruno"), ("offer", "bruno")]
+        path = tmp_path / "split.jsonl"
+        path.write_text("".join(
+            json.dumps({"kind": kind, "member": member, "timestamp": stamp}) + "\n"
+            for stamp, (kind, member) in enumerate(events)), encoding="utf-8")
+        return str(path)
+
+    def test_imbalance_at_the_tolerance_prints_a_positive_zero(
+            self, capsys, alignment_taxonomy_file, split_log_file):
+        argv = ("align", "--input", alignment_taxonomy_file, "--log", split_log_file,
+                "--epsilon", "0.25")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "-0.000000" not in out
+        assert "  task_balance           0.500000   0.000000     1      0.000000\n" in out
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        (task_balance,) = [p for p in json.loads(out)["per_property"] if p["node"] == "task_balance"]
+        assert code == 0
+        assert '"sd": -0.0' not in out
+        assert task_balance["sd"] == 0.0 and task_balance["contribution"] == 0.0
 
     def test_bad_log_is_invalid_input(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,5 +1,6 @@
-"""What package modules import: every imported name is used, and the CLI
-starts without the modules `dataclasses` pulls in."""
+"""What package modules import: every imported name is used, the CLI
+starts without the modules `dataclasses` pulls in, and the package exports
+exactly the names listed here."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import valuetax
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "valuetax"
 # __init__ only re-exports what it imports
@@ -51,3 +54,31 @@ def test_cli_starts_without_code_generation_modules():
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.split() == []
+
+
+# The public surface, grouped by the module it comes from. A name added to or
+# removed from `valuetax.__all__` has to show up in this list's diff.
+PUBLIC = [
+    "aggregation", "alignment", "context", "errors", "io_formats", "mutual_aid", "propagation",
+    "taxonomy",
+    "Law", "LawReport", "check_all_laws", "check_compensative_bounds", "check_idempotence",
+    "check_monotonicity", "check_symmetry", "mean_aggregate", "mean_invert",
+    "AlignmentReport", "AlignmentScheme", "PropertyContribution", "align", "explain",
+    "KMEANS_SELECTION", "POSITIVE_SELECTION", "ContextSpec", "SelectionKind", "SelectionStrategy",
+    "build_context_taxonomy", "context_holds", "select_nodes",
+    "export_dot", "ingest_event_log", "parse_context", "parse_event_log", "parse_taxonomy",
+    "serialize_taxonomy",
+    "OFFER_RATIO", "PROPERTY_CATALOG", "TASK_BALANCE", "VOLUNTEER_RATIO", "CommunityState",
+    "DomainConfig", "EventKind", "Measure", "difference_satisfaction", "emd_1d",
+    "fairness_taxonomy", "ingest", "kl_divergence", "property_evaluators", "ratio_satisfaction",
+    "satisfaction_degrees", "sd_offer_ratio", "sd_task_balance", "sd_volunteer_ratio",
+    "task_imbalance",
+    "CoherenceReport", "CoherenceViolation", "PropagationResult", "check_coherence", "propagate",
+    "Node", "NodeKind", "ValidationReport", "ValueTaxonomy", "Violation", "all_paths_counts",
+    "ancestors", "label_node", "property_node", "topological_order", "validate",
+]
+
+
+def test_public_surface_is_the_listed_names():
+    assert len(PUBLIC) == len(set(PUBLIC)) == 72
+    assert sorted(valuetax.__all__) == sorted(PUBLIC)

@@ -1,0 +1,184 @@
+"""Same meaning, same answer: context derivation does not depend on node
+names, and the document parsers raise only ``TaxonomyError`` subclasses on
+structurally mutated input."""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+import random
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valuetax import (
+    KMEANS_SELECTION,
+    POSITIVE_SELECTION,
+    ContextSpec,
+    ValueTaxonomy,
+    build_context_taxonomy,
+    ingest_event_log,
+    label_node,
+    parse_context,
+    parse_event_log,
+    parse_taxonomy,
+    property_node,
+    serialize_taxonomy,
+)
+from valuetax.errors import EmptySelectionWarning, TaxonomyError
+
+from conftest import random_taxonomy, relabelled
+
+# 0.3 twice, so that ties between property importances are common
+TIED_IMPORTANCES = (-0.5, 0.0, 0.3, 0.3, 0.8)
+
+
+def context_outcome(general: ValueTaxonomy, ctx: ContextSpec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySelectionWarning)
+        try:
+            return build_context_taxonomy(general, ctx)
+        except TaxonomyError as exc:
+            return exc
+
+
+@pytest.mark.parametrize("selection", [POSITIVE_SELECTION, KMEANS_SELECTION],
+                         ids=["positive", "kmeans2"])
+def test_context_derivation_does_not_depend_on_node_names(selection):
+    for seed in range(3000):
+        rng = random.Random(seed)
+        general = random_taxonomy(rng)
+        properties = general.property_nodes()
+        if not properties:
+            continue
+        importance = {p: rng.choice(TIED_IMPORTANCES) for p in properties}
+        names = sorted(general.nodes)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        relabel = dict(zip(names, shuffled))
+        base = context_outcome(general, ContextSpec("c", property_importance=importance,
+                                                    selection=selection))
+        other = context_outcome(relabelled(general, relabel), ContextSpec(
+            "c", property_importance={relabel[p]: v for p, v in importance.items()},
+            selection=selection))
+        assert type(base) is type(other), seed
+        if isinstance(base, TaxonomyError):
+            continue
+        assert set(other.nodes) == {relabel[n] for n in base.nodes}, seed
+        assert set(other.importance) == {relabel[n] for n in base.importance}, seed
+        for node, value in base.importance.items():
+            assert other.importance[relabel[node]] == pytest.approx(value, abs=1e-9), seed
+
+
+# -- parser robustness ---------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# characters that tokenizers, the event block scanner and line splitting treat specially
+SPECIAL_TEXT = st.sampled_from(['"', "\\", "{", "}", ",", ":", "\n", "\r", "\x00", "\ufeff",
+                                "\u2028", "\u00a0", "\t", "0", "-"])
+
+
+def locations(value, path=()):
+    """Every (container path, key) inside ``value``, depth first."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = list(range(len(value)))
+    else:
+        return []
+    found = [(path, key) for key in keys]
+    for key in keys:
+        found += locations(value[key], path + (key,))
+    return found
+
+
+@st.composite
+def mutated(draw, original: list):
+    """A deep copy of the list ``original`` with one or two of its entries
+    (at any depth) replaced by an arbitrary JSON value, deleted or doubled,
+    or a new key added to one of its objects."""
+    holder = copy.deepcopy(original)
+    for _ in range(draw(st.sampled_from([1, 1, 2]))):
+        places = locations(holder)
+        if not places:
+            break
+        path, key = draw(st.sampled_from(places))
+        container = holder
+        for step in path:
+            container = container[step]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "double", "add-key"]))
+        if action == "delete":
+            del container[key]
+        elif action == "replace":
+            container[key] = draw(json_values)
+        elif action == "double" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        elif action == "add-key" and isinstance(container, dict):
+            container[draw(st.text(max_size=4))] = draw(json_values)
+    return holder
+
+
+@st.composite
+def spliced(draw, text: str):
+    """``text`` truncated, or with one or two special characters inserted, or
+    (in half the cases, so that most reach past the JSON decoder) unchanged."""
+    inserts = draw(st.sampled_from([0, 0, 0, 1, 2, -1]))  # -1: truncate
+    if inserts < 0:
+        text = text[:draw(st.integers(min_value=0, max_value=len(text)))]
+    for _ in range(inserts):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(SPECIAL_TEXT) + text[at:]
+    return text
+
+
+@st.composite
+def mutated_documents(draw, document: dict):
+    holder = draw(mutated([document]))
+    return draw(spliced(json.dumps(holder[0] if holder else None)))
+
+
+# small documents, so that each mutation is likely to reach any one field
+TAXONOMY_DOC = json.loads(serialize_taxonomy(ValueTaxonomy.build(
+    [label_node("fairness"), label_node("reciprocity"), property_node("offer_ratio")],
+    [("fairness", "reciprocity"), ("reciprocity", "offer_ratio")], {"offer_ratio": 0.8})))
+CONTEXT_DOC = {"schema_version": 1, "id": "c", "defining_properties": ["offer_ratio"],
+               "property_importance": {"offer_ratio": 0.8, "task_balance": -0.5},
+               "selection": {"kind": "positive_threshold", "threshold": 0.1}}
+EVENT_RECORDS = [{"kind": kind, "member": member, "timestamp": stamp}
+                 for stamp, (kind, member) in enumerate([
+                     ("request", "alice"), ("offer", "bruno"), ("task_assigned", "alice")])]
+
+
+def raises_only_taxonomy_errors(parse, text) -> None:
+    try:
+        parse(text)
+    except TaxonomyError:
+        pass
+
+
+@settings(max_examples=300)
+@given(mutated_documents(TAXONOMY_DOC), st.booleans())
+def test_taxonomy_parser_raises_only_taxonomy_errors(text, require_valid_structure):
+    raises_only_taxonomy_errors(
+        lambda t: parse_taxonomy(t, require_valid_structure=require_valid_structure), text)
+
+
+@settings(max_examples=300)
+@given(mutated_documents(CONTEXT_DOC))
+def test_context_parser_raises_only_taxonomy_errors(text):
+    raises_only_taxonomy_errors(parse_context, text)
+
+
+@settings(max_examples=300)
+@given(mutated(EVENT_RECORDS).map(lambda records: "".join(
+    json.dumps(record) + "\n" for record in records)).flatmap(spliced))
+def test_event_log_readers_raise_only_taxonomy_errors(text):
+    raises_only_taxonomy_errors(parse_event_log, text)
+    raises_only_taxonomy_errors(lambda t: ingest_event_log(io.StringIO(t, newline=None)), text)

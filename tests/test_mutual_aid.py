@@ -141,6 +141,18 @@ class TestDifferenceSatisfaction:
     def test_tolerance_boundary_is_neutral(self):
         assert difference_satisfaction(0.1, 0.1, 1.0) == 0.0
 
+    @given(st.floats(min_value=0.0, max_value=0.99, allow_nan=False))
+    def test_tolerance_boundary_is_positive_zero(self, epsilon):
+        # -0.0 == 0.0, so compare signs: -0.0 prints as "-0.000000" in tables
+        assert math.copysign(1.0, difference_satisfaction(epsilon, epsilon, 1.0)) == 1.0
+
+    @given(st.floats(min_value=0, max_value=2, allow_nan=False))
+    def test_above_the_tolerance_is_the_linear_ramp(self, delta):
+        # the documented ramp, written in the other form: equal for every nonzero result
+        value = difference_satisfaction(delta, 0.1, 1.0)
+        if delta >= 0.1 and value != 0.0:
+            assert value == -(min(delta, 1.0) - 0.1) / (1.0 - 0.1)
+
     def test_max_imbalance(self):
         assert difference_satisfaction(1.0, 0.1, 1.0) == -1.0
 

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given
 
 from valuetax import (
-    MEAN,
-    AggregationOperator,
-    Node,
     ValueTaxonomy,
     check_coherence,
     label_node,
+    mean_aggregate,
     propagate,
 )
 from valuetax.errors import (
@@ -28,6 +26,7 @@ from conftest import (
     context_c_fragment,
     random_taxonomy,
     random_tree,
+    relabelled,
     subtree_mean_oracle,
     taxonomies,
 )
@@ -62,7 +61,7 @@ class TestPropagateBranches:
         t = taxonomy([("p", "a"), ("p", "b")], {"p": 0.6, "a": 0.8})
         result = propagate(t)
         assert result.taxonomy.importance["b"] == pytest.approx(0.4, abs=1e-12)
-        assert MEAN.apply((0.8, result.taxonomy.importance["b"])) == pytest.approx(0.6, abs=1e-12)
+        assert mean_aggregate((0.8, result.taxonomy.importance["b"])) == pytest.approx(0.6, abs=1e-12)
 
     def test_several_missing_children_split_equally(self):
         t = taxonomy([("p", "a"), ("p", "b"), ("p", "c")], {"p": 0.5, "a": 0.9})
@@ -247,15 +246,6 @@ class TestPropagateProperties:
                 assert other[relabel[node]] == pytest.approx(base[node], abs=1e-9)
 
 
-def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
-    return ValueTaxonomy.build(
-        [Node(relabel[n], node.kind, node.label_text, node.property_id)
-         for n, node in sorted(t.nodes.items())],
-        [(relabel[p], relabel[c]) for p, c in t.edges],
-        {relabel[n]: v for n, v in t.importance.items()},
-    )
-
-
 def outcome(t: ValueTaxonomy):
     try:
         return propagate(t)
@@ -381,11 +371,27 @@ class TestCheckCoherence:
         assert report.coherent
         assert report.unevaluable == ("p",)
 
-    def test_accepts_other_averaging_operators(self):
-        op_min = AggregationOperator("min", lambda v: min(v))
+    def test_checks_the_mean_that_propagate_enforces(self):
+        # p equals the minimum of its children, not their mean
         t = taxonomy([("p", "a"), ("p", "b")], {"p": 0.2, "a": 0.2, "b": 0.9})
-        assert check_coherence(t, op=op_min).coherent
-        assert not check_coherence(t, op=MEAN).coherent
+        (violation,) = check_coherence(t).violations
+        assert (violation.parent, violation.actual) == ("p", 0.2)
+        assert violation.expected == mean_aggregate((0.2, 0.9))
+        with pytest.raises(IncoherentInput) as excinfo:
+            propagate(t)
+        assert (excinfo.value.node, excinfo.value.expected) == ("p", violation.expected)
+
+    @given(taxonomies())
+    def test_agrees_with_propagate_on_given_values(self, t):
+        violations = {v.parent: v.expected for v in check_coherence(t).violations}
+        try:
+            propagate(t)
+        except IncoherentInput as exc:
+            assert violations[exc.node] == exc.expected
+        except PropagationError:
+            pass
+        else:
+            assert violations == {}
 
     def test_tolerance_is_relative_1e_9(self):
         assert check_coherence(taxonomy([("p", "a")], {"p": 0.5 + 4e-10, "a": 0.5})).coherent

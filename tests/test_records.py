@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
-from valuetax.aggregation import AggregationOperator, Law, LawReport
+from valuetax.aggregation import Law, LawReport
 from valuetax.alignment import AlignmentReport, AlignmentScheme, PropertyContribution
 from valuetax.context import KMEANS_SELECTION, POSITIVE_SELECTION, ContextSpec, SelectionKind, SelectionStrategy
 from valuetax.mutual_aid import CommunityState, DomainConfig, Measure
@@ -60,9 +60,6 @@ CASES = [
          ({"a": LABEL_A, "b": PROPERTY_B}, frozenset({("a", "b")}), {"b": 0.5}),
          0, {"nodes": {}, "edges": frozenset(), "importance": {}}, 2, {"b": 0.25},
          TAXONOMY_REPR, False),
-    Case(AggregationOperator, ("name", "apply"), ("max", max),
-         2, {}, 0, "maximum",
-         "AggregationOperator(name='max', apply=<built-in function max>)", True),
     Case(LawReport, ("law", "passed", "counterexample"), (Law.SYMMETRY, False, ((0.1,), (0.2,))),
          2, {"counterexample": None}, 2, ((0.3,),),
          "LawReport(law=<Law.SYMMETRY: 'Symmetry'>, passed=False, counterexample=((0.1,), (0.2,)))",
@@ -118,7 +115,7 @@ def field_values(record, case: Case) -> tuple:
 
 
 def test_every_record_is_covered():
-    assert len({case.cls for case in CASES}) == 15
+    assert len({case.cls for case in CASES}) == 14
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
