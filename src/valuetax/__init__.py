@@ -47,7 +47,6 @@ from .io_formats import (
 )
 from .mutual_aid import (
     OFFER_RATIO,
-    PROPERTY_CATALOG,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
     CommunityState,

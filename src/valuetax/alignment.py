@@ -15,7 +15,7 @@ from typing import Mapping
 
 from ._record import Record, setfield
 from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
-from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts
+from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, check_importance
 
 
 class AlignmentScheme(Enum):
@@ -59,10 +59,7 @@ def _sd_value(sd: Mapping[NodeId, float], node: NodeId) -> float:
     value = sd[node]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"satisfaction degree for {node!r} must be a number, got {value!r}")
-    value = float(value)
-    if not (-1.0 <= value <= 1.0):
-        raise ValueError(f"satisfaction degree {value} for {node!r} outside [-1, 1]")
-    return value
+    return check_importance(value, f"satisfaction degree of {node!r}")
 
 
 def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],

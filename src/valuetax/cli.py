@@ -407,8 +407,8 @@ def _cmd_demo(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _indent(text: str, by: str = "  ") -> str:
-    return "\n".join(by + line for line in text.splitlines())
+def _indent(text: str) -> str:
+    return "\n".join("  " + line for line in text.splitlines())
 
 
 # -- parser -----------------------------------------------------------------

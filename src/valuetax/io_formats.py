@@ -40,6 +40,8 @@ from .mutual_aid import CommunityState, EventKind, ingest
 from .taxonomy import Node, NodeKind, ValueTaxonomy, check_importance, require_valid, validate
 
 SCHEMA_VERSION = 1
+# a node document's kind, as the node kind and the key of the node's text
+_NODE_KINDS = {"label": (NodeKind.LABEL, "label_text"), "property": (NodeKind.PROPERTY, "property_id")}
 _encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 _EVENT_KINDS = frozenset(kind.value for kind in EventKind)
@@ -100,19 +102,14 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
             _require(raw, "id", f"nodes[{i}]")
             raise ParseError(f"nodes[{i}].id", "node id must be a non-empty string")
         kind = raw.get("kind")
-        if kind == NodeKind.LABEL.value:
-            label_text = raw.get("label_text", node_id)
-            if not isinstance(label_text, str):
-                raise ParseError(f"nodes[{i}].label_text", f"must be a string, got {label_text!r}")
-            node = Node(node_id, NodeKind.LABEL, label_text=label_text)
-        elif kind == NodeKind.PROPERTY.value:
-            ref = raw.get("property_id", node_id)
-            if not isinstance(ref, str):
-                raise ParseError(f"nodes[{i}].property_id", f"must be a string, got {ref!r}")
-            node = Node(node_id, NodeKind.PROPERTY, property_id=ref)
-        else:
+        if type(kind) is not str or kind not in _NODE_KINDS:  # a list is unhashable
             _require(raw, "kind", f"nodes[{i}]")
             raise ParseError(f"nodes[{i}].kind", f"unknown node kind: {kind!r}")
+        node_kind, text_key = _NODE_KINDS[kind]
+        text = raw.get(text_key, node_id)
+        if not isinstance(text, str):
+            raise ParseError(f"nodes[{i}].{text_key}", f"must be a string, got {text!r}")
+        node = Node(node_id, node_kind, text)
         if node_id in nodes:
             raise ParseError(f"nodes[{i}].id", f"duplicate node id: {node_id!r}")
         nodes[node_id] = node
@@ -156,8 +153,8 @@ def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
     nodes = []
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
-        text_key = "label_text" if node.kind is NodeKind.LABEL else "property_id"
-        entry: dict[str, Any] = {"id": node.id, "kind": node.kind.value, text_key: node.display}
+        kind = node.kind.value
+        entry: dict[str, Any] = {"id": node.id, "kind": kind, _NODE_KINDS[kind][1]: node.text}
         if node_id in taxonomy.importance:
             entry["importance"] = taxonomy.importance[node_id]
         nodes.append(entry)
@@ -302,7 +299,7 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
         shape = "circle" if node.kind is NodeKind.LABEL else "square"
-        label = node.display.replace("\\", "\\\\").replace('"', '\\"')
+        label = node.text.replace("\\", "\\\\").replace('"', '\\"')
         if node_id in taxonomy.importance:
             # \n is DOT's in-label line break, kept out of _dot_quote's escaping
             label = f"{label}\\n{taxonomy.importance[node_id]:.6f}"

@@ -42,12 +42,6 @@ OFFER_RATIO = "offer_ratio"
 VOLUNTEER_RATIO = "volunteer_ratio"
 TASK_BALANCE = "task_balance"
 
-PROPERTY_CATALOG: Mapping[str, str] = MappingProxyType({
-    OFFER_RATIO: "help requests are proportionate to help offers",
-    VOLUNTEER_RATIO: "help requests are proportionate to times chosen as volunteer",
-    TASK_BALANCE: "tasks are distributed evenly over volunteers",
-})
-
 
 class EventKind(Enum):
     # in the order of CommunityState's counters

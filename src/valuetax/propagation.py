@@ -98,13 +98,16 @@ class CoherenceViolation(Record):
 
 
 class CoherenceReport(Record):
-    __slots__ = ("coherent", "violations", "unevaluable")
+    __slots__ = ("violations", "unevaluable")
 
-    def __init__(self, coherent: bool, violations: tuple[CoherenceViolation, ...] = (),
+    def __init__(self, violations: tuple[CoherenceViolation, ...] = (),
                  unevaluable: tuple[NodeId, ...] = ()):
-        setfield(self, "coherent", coherent)
         setfield(self, "violations", violations)
         setfield(self, "unevaluable", unevaluable)
+
+    @property
+    def coherent(self) -> bool:
+        return not self.violations
 
 
 class _Run:
@@ -294,8 +297,4 @@ def check_coherence(taxonomy: ValueTaxonomy) -> CoherenceReport:
         expected = mean_aggregate(child_values)
         if not _close(actual, expected):
             violations.append(CoherenceViolation(node, expected, actual))
-    return CoherenceReport(
-        coherent=not violations,
-        violations=tuple(violations),
-        unevaluable=tuple(unevaluable),
-    )
+    return CoherenceReport(tuple(violations), tuple(unevaluable))

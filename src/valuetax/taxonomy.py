@@ -45,40 +45,31 @@ class NodeKind(Enum):
 
 
 class Node(Record):
-    """One value concept: an abstract label or a concrete property reference."""
+    """One value concept. ``text`` is a label node's display text, or a
+    property node's reference into the property catalog."""
 
-    __slots__ = ("id", "kind", "label_text", "property_id")
+    __slots__ = ("id", "kind", "text")
 
-    def __init__(self, id: NodeId, kind: NodeKind, label_text: Optional[str] = None,
-                 property_id: Optional[str] = None):
+    def __init__(self, id: NodeId, kind: NodeKind, text: str):
         if not id:
             raise ValueError("node id must be a non-empty string")
-        if kind is NodeKind.LABEL:
-            if label_text is None or property_id is not None:
-                raise ValueError(f"label node {id!r} must carry label_text only")
-        elif kind is NodeKind.PROPERTY:
-            if property_id is None or label_text is not None:
-                raise ValueError(f"property node {id!r} must carry property_id only")
-        else:
+        if not isinstance(kind, NodeKind):
             raise ValueError(f"unknown node kind: {kind!r}")
+        if not isinstance(text, str):
+            raise ValueError(f"node text of {id!r} must be a string, got {text!r}")
         setfield(self, "id", id)
         setfield(self, "kind", kind)
-        setfield(self, "label_text", label_text)
-        setfield(self, "property_id", property_id)
-
-    @property
-    def display(self) -> str:
-        return self.label_text if self.kind is NodeKind.LABEL else self.property_id
+        setfield(self, "text", text)
 
 
 def label_node(node_id: NodeId, text: Optional[str] = None) -> Node:
     """Build a label node; the display text defaults to the id."""
-    return Node(node_id, NodeKind.LABEL, label_text=text if text is not None else node_id)
+    return Node(node_id, NodeKind.LABEL, text if text is not None else node_id)
 
 
 def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
     """Build a property node; the catalog reference defaults to the id."""
-    return Node(node_id, NodeKind.PROPERTY, property_id=property_id if property_id is not None else node_id)
+    return Node(node_id, NodeKind.PROPERTY, property_id if property_id is not None else node_id)
 
 
 def check_importance(value: float, what: str = "importance") -> float:
@@ -107,11 +98,14 @@ class Violation(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("ok", "violations")
+    __slots__ = ("violations",)
 
-    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        setfield(self, "ok", ok)
+    def __init__(self, violations: tuple[Violation, ...] = ()):
         setfield(self, "violations", violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class ValueTaxonomy(Record):
@@ -241,7 +235,7 @@ def _validate_structure(taxonomy: ValueTaxonomy) -> ValidationReport:
         trace = " -> ".join(cycle)
         violations.append(Violation(RULE_CYCLE, cycle[0], f"cycle detected: {trace}"))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:

@@ -133,7 +133,7 @@ def random_taxonomy(rng: random.Random, max_nodes: int = 14,
 def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
     """``t`` with every node id renamed through ``relabel``."""
     return ValueTaxonomy.build(
-        [Node(relabel[n], node.kind, node.label_text, node.property_id)
+        [Node(relabel[n], node.kind, node.text)
          for n, node in sorted(t.nodes.items())],
         [(relabel[p], relabel[c]) for p, c in t.edges],
         {relabel[n]: v for n, v in t.importance.items()},

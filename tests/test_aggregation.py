@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valuetax import (
-    Law,
     check_all_laws,
     check_compensative_bounds,
     check_idempotence,
@@ -107,11 +106,6 @@ class TestLawChecks:
     def test_above_max_fails_compensative_bounds(self):
         report = check_compensative_bounds(above_max, trials=50, rng=random.Random(2))
         assert not report.passed
-
-    def test_failed_report_requires_counterexample(self):
-        from valuetax import LawReport
-        with pytest.raises(ValueError):
-            LawReport(Law.SYMMETRY, passed=False)
 
     def test_idempotence_plus_monotonicity_imply_bounds(self):
         # sampled restatement: every operator that passes the first two

@@ -155,6 +155,14 @@ class TestSatisfactionMapping:
         with pytest.raises(ValueError, match="outside"):
             align("e", golden_taxonomy, {"offer_ratio": 0.5, "task_balance": value})
 
+    @pytest.mark.parametrize("value, shown", [(10 ** 400, "inf"), (-10 ** 400, "-inf")],
+                             ids=["positive", "negative"])
+    def test_ints_past_the_float_range_are_out_of_range(self, value, shown):
+        t = ValueTaxonomy.build([property_node("p")], importance={"p": 1.0})
+        with pytest.raises(ValueError) as excinfo:
+            align("e", t, {"p": value})
+        assert str(excinfo.value) == f"satisfaction degree of 'p' {shown} outside [-1, 1]"
+
 
 class TestExplain:
     def test_golden_breakdown_ordering(self, golden_taxonomy):

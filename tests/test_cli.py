@@ -438,6 +438,17 @@ class TestOtherCommands:
         assert out.startswith("digraph value_taxonomy {")
         assert '"offer_ratio" [shape=square' in out
 
+    # A label's text with a quote, a backslash and a non-ASCII letter; properties
+    # whose catalog reference differs from the id; a node of each kind without
+    # its text key; and importances that propagate completes.
+    @pytest.mark.parametrize("argv, golden", [
+        (("propagate", "--format", "machine"), "propagate-node-text.json"),
+        (("export-dot",), "export-dot-node-text.dot")], ids=["propagate", "export-dot"])
+    def test_node_text_outputs_match_the_golden_files(self, capsys, argv, golden):
+        code, out, err = run(capsys, *argv, "--input", str(GOLDEN / "node-text-taxonomy.json"))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_output_flag_writes_file(self, capsys, fairness_file, tmp_path):
         target = tmp_path / "out.dot"
         code, out, _ = run(capsys, "export-dot", "--input", fairness_file,

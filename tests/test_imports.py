@@ -68,7 +68,7 @@ PUBLIC = [
     "build_context_taxonomy", "context_holds", "select_nodes",
     "export_dot", "ingest_event_log", "parse_context", "parse_event_log", "parse_taxonomy",
     "serialize_taxonomy",
-    "OFFER_RATIO", "PROPERTY_CATALOG", "TASK_BALANCE", "VOLUNTEER_RATIO", "CommunityState",
+    "OFFER_RATIO", "TASK_BALANCE", "VOLUNTEER_RATIO", "CommunityState",
     "DomainConfig", "EventKind", "Measure", "difference_satisfaction", "emd_1d",
     "fairness_taxonomy", "ingest", "kl_divergence", "property_evaluators", "ratio_satisfaction",
     "satisfaction_degrees", "sd_offer_ratio", "sd_task_balance", "sd_volunteer_ratio",
@@ -80,5 +80,5 @@ PUBLIC = [
 
 
 def test_public_surface_is_the_listed_names():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 72
+    assert len(PUBLIC) == len(set(PUBLIC)) == 71
     assert sorted(valuetax.__all__) == sorted(PUBLIC)

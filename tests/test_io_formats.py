@@ -85,11 +85,8 @@ def reference_document(taxonomy: ValueTaxonomy) -> str:
     nodes = []
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
-        entry = {"id": node.id, "kind": node.kind.value}
-        if node.kind is NodeKind.LABEL:
-            entry["label_text"] = node.label_text
-        else:
-            entry["property_id"] = node.property_id
+        text_key = "label_text" if node.kind is NodeKind.LABEL else "property_id"
+        entry = {"id": node.id, "kind": node.kind.value, text_key: node.text}
         if node_id in taxonomy.importance:
             entry["importance"] = taxonomy.importance[node_id]
         nodes.append(entry)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from valuetax import mutual_aid
 from valuetax import (
     OFFER_RATIO,
-    PROPERTY_CATALOG,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
     CommunityState,
@@ -393,10 +392,9 @@ class TestSatisfactionDegrees:
 
 
 class TestPropertyEvaluators:
-    def test_catalog_covers_all_properties(self):
-        assert set(PROPERTY_CATALOG) == {OFFER_RATIO, VOLUNTEER_RATIO, TASK_BALANCE}
+    def test_evaluators_cover_all_properties(self):
         evaluators = property_evaluators(CFG)
-        assert set(evaluators) == set(PROPERTY_CATALOG)
+        assert set(evaluators) == {OFFER_RATIO, VOLUNTEER_RATIO, TASK_BALANCE}
 
     def test_totals_drive_the_booleans(self):
         state = state_with(
@@ -412,5 +410,5 @@ class TestPropertyEvaluators:
 
     def test_fairness_taxonomy_references_the_catalog(self):
         t = fairness_taxonomy()
-        refs = {t.nodes[p].property_id for p in t.property_nodes()}
-        assert refs == set(PROPERTY_CATALOG)
+        refs = {t.nodes[p].text for p in t.property_nodes()}
+        assert refs == {OFFER_RATIO, VOLUNTEER_RATIO, TASK_BALANCE}

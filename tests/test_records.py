@@ -18,12 +18,12 @@ from valuetax.propagation import CoherenceReport, CoherenceViolation, Propagatio
 from valuetax.taxonomy import Node, NodeKind, ValidationReport, ValueTaxonomy, Violation
 
 LABEL_A = Node("a", NodeKind.LABEL, "A")
-PROPERTY_B = Node("b", NodeKind.PROPERTY, None, "b")
+PROPERTY_B = Node("b", NodeKind.PROPERTY, "b")
 TAXONOMY = ValueTaxonomy({"a": LABEL_A, "b": PROPERTY_B}, frozenset({("a", "b")}), {"b": 0.5})
 TAXONOMY_REPR = (
     "ValueTaxonomy(nodes=mappingproxy({"
-    "'a': Node(id='a', kind=<NodeKind.LABEL: 'label'>, label_text='A', property_id=None), "
-    "'b': Node(id='b', kind=<NodeKind.PROPERTY: 'property'>, label_text=None, property_id='b')}), "
+    "'a': Node(id='a', kind=<NodeKind.LABEL: 'label'>, text='A'), "
+    "'b': Node(id='b', kind=<NodeKind.PROPERTY: 'property'>, text='b')}), "
     "edges=frozenset({('a', 'b')}), importance=mappingproxy({'b': 0.5}))")
 STATE_REPR = (
     "CommunityState(requests=mappingproxy({'m': 1}), offers=mappingproxy({'m': 2}), "
@@ -42,28 +42,24 @@ class Case(NamedTuple):
     other: object  # the value it changes to
     repr: str
     hashable: bool  # False where a field is a mapping
-    leading: tuple = ()  # required values for the defaults test, if not values' own
 
 
 CASES = [
-    Case(Node, ("id", "kind", "label_text", "property_id"), ("a", NodeKind.LABEL, "A", None),
-         2, {}, 2, "B",
-         "Node(id='a', kind=<NodeKind.LABEL: 'label'>, label_text='A', property_id=None)", True),
+    Case(Node, ("id", "kind", "text"), ("a", NodeKind.LABEL, "A"),
+         3, {}, 2, "B", "Node(id='a', kind=<NodeKind.LABEL: 'label'>, text='A')", True),
     Case(Violation, ("rule", "subject", "message"), ("CycleDetected", "a", "cycle through a"),
          3, {}, 1, "b",
          "Violation(rule='CycleDetected', subject='a', message='cycle through a')", True),
-    Case(ValidationReport, ("ok", "violations"), (False, (Violation("r", "s", "m"),)),
-         1, {"violations": ()}, 0, True,
-         "ValidationReport(ok=False, violations=(Violation(rule='r', subject='s', message='m'),))",
-         True),
+    Case(ValidationReport, ("violations",), ((Violation("r", "s", "m"),),),
+         0, {"violations": ()}, 0, (),
+         "ValidationReport(violations=(Violation(rule='r', subject='s', message='m'),))", True),
     Case(ValueTaxonomy, ("nodes", "edges", "importance"),
          ({"a": LABEL_A, "b": PROPERTY_B}, frozenset({("a", "b")}), {"b": 0.5}),
          0, {"nodes": {}, "edges": frozenset(), "importance": {}}, 2, {"b": 0.25},
          TAXONOMY_REPR, False),
-    Case(LawReport, ("law", "passed", "counterexample"), (Law.SYMMETRY, False, ((0.1,), (0.2,))),
-         2, {"counterexample": None}, 2, ((0.3,),),
-         "LawReport(law=<Law.SYMMETRY: 'Symmetry'>, passed=False, counterexample=((0.1,), (0.2,)))",
-         True, (Law.SYMMETRY, True)),
+    Case(LawReport, ("law", "counterexample"), (Law.SYMMETRY, ((0.1,), (0.2,))),
+         1, {"counterexample": None}, 1, ((0.3,),),
+         "LawReport(law=<Law.SYMMETRY: 'Symmetry'>, counterexample=((0.1,), (0.2,)))", True),
     Case(PropertyContribution, ("node", "sd", "importance", "paths", "contribution"),
          ("p", 0.5, 0.4, 2, 0.4), 5, {}, 3, 3, CONTRIBUTION_REPR, True),
     Case(AlignmentReport, ("entity", "scheme", "score", "score_bound", "per_property"),
@@ -97,10 +93,10 @@ CASES = [
          False),
     Case(CoherenceViolation, ("parent", "expected", "actual"), ("a", 0.5, 0.25),
          3, {}, 2, 0.5, "CoherenceViolation(parent='a', expected=0.5, actual=0.25)", True),
-    Case(CoherenceReport, ("coherent", "violations", "unevaluable"),
-         (False, (CoherenceViolation("a", 0.5, 0.25),), ("b",)),
-         1, {"violations": (), "unevaluable": ()}, 2, ("c",),
-         "CoherenceReport(coherent=False, violations=(CoherenceViolation(parent='a', expected=0.5, "
+    Case(CoherenceReport, ("violations", "unevaluable"),
+         ((CoherenceViolation("a", 0.5, 0.25),), ("b",)),
+         0, {"violations": (), "unevaluable": ()}, 1, ("c",),
+         "CoherenceReport(violations=(CoherenceViolation(parent='a', expected=0.5, "
          "actual=0.25),), unevaluable=('b',))", True),
 ]
 IDS = [case.cls.__name__ for case in CASES]
@@ -126,13 +122,7 @@ class TestRecordContract:
         assert case.cls(**dict(zip(case.fields, case.values))) == record
 
     def test_defaults(self, case):
-        given = dict(zip(case.fields[:case.required], case.leading or case.values))
-        if case.cls is Node:  # a label node needs its text; a property node its reference
-            record = Node("p", NodeKind.PROPERTY, property_id="x")
-            assert record.label_text is None
-            record = Node("a", NodeKind.LABEL, label_text="A")
-            assert record.property_id is None
-            return
+        given = dict(zip(case.fields[:case.required], case.values))
         record = case.cls(**given)
         assert {name: getattr(record, name) for name in case.defaults} == case.defaults
         assert len(case.defaults) == len(case.fields) - case.required
@@ -191,6 +181,25 @@ class TestRecordContract:
         restored = pickle.loads(pickle.dumps(record))
         assert type(restored) is case.cls
         assert restored == record
+
+
+@pytest.mark.parametrize("record, verdict, holds", [
+    (ValidationReport(), "ok", True),
+    (ValidationReport((Violation("r", "s", "m"),)), "ok", False),
+    (CoherenceReport(unevaluable=("b",)), "coherent", True),
+    (CoherenceReport((CoherenceViolation("a", 0.5, 0.25),)), "coherent", False),
+    (LawReport(Law.SYMMETRY), "passed", True),
+    (LawReport(Law.SYMMETRY, ((0.1,),)), "passed", False),
+])
+def test_verdicts_are_read_only_properties_of_the_fields(record, verdict, holds):
+    assert getattr(record, verdict) is holds
+    assert isinstance(getattr(type(record), verdict), property)
+    assert verdict not in record._fields and f"{verdict}=" not in repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, verdict, not holds)
+    with pytest.raises(AttributeError):
+        delattr(record, verdict)
+    assert getattr(record, verdict) is holds
 
 
 def test_taxonomy_equality_ignores_derived_structure():

@@ -39,25 +39,31 @@ class TestNodes:
     def test_label_node_defaults_text_to_id(self):
         node = label_node("fairness")
         assert node.kind is NodeKind.LABEL
-        assert node.label_text == "fairness"
-        assert node.display == "fairness"
+        assert node.text == "fairness"
+        assert label_node("fairness", "Fairness").text == "Fairness"
 
     def test_property_node_defaults_catalog_id(self):
         node = property_node("p", "catalog_ref")
         assert node.kind is NodeKind.PROPERTY
-        assert node.property_id == "catalog_ref"
+        assert node.text == "catalog_ref"
+        assert property_node("p").text == "p"
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             label_node("")
 
-    def test_kind_field_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Node("x", NodeKind.LABEL, property_id="p")
-        with pytest.raises(ValueError):
-            Node("x", NodeKind.PROPERTY, label_text="t")
-        with pytest.raises(ValueError):
-            Node("x", NodeKind.PROPERTY, label_text="t", property_id="p")
+    @pytest.mark.parametrize("kind", ["label", None, 0], ids=["value", "None", "int"])
+    def test_kind_must_be_a_node_kind(self, kind):
+        with pytest.raises(ValueError) as excinfo:
+            Node("x", kind, "t")
+        assert str(excinfo.value) == f"unknown node kind: {kind!r}"
+
+    @pytest.mark.parametrize("kind", list(NodeKind))
+    @pytest.mark.parametrize("text", [None, 3, b"t"], ids=["None", "int", "bytes"])
+    def test_text_must_be_a_string(self, kind, text):
+        with pytest.raises(ValueError) as excinfo:
+            Node("x", kind, text)
+        assert str(excinfo.value) == f"node text of 'x' must be a string, got {text!r}"
 
 
 class TestConstruction:
@@ -296,7 +302,7 @@ def relabelled(t: ValueTaxonomy, rng: random.Random) -> ValueTaxonomy:
     """``t`` with its node ids permuted, so id order no longer follows the edges."""
     ids = sorted(t.nodes)
     new_ids = dict(zip(ids, rng.sample(ids, len(ids))))
-    nodes = [Node(new_ids[n], node.kind, node.label_text, node.property_id)
+    nodes = [Node(new_ids[n], node.kind, node.text)
              for n, node in t.nodes.items()]
     edges = [(new_ids[p], new_ids[c]) for p, c in t.edges]
     return ValueTaxonomy.build(nodes, edges, {new_ids[n]: v for n, v in t.importance.items()})
