@@ -70,7 +70,7 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
     Every property node must carry an importance and have a satisfaction
     degree in ``sd``; missing data is an error, never assumed zero.
     """
-    paths = all_paths_counts(taxonomy)  # raises InvalidTaxonomy before NoPropertyNodes
+    paths = all_paths_counts(taxonomy)
     props = taxonomy.property_nodes()
     if not props:
         raise NoPropertyNodes("taxonomy has no property nodes to align against")

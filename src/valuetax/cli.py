@@ -33,7 +33,7 @@ from .context import (
     context_holds,
     select_nodes,
 )
-from .errors import PropagationError, TaxonomyError
+from .errors import InvalidTaxonomy, PropagationError, TaxonomyError
 from .io_formats import (
     export_dot,
     ingest_event_log,
@@ -52,7 +52,7 @@ from .mutual_aid import (
     satisfaction_degrees,
 )
 from .propagation import check_coherence, propagate
-from .taxonomy import ValueTaxonomy, all_paths_counts, topological_order, validate
+from .taxonomy import ValidationReport, ValueTaxonomy, all_paths_counts, topological_order, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,9 +121,16 @@ def _domain_config(args) -> DomainConfig:
         raise _Fail(EXIT_INVALID, f"bad domain configuration: {exc}") from exc
 
 
+def _validation_report(text: str) -> ValidationReport:
+    """The structural report of a taxonomy document, valid or not."""
+    try:
+        return validate(parse_taxonomy(text))
+    except InvalidTaxonomy as exc:
+        return exc.report
+
+
 def _cmd_validate(args) -> tuple[int, str]:
-    taxonomy = _load(args.input, lambda text: parse_taxonomy(text, require_valid_structure=False))
-    report = validate(taxonomy)
+    report = _load(args.input, _validation_report)
     if args.format == "machine":
         doc = {"ok": report.ok, "violations": [
             {"rule": v.rule, "subject": v.subject, "message": v.message}

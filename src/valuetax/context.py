@@ -20,13 +20,7 @@ from typing import Any, Callable, Mapping
 from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
 from .propagation import propagate
-from .taxonomy import (
-    NodeId,
-    ValueTaxonomy,
-    ancestors,
-    check_importance,
-    require_valid,
-)
+from .taxonomy import NodeId, ValueTaxonomy, ancestors, check_importance
 
 # Anything a property evaluator can be asked about.
 WorldState = Any
@@ -144,7 +138,6 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
     An empty selection is reported as an EmptySelectionWarning and yields
     an empty taxonomy.
     """
-    require_valid(general)
     property_ids = set(general.property_nodes())
     stray = set(ctx.property_importance) - property_ids
     if stray:

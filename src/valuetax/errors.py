@@ -1,9 +1,9 @@
 """Exception and warning types shared across the package.
 
-Structural problems found by ``validate`` are reported as data, not raised;
-the exceptions here cover contract violations (operating on an invalid
-taxonomy, unknown nodes, missing inputs) and failures detected while
-computing (incoherent or conflicting importance values).
+A taxonomy that breaks a structural rule cannot be built: its constructor
+raises :class:`InvalidTaxonomy`. The other exceptions cover contract
+violations (unknown nodes, missing inputs, malformed documents) and failures
+detected while computing (incoherent or conflicting importance values).
 """
 
 from __future__ import annotations
@@ -11,15 +11,6 @@ from __future__ import annotations
 
 class TaxonomyError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidTaxonomy(TaxonomyError):
-    """An operation that requires a structurally valid taxonomy got an invalid one."""
-
-    def __init__(self, report):
-        self.report = report
-        rules = ", ".join(v.rule for v in report.violations)
-        super().__init__(f"taxonomy is invalid: {rules}")
 
 
 class UnknownNode(TaxonomyError):
@@ -130,6 +121,16 @@ class ParseError(TaxonomyError, ValueError):
     def __init__(self, location: str, detail: str):
         self.location = location
         super().__init__(f"{location}: {detail}")
+
+
+class InvalidTaxonomy(ParseError):
+    """A graph broke a structural rule of ``validate``. ``report`` lists every
+    violation; the location (``rule <name>``) and message are the first one's."""
+
+    def __init__(self, report):
+        self.report = report
+        first = report.violations[0]
+        super().__init__(f"rule {first.rule}", first.message)
 
 
 class SchemaVersionUnsupported(ParseError):

@@ -37,7 +37,7 @@ from typing import Any, Generator, Iterable, Iterator
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
 from .mutual_aid import CommunityState, EventKind, ingest
-from .taxonomy import Node, NodeKind, ValueTaxonomy, check_importance, require_valid, validate
+from .taxonomy import Node, NodeKind, ValueTaxonomy, check_importance
 
 SCHEMA_VERSION = 1
 # a node document's kind, as the node kind and the key of the node's text
@@ -85,10 +85,10 @@ def _parse_importance(raw: Any, location: str) -> float:
         raise ParseError(location, str(exc)) from None
 
 
-def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxonomy:
-    """Parse a taxonomy document. With ``require_valid_structure`` (the default)
-    it must also pass structural validation; pass False to load a candidate
-    for inspection with :func:`~valuetax.taxonomy.validate`."""
+def parse_taxonomy(text: str) -> ValueTaxonomy:
+    """Parse a taxonomy document. A document whose graph breaks a structural
+    rule raises :class:`~valuetax.errors.InvalidTaxonomy`, a ParseError that
+    carries the whole validation report."""
     doc = _load_json(text, "taxonomy document")
     _check_version(doc)
     nodes: dict[str, Node] = {}
@@ -131,13 +131,7 @@ def parse_taxonomy(text: str, require_valid_structure: bool = True) -> ValueTaxo
         if edge in edges:
             raise ParseError(f"edges[{i}]", f"duplicate edge {edge[0]!r} -> {edge[1]!r}")
         edges.add(edge)
-    taxonomy = ValueTaxonomy(nodes, frozenset(edges), importance)
-    if require_valid_structure:
-        report = validate(taxonomy)
-        if not report.ok:
-            first = report.violations[0]
-            raise ParseError(f"rule {first.rule}", first.message)
-    return taxonomy
+    return ValueTaxonomy(nodes, frozenset(edges), importance)
 
 
 def _encode_entries(entries: list[dict[str, Any]]) -> str:
@@ -288,13 +282,12 @@ def _dot_quote(text: str) -> str:
 
 
 def export_dot(taxonomy: ValueTaxonomy) -> str:
-    """Render a valid taxonomy as a DOT digraph.
+    """Render a taxonomy as a DOT digraph.
 
     Label nodes are drawn as circles and property nodes as squares; a node's
     importance, when assigned, is printed under its name. Output is
     byte-deterministic for equal inputs.
     """
-    require_valid(taxonomy)
     lines = ["digraph value_taxonomy {"]
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]

@@ -7,11 +7,11 @@ Each node can be annotated with an importance in [-1, 1]: positive for
 aspired concepts, negative for detested ones, zero for indifference.
 
 Taxonomies are immutable after construction and all queries are pure, so
-they are safe to share across threads. Construction enforces local
-invariants only (well-formed nodes, importance range, no duplicate edges);
-graph-level rules are checked by :func:`validate` so that malformed
-candidates can be inspected rather than rejected outright. One cached Kahn
-pass gives both the acyclicity test and the parents-first order.
+they are safe to share across threads. Construction checks every invariant,
+the graph-level rules of :func:`validate` included, and raises on any
+violation, so no taxonomy a caller holds is invalid and no query checks
+again. One cached Kahn pass gives both the acyclicity test and the
+parents-first order.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Node(Record):
     __slots__ = ("id", "kind", "text")
 
     def __init__(self, id: NodeId, kind: NodeKind, text: str):
-        if not id:
+        if not isinstance(id, str) or not id:
             raise ValueError("node id must be a non-empty string")
         if not isinstance(kind, NodeKind):
             raise ValueError(f"unknown node kind: {kind!r}")
@@ -116,7 +116,7 @@ class ValueTaxonomy(Record):
     id to a value in [-1, 1]. Equality is structural over all three.
     """
 
-    # __dict__ holds the structure derived on demand (the cached properties).
+    # __dict__ holds the derived structure (the cached properties), which validation fills.
     __slots__ = ("nodes", "edges", "importance", "__dict__")
 
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
@@ -126,9 +126,15 @@ class ValueTaxonomy(Record):
         for node_id, node in nodes.items():
             if node_id != node.id:
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
+        edges = frozenset(edges)
+        if not all(isinstance(parent, str) and isinstance(child, str) for parent, child in edges):
+            raise ValueError("edge endpoints must be node id strings")
         setfield(self, "nodes", MappingProxyType(nodes))
-        setfield(self, "edges", frozenset(edges))
+        setfield(self, "edges", edges)
         setfield(self, "importance", _checked_importance(nodes, importance))
+        report = validate(self)
+        if not report.ok:
+            raise InvalidTaxonomy(report)
 
     @classmethod
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
@@ -148,7 +154,7 @@ class ValueTaxonomy(Record):
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
         """Copy of this taxonomy with the importance mapping replaced. The copy
-        shares the nodes, the edges and whatever structure was derived from them."""
+        shares the nodes, the edges and the structure validation derived from them."""
         checked = _checked_importance(self.nodes, importance)
         copy = object.__new__(ValueTaxonomy)
         setfield(copy, "nodes", self.nodes)
@@ -190,10 +196,6 @@ class ValueTaxonomy(Record):
                     heapq.heappush(frontier, child)
         return order
 
-    @cached_property
-    def _validation(self) -> ValidationReport:
-        return _validate_structure(self)
-
     def property_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.PROPERTY))
 
@@ -209,33 +211,6 @@ def _checked_importance(nodes: Mapping[NodeId, Node],
             raise UnknownNode(node_id)
         checked[node_id] = check_importance(value, f"importance of {node_id!r}")
     return MappingProxyType(checked)
-
-
-def _validate_structure(taxonomy: ValueTaxonomy) -> ValidationReport:
-    violations: list[Violation] = []
-    edges = sorted(taxonomy.edges)
-
-    for parent, child in edges:
-        for endpoint in (parent, child):
-            if endpoint not in taxonomy.nodes:
-                violations.append(Violation(
-                    RULE_UNKNOWN_ENDPOINT, f"{parent}->{child}",
-                    f"edge ({parent!r}, {child!r}) references unknown node {endpoint!r}"))
-
-    for parent, child in edges:
-        node = taxonomy.nodes.get(parent)
-        if node is not None and node.kind is NodeKind.PROPERTY:
-            violations.append(Violation(
-                RULE_PROPERTY_LEAF, parent,
-                f"property node {parent!r} has child {child!r}; property nodes must be leaves"))
-
-    # The Kahn order decides that there is a cycle; the DFS only words it.
-    if len(taxonomy._order) < len(taxonomy.nodes):
-        cycle = _find_cycle(taxonomy)
-        trace = " -> ".join(cycle)
-        violations.append(Violation(RULE_CYCLE, cycle[0], f"cycle detected: {trace}"))
-
-    return ValidationReport(tuple(violations))
 
 
 def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
@@ -263,19 +238,36 @@ def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
 
 
 def validate(taxonomy: ValueTaxonomy) -> ValidationReport:
-    """Check the graph-level invariants: known edge endpoints, acyclicity,
-    and the restriction of property nodes to leaves.
-
-    One cached Kahn pass decides acyclicity and gives :func:`topological_order`.
-    Violations are returned as data; nothing is raised.
+    """Check the graph-level invariants, rule by rule: known edge endpoints,
+    property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
+    constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with this
+    report on any violation. One cached Kahn pass decides acyclicity and
+    gives :func:`topological_order`.
     """
-    return taxonomy._validation
+    violations: list[Violation] = []
+    edges = sorted(taxonomy.edges)
 
+    for parent, child in edges:
+        for endpoint in (parent, child):
+            if endpoint not in taxonomy.nodes:
+                violations.append(Violation(
+                    RULE_UNKNOWN_ENDPOINT, f"{parent}->{child}",
+                    f"edge ({parent!r}, {child!r}) references unknown node {endpoint!r}"))
 
-def require_valid(taxonomy: ValueTaxonomy) -> None:
-    report = validate(taxonomy)
-    if not report.ok:
-        raise InvalidTaxonomy(report)
+    for parent, child in edges:
+        node = taxonomy.nodes.get(parent)
+        if node is not None and node.kind is NodeKind.PROPERTY:
+            violations.append(Violation(
+                RULE_PROPERTY_LEAF, parent,
+                f"property node {parent!r} has child {child!r}; property nodes must be leaves"))
+
+    # The Kahn order decides that there is a cycle; the DFS only words it.
+    if len(taxonomy._order) < len(taxonomy.nodes):
+        cycle = _find_cycle(taxonomy)
+        trace = " -> ".join(cycle)
+        violations.append(Violation(RULE_CYCLE, cycle[0], f"cycle detected: {trace}"))
+
+    return ValidationReport(tuple(violations))
 
 
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
@@ -284,7 +276,6 @@ def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     A fresh copy of the lexicographically smallest parents-first order, from
     the cached Kahn pass that also decides acyclicity in :func:`validate`.
     """
-    require_valid(taxonomy)
     return list(taxonomy._order)
 
 

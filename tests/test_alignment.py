@@ -19,7 +19,6 @@ from valuetax import (
     property_node,
 )
 from valuetax.errors import (
-    InvalidTaxonomy,
     MissingImportance,
     MissingSatisfaction,
     NoPropertyNodes,
@@ -82,11 +81,6 @@ class TestAlignErrors:
     def test_no_property_nodes(self):
         t = ValueTaxonomy.build([label_node("only")], importance={"only": 0.5})
         with pytest.raises(NoPropertyNodes):
-            align("e", t, GOLDEN_SD)
-
-    def test_invalid_taxonomy_is_reported_before_missing_property_nodes(self):
-        t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
             align("e", t, GOLDEN_SD)
 
     def test_missing_importance(self):

@@ -456,3 +456,26 @@ class TestOtherCommands:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("digraph")
+
+
+# Every command that reads a taxonomy refuses an invalid one before it reads
+# any other input: it exits 1 with the first violation as its only output,
+# one stderr line naming the document as given.
+@pytest.mark.parametrize("command, extra", [
+    ("propagate", ()),
+    ("coherence", ()),
+    ("context", ("--context", "ctx.json")),
+    ("align", ("--log", "events.jsonl")),
+    ("paths", ()),
+    ("export-dot", ()),
+])
+def test_invalid_taxonomy_exits_one_with_its_first_violation(
+        capsys, tmp_path, monkeypatch, command, extra):
+    (tmp_path / "invalid-taxonomy.json").write_bytes(
+        (GOLDEN / "invalid-taxonomy.json").read_bytes())
+    (tmp_path / "ctx.json").write_text(context_document(ContextSpec("c")), encoding="utf-8")
+    (tmp_path / "events.jsonl").write_text(demo_event_log(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--input", "invalid-taxonomy.json", *extra)
+    assert (code, out) == (1, "")
+    assert err == (GOLDEN / "propagate-invalid.txt").read_text(encoding="utf-8")

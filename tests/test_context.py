@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,12 @@ from valuetax import (
     check_coherence,
     context_holds,
     select_nodes,
+    topological_order,
     validate,
 )
 from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
 
-from conftest import random_taxonomy, roots_of, subtree_mean_oracle
+from conftest import random_taxonomy, relabelled, roots_of, subtree_mean_oracle
 
 KMEANS = SelectionStrategy(SelectionKind.KMEANS_TWO)
 
@@ -212,6 +214,27 @@ class TestBuildContextTaxonomy:
                 assert reaches_selected(node)
             assert roots_of(built) <= roots_of(general)
         assert checked > 20
+
+
+    def test_order_is_the_general_order_restricted_to_the_kept_nodes(self):
+        # The kept nodes are closed upwards, so the smallest-id-first
+        # parents-first order of the subgraph is the general one, filtered.
+        # Ids are shuffled so that id order does not follow the edges.
+        rng = random.Random(1414)
+        checked = 0
+        for _ in range(200):
+            general = random_taxonomy(rng, max_nodes=16)
+            names = sorted(general.nodes)
+            general = relabelled(general, dict(zip(names, rng.sample(names, len(names)))))
+            ctx = ContextSpec("rand", property_importance={
+                p: rng.uniform(-1, 1) for p in general.property_nodes()})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptySelectionWarning)
+                built = build_context_taxonomy(general, ctx)
+            checked += len(built.nodes) < len(general.nodes) and len(built.nodes) > 1
+            assert topological_order(built) == [
+                n for n in topological_order(general) if n in built.nodes]
+        assert checked > 50
 
 
 class TestContextHolds:

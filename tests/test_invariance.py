@@ -164,10 +164,9 @@ def raises_only_taxonomy_errors(parse, text) -> None:
 
 
 @settings(max_examples=300)
-@given(mutated_documents(TAXONOMY_DOC), st.booleans())
-def test_taxonomy_parser_raises_only_taxonomy_errors(text, require_valid_structure):
-    raises_only_taxonomy_errors(
-        lambda t: parse_taxonomy(t, require_valid_structure=require_valid_structure), text)
+@given(mutated_documents(TAXONOMY_DOC))
+def test_taxonomy_parser_raises_only_taxonomy_errors(text):
+    raises_only_taxonomy_errors(parse_taxonomy, text)
 
 
 @settings(max_examples=300)

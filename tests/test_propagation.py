@@ -17,7 +17,6 @@ from valuetax import (
 from valuetax.errors import (
     ConflictingAssignment,
     IncoherentInput,
-    InvalidTaxonomy,
     PropagationError,
     RangeViolation,
 )
@@ -122,11 +121,6 @@ class TestPropagateBranches:
         report = check_coherence(result.taxonomy)
         assert report.coherent
         assert report.unevaluable == ("top",)
-
-    def test_invalid_taxonomy_rejected(self):
-        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
-            propagate(bad)
 
 
 class TestPropagateErrors:

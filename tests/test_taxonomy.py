@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -15,12 +16,13 @@ from valuetax import (
     all_paths_counts,
     ancestors,
     label_node,
+    parse_taxonomy,
     property_node,
     topological_order,
     validate,
 )
 from valuetax import taxonomy as taxonomy_module
-from valuetax.errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
+from valuetax.errors import DuplicateEdge, InvalidTaxonomy, ParseError, UnknownNode
 
 from conftest import (
     children_of,
@@ -51,6 +53,12 @@ class TestNodes:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             label_node("")
+
+    @pytest.mark.parametrize("node_id", [5, ["x"], None], ids=["int", "list", "None"])
+    def test_id_must_be_a_string(self, node_id):
+        with pytest.raises(ValueError) as excinfo:
+            Node(node_id, NodeKind.LABEL, "five")
+        assert str(excinfo.value) == "node id must be a non-empty string"
 
     @pytest.mark.parametrize("kind", ["label", None, 0], ids=["value", "None", "int"])
     def test_kind_must_be_a_node_kind(self, kind):
@@ -91,6 +99,15 @@ class TestConstruction:
         with pytest.raises(UnknownNode):
             ValueTaxonomy.build([label_node("a")], importance={"ghost": 0.1})
 
+    # Mixed with string endpoints, a number made validation's sort raise TypeError.
+    @pytest.mark.parametrize("edge", [("a", 5), (5, "a"), ("a", None), ("a", ("b",))],
+                             ids=["int-child", "int-parent", "None", "tuple"])
+    def test_edge_endpoints_must_be_strings(self, edge):
+        nodes = [label_node("a"), label_node("b")]
+        with pytest.raises(ValueError) as excinfo:
+            ValueTaxonomy.build(nodes, [edge, ("a", "b")])
+        assert str(excinfo.value) == "edge endpoints must be node id strings"
+
     def test_two_nodes_may_share_label_text(self):
         t = ValueTaxonomy.build([label_node("a", "same"), label_node("b", "same")])
         assert validate(t).ok
@@ -113,28 +130,22 @@ def test_importance_must_be_an_int_or_a_float(taker, value):
     assert str(excinfo.value) == f"importance must be a number, got {value!r}"
 
 
-STRUCTURE_CACHES = ("_children", "_parents", "_order", "_validation")
+STRUCTURE_CACHES = ("_children", "_parents", "_order")
 
 
 class TestWithImportance:
     def test_equals_a_fresh_build_and_shares_the_structure(self):
         rng = random.Random(29)
-        for trial in range(300):
+        for _ in range(300):
             t = random_taxonomy(rng)
-            derived = STRUCTURE_CACHES[:trial % 5]  # none, some or all derived beforehand
-            for name in derived:
-                getattr(t, name)
             values = {n: rng.uniform(-1.0, 1.0) for n in t.nodes if rng.random() < 0.5}
             copy = t.with_importance(values)
             assert copy == ValueTaxonomy.build(t.nodes.values(), t.edges, values)
             assert dict(copy.importance) == values
             assert copy.nodes is t.nodes and copy.edges is t.edges
-            for name in STRUCTURE_CACHES:
-                assert (name in vars(copy)) == (name in derived)
-                if name in derived:
-                    assert getattr(copy, name) is getattr(t, name)
-                else:
-                    assert getattr(copy, name) == getattr(t, name)
+            for name in STRUCTURE_CACHES:  # validation derived each one at construction
+                assert name in vars(t)
+                assert getattr(copy, name) is getattr(t, name)
 
     def test_checks_the_new_mapping(self):
         t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b")], {"a": 0.5})
@@ -152,6 +163,13 @@ class TestWithImportance:
         assert str(excinfo.value) == "importance of 'a' -inf outside [-1, 1]"
 
 
+def refusal(nodes, edges) -> InvalidTaxonomy:
+    """The error that refuses to build a taxonomy of ``nodes`` and ``edges``."""
+    with pytest.raises(InvalidTaxonomy) as excinfo:
+        ValueTaxonomy.build(nodes, edges)
+    return excinfo.value
+
+
 class TestValidate:
     def test_fairness_example_is_valid(self, fairness):
         report = validate(fairness)
@@ -159,61 +177,62 @@ class TestValidate:
         assert report.violations == ()
 
     def test_property_node_with_child_flagged(self):
-        t = ValueTaxonomy.build(
+        report = refusal(
             [property_node("p1"), label_node("reciprocity")],
             [("p1", "reciprocity")],
-        )
-        report = validate(t)
+        ).report
         assert not report.ok
         assert any(v.rule == "PropertyNodeNotLeaf" and v.subject == "p1"
                    for v in report.violations)
 
     def test_two_cycle_flagged(self):
-        t = ValueTaxonomy.build(
+        report = refusal(
             [label_node("a"), label_node("b")],
             [("a", "b"), ("b", "a")],
-        )
-        report = validate(t)
+        ).report
         assert not report.ok
         assert any(v.rule == "CycleDetected" for v in report.violations)
 
     def test_unknown_endpoint_flagged(self):
-        t = ValueTaxonomy({"a": label_node("a")}, frozenset({("a", "ghost")}), {})
-        report = validate(t)
+        report = refusal([label_node("a")], [("a", "ghost")]).report
         assert not report.ok
         assert any(v.rule == "UnknownEdgeEndpoint" for v in report.violations)
 
     def test_unknown_endpoints_are_reported_before_property_leaves(self):
-        t = ValueTaxonomy(
-            {"a": label_node("a"), "p": property_node("p"), "q": property_node("q")},
-            frozenset({("p", "a"), ("a", "ghost"), ("q", "a"), ("zed", "q")}), {})
-        assert [(v.rule, v.subject) for v in validate(t).violations] == [
+        report = refusal(
+            [label_node("a"), property_node("p"), property_node("q")],
+            [("p", "a"), ("a", "ghost"), ("q", "a"), ("zed", "q")]).report
+        assert [(v.rule, v.subject) for v in report.violations] == [
             ("UnknownEdgeEndpoint", "a->ghost"), ("UnknownEdgeEndpoint", "zed->q"),
             ("PropertyNodeNotLeaf", "p"), ("PropertyNodeNotLeaf", "q")]
 
     def test_cycle_is_worded_from_the_smallest_start_id(self):
         # Kahn's algorithm leaves over both cycles; the search from "a" meets z first.
-        t = ValueTaxonomy.build(
+        report = refusal(
             [label_node(n) for n in ("a", "z", "z1", "b", "m", "m1")],
-            [("a", "z"), ("z", "z1"), ("z1", "z"), ("b", "m"), ("m", "m1"), ("m1", "m")])
-        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+            [("a", "z"), ("z", "z1"), ("z1", "z"), ("b", "m"), ("m", "m1"), ("m1", "m")]).report
+        assert [(v.rule, v.subject, v.message) for v in report.violations] == [
             ("CycleDetected", "z", "cycle detected: z -> z1 -> z")]
 
     def test_self_loop_flagged(self):
-        t = ValueTaxonomy.build([label_node("s")], [("s", "s")])
-        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+        report = refusal([label_node("s")], [("s", "s")]).report
+        assert [(v.rule, v.subject, v.message) for v in report.violations] == [
             ("CycleDetected", "s", "cycle detected: s -> s")]
 
     def test_violations_keep_their_rule_order(self):
-        t = ValueTaxonomy(
-            {"a": label_node("a"), "b": label_node("b"), "p": property_node("p")},
-            frozenset({("a", "ghost"), ("p", "a"), ("a", "b"), ("b", "a")}), {})
-        assert [(v.rule, v.subject, v.message) for v in validate(t).violations] == [
+        exc = refusal(
+            [label_node("a"), label_node("b"), property_node("p")],
+            [("a", "ghost"), ("p", "a"), ("a", "b"), ("b", "a")])
+        assert [(v.rule, v.subject, v.message) for v in exc.report.violations] == [
             ("UnknownEdgeEndpoint", "a->ghost",
              "edge ('a', 'ghost') references unknown node 'ghost'"),
             ("PropertyNodeNotLeaf", "p",
              "property node 'p' has child 'a'; property nodes must be leaves"),
             ("CycleDetected", "a", "cycle detected: a -> b -> a")]
+        # the error is a ParseError that names the first violation
+        assert isinstance(exc, ParseError)
+        assert exc.location == "rule UnknownEdgeEndpoint"
+        assert str(exc) == "rule UnknownEdgeEndpoint: edge ('a', 'ghost') references unknown node 'ghost'"
 
     def test_cycle_reported_exactly_when_the_order_leaves_nodes_out(self):
         rng = random.Random(11)
@@ -223,8 +242,7 @@ class TestValidate:
             edges = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * len(ids)))}
             if rng.random() < 0.2:
                 edges.add((rng.choice(ids), "ghost"))
-            t = ValueTaxonomy({n: label_node(n) for n in ids}, frozenset(edges), {})
-            children = children_of(t)
+            children = {n: {c for p, c in edges if p == n} for n in ids}
             below: dict[str, set[str]] = {}
             for n in ids:  # every node reachable from n by one or more edges
                 stack, seen = list(children[n]), set()
@@ -235,9 +253,16 @@ class TestValidate:
                         stack.extend(children.get(node, ()))
                 below[n] = seen
             on_cycle = {n for n in ids if n in below[n]}
-            cycles = [v for v in validate(t).violations if v.rule == "CycleDetected"]
-            assert bool(cycles) == bool(on_cycle) == (len(t._order) < len(t.nodes))
-            assert set(t._order) == set(ids) - on_cycle - {m for n in on_cycle for m in below[n]}
+            try:
+                t = ValueTaxonomy({n: label_node(n) for n in ids}, frozenset(edges), {})
+            except InvalidTaxonomy as exc:
+                violations = exc.report.violations
+                assert violations
+            else:
+                violations = ()
+                assert sorted(topological_order(t)) == sorted(ids)
+            cycles = [v for v in violations if v.rule == "CycleDetected"]
+            assert bool(cycles) == bool(on_cycle)
             if cycles:
                 cyclic += 1
                 trace = cycles[0].message.removeprefix("cycle detected: ").split(" -> ")
@@ -257,14 +282,47 @@ class TestValidate:
 
     def test_validate_is_idempotent(self, fairness):
         assert validate(fairness) == validate(fairness)
-        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        assert validate(bad) == validate(bad)
+        nodes, edges = [label_node("a"), label_node("b")], [("a", "b"), ("b", "a")]
+        assert refusal(nodes, edges).report == refusal(nodes, edges).report
 
     def test_orphan_label_leaf_is_legal(self, fairness):
         # "equal_pay" has no property child; it is a legal, inert leaf
         assert "equal_pay" in fairness.nodes
         assert children_of(fairness)["equal_pay"] == set()
         assert validate(fairness).ok
+
+
+# One graph per structural rule, with the one violation it breaks.
+INVALID_GRAPHS = {
+    "cycle": ([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")],
+              ("CycleDetected", "a", "cycle detected: a -> b -> a")),
+    "unknown-endpoint": ([label_node("a")], [("a", "ghost")],
+                         ("UnknownEdgeEndpoint", "a->ghost",
+                          "edge ('a', 'ghost') references unknown node 'ghost'")),
+    "property-not-leaf": ([property_node("p"), label_node("a")], [("p", "a")],
+                          ("PropertyNodeNotLeaf", "p",
+                           "property node 'p' has child 'a'; property nodes must be leaves")),
+}
+BUILDERS = {
+    "constructor": lambda nodes, edges: ValueTaxonomy({n.id: n for n in nodes}, frozenset(edges)),
+    "build": ValueTaxonomy.build,
+    "parse_taxonomy": lambda nodes, edges: parse_taxonomy(json.dumps({
+        "schema_version": 1,
+        "nodes": [{"id": n.id, "kind": n.kind.value} for n in nodes],
+        "edges": [{"parent": p, "child": c} for p, c in edges]})),
+}
+
+
+# No way of building a taxonomy yields an invalid one, so no operation
+# (topological_order, all_paths_counts, propagate, align, export_dot) is
+# ever handed one.
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("graph", INVALID_GRAPHS)
+def test_no_builder_yields_an_invalid_taxonomy(builder, graph):
+    nodes, edges, violation = INVALID_GRAPHS[graph]
+    with pytest.raises(InvalidTaxonomy) as excinfo:
+        BUILDERS[builder](nodes, edges)
+    assert [(v.rule, v.subject, v.message) for v in excinfo.value.report.violations] == [violation]
 
 
 class TestQueries:
@@ -280,11 +338,6 @@ class TestQueries:
 
     def test_paths_of_root_is_one(self, fairness):
         assert all_paths_counts(fairness)["fairness"] == 1
-
-    def test_paths_refuse_invalid_taxonomy(self):
-        bad = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
-            all_paths_counts(bad)
 
     def test_paths_grow_exponentially_on_a_diamond_ladder(self):
         # 20 stacked diamonds; counting must not enumerate the 2^20 paths
@@ -329,11 +382,6 @@ class TestTopologicalOrder:
                          if n not in placed and parents[n] <= placed]
                 assert node == min(ready)
                 placed.add(node)
-
-    def test_refuses_invalid_taxonomy(self):
-        t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b"), ("b", "a")])
-        with pytest.raises(InvalidTaxonomy):
-            topological_order(t)
 
     def test_returns_a_fresh_list(self, fairness):
         first = topological_order(fairness)
