@@ -76,7 +76,6 @@ from .propagation import (
 from .taxonomy import (
     Node,
     NodeKind,
-    ValidationReport,
     ValueTaxonomy,
     Violation,
     all_paths_counts,
@@ -84,7 +83,6 @@ from .taxonomy import (
     label_node,
     property_node,
     topological_order,
-    validate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,8 @@ from the declared fields, never from cached entries. Nothing is generated
 at import: a record class costs what any class costs.
 
 A field is stored only when no other field determines it. A verdict, such
-as a report's ``ok``, is a read-only property computed from the fields, so
-no record can hold a verdict that its own fields contradict.
+as a coherence report's ``coherent``, is a read-only property computed from
+the fields, so no record can hold a verdict that its own fields contradict.
 """
 
 from __future__ import annotations

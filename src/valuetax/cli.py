@@ -52,7 +52,7 @@ from .mutual_aid import (
     satisfaction_degrees,
 )
 from .propagation import check_coherence, propagate
-from .taxonomy import ValidationReport, ValueTaxonomy, all_paths_counts, topological_order, validate
+from .taxonomy import ValueTaxonomy, Violation, all_paths_counts, topological_order
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,26 +121,25 @@ def _domain_config(args) -> DomainConfig:
         raise _Fail(EXIT_INVALID, f"bad domain configuration: {exc}") from exc
 
 
-def _validation_report(text: str) -> ValidationReport:
-    """The structural report of a taxonomy document, valid or not."""
+def _violations(text: str) -> tuple[Violation, ...]:
+    """The structural violations of a taxonomy document: none if it parses."""
     try:
-        return validate(parse_taxonomy(text))
+        parse_taxonomy(text)
     except InvalidTaxonomy as exc:
-        return exc.report
+        return exc.violations
+    return ()
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    report = _load(args.input, _validation_report)
+    violations = _load(args.input, _violations)
+    code = EXIT_INVALID if violations else EXIT_OK
     if args.format == "machine":
-        doc = {"ok": report.ok, "violations": [
-            {"rule": v.rule, "subject": v.subject, "message": v.message}
-            for v in report.violations]}
-        return (EXIT_OK if report.ok else EXIT_INVALID), _machine(doc)
-    if report.ok:
-        return EXIT_OK, f"{args.input}: ok\n"
-    lines = [f"{args.input}: invalid"]
-    lines += [f"  {v.rule} at {v.subject}: {v.message}" for v in report.violations]
-    return EXIT_INVALID, "\n".join(lines) + "\n"
+        doc = {"ok": not violations, "violations": [
+            {"rule": v.rule, "subject": v.subject, "message": v.message} for v in violations]}
+        return code, _machine(doc)
+    lines = [f"{args.input}: {'invalid' if violations else 'ok'}"]
+    lines += [f"  {v.rule} at {v.subject}: {v.message}" for v in violations]
+    return code, "\n".join(lines) + "\n"
 
 
 def _cmd_propagate(args) -> tuple[int, str]:
@@ -333,8 +332,7 @@ def demo_contexts() -> dict[str, ContextSpec]:
 
 
 def _cmd_demo(args) -> tuple[int, str]:
-    general = parse_taxonomy(serialize_taxonomy(fairness_taxonomy()))
-    report = validate(general)
+    general = parse_taxonomy(serialize_taxonomy(fairness_taxonomy()))  # parsed, hence valid
     laws = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(20240601))
     contexts = demo_contexts()
 
@@ -363,7 +361,7 @@ def _cmd_demo(args) -> tuple[int, str]:
     if args.format == "machine":
         doc = {
             "general_taxonomy": json.loads(serialize_taxonomy(general)),
-            "validation_ok": report.ok,
+            "validation_ok": True,
             "aggregator_laws": {law.value: rep.passed for law, rep in laws.items()},
             "contexts": {
                 name: {
@@ -386,7 +384,7 @@ def _cmd_demo(args) -> tuple[int, str]:
     lines.append("=========================")
     lines.append("")
     lines.append(f"General fairness taxonomy: {len(general.nodes)} nodes, "
-                 f"{len(general.edges)} edges; validation {'ok' if report.ok else 'FAILED'}")
+                 f"{len(general.edges)} edges; validation ok")
     law_text = "; ".join(f"{law.value} {'ok' if rep.passed else 'FAILED'}" for law, rep in laws.items())
     lines.append(f"Mean aggregator law suite (1000 samples): {law_text}")
     for name in ("community-c", "elder-support"):

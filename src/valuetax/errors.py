@@ -1,28 +1,29 @@
 """Exception and warning types shared across the package.
 
 A taxonomy that breaks a structural rule cannot be built: its constructor
-raises :class:`InvalidTaxonomy`. The other exceptions cover contract
-violations (unknown nodes, missing inputs, malformed documents) and failures
-detected while computing (incoherent or conflicting importance values).
+raises :class:`InvalidTaxonomy` with every violation. The other exceptions
+cover contract violations (unknown nodes, missing inputs, malformed documents,
+repeated ids or edges) and failures detected while computing (incoherent or
+conflicting importance values). Each survives ``pickle`` and ``copy``.
 """
 
 from __future__ import annotations
 
+import copyreg
+
 
 class TaxonomyError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Rebuilt from its args and attributes; a subclass __init__ takes other arguments.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class UnknownNode(TaxonomyError):
     def __init__(self, node: str):
         self.node = node
         super().__init__(f"unknown node: {node!r}")
-
-
-class DuplicateEdge(TaxonomyError):
-    def __init__(self, parent: str, child: str):
-        self.edge = (parent, child)
-        super().__init__(f"duplicate edge: {parent!r} -> {child!r}")
 
 
 class EmptyInput(TaxonomyError, ValueError):
@@ -116,7 +117,7 @@ class MalformedEvent(TaxonomyError, ValueError):
 
 
 class ParseError(TaxonomyError, ValueError):
-    """A document could not be parsed; ``location`` identifies the offending record."""
+    """A document or a ``ValueTaxonomy.build`` input was refused; ``location`` names the record."""
 
     def __init__(self, location: str, detail: str):
         self.location = location
@@ -124,13 +125,12 @@ class ParseError(TaxonomyError, ValueError):
 
 
 class InvalidTaxonomy(ParseError):
-    """A graph broke a structural rule of ``validate``. ``report`` lists every
+    """A graph broke a structural rule of ``validate``. ``violations`` lists every
     violation; the location (``rule <name>``) and message are the first one's."""
 
-    def __init__(self, report):
-        self.report = report
-        first = report.violations[0]
-        super().__init__(f"rule {first.rule}", first.message)
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__(f"rule {violations[0].rule}", violations[0].message)
 
 
 class SchemaVersionUnsupported(ParseError):

@@ -86,12 +86,12 @@ def _parse_importance(raw: Any, location: str) -> float:
 
 
 def parse_taxonomy(text: str) -> ValueTaxonomy:
-    """Parse a taxonomy document. A document whose graph breaks a structural
-    rule raises :class:`~valuetax.errors.InvalidTaxonomy`, a ParseError that
-    carries the whole validation report."""
+    """Parse a taxonomy document through :meth:`ValueTaxonomy.build`. A graph
+    that breaks a structural rule raises :class:`~valuetax.errors.InvalidTaxonomy`,
+    a ParseError that carries every violation."""
     doc = _load_json(text, "taxonomy document")
     _check_version(doc)
-    nodes: dict[str, Node] = {}
+    nodes: list[Node] = []
     importance: dict[str, float] = {}
     raw_nodes = _require(doc, "nodes", "document")
     if not isinstance(raw_nodes, list):
@@ -109,16 +109,13 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
         text = raw.get(text_key, node_id)
         if not isinstance(text, str):
             raise ParseError(f"nodes[{i}].{text_key}", f"must be a string, got {text!r}")
-        node = Node(node_id, node_kind, text)
-        if node_id in nodes:
-            raise ParseError(f"nodes[{i}].id", f"duplicate node id: {node_id!r}")
-        nodes[node_id] = node
+        nodes.append(Node(node_id, node_kind, text))
         value = raw.get("importance")
         if value is not None:
             if type(value) is not float or not -1.0 <= value <= 1.0:
                 value = _parse_importance(value, f"nodes[{i}].importance")
             importance[node_id] = value
-    edges: set[tuple[str, str]] = set()
+    edges: list[tuple[str, str]] = []
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
@@ -128,10 +125,8 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
             for key in ("parent", "child"):
                 _require(raw, key, f"edges[{i}]")
             raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
-        if edge in edges:
-            raise ParseError(f"edges[{i}]", f"duplicate edge {edge[0]!r} -> {edge[1]!r}")
-        edges.add(edge)
-    return ValueTaxonomy(nodes, frozenset(edges), importance)
+        edges.append(edge)
+    return ValueTaxonomy.build(nodes, edges, importance)
 
 
 def _encode_entries(entries: list[dict[str, Any]]) -> str:

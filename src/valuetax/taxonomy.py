@@ -10,8 +10,8 @@ Taxonomies are immutable after construction and all queries are pure, so
 they are safe to share across threads. Construction checks every invariant,
 the graph-level rules of :func:`validate` included, and raises on any
 violation, so no taxonomy a caller holds is invalid and no query checks
-again. One cached Kahn pass gives both the acyclicity test and the
-parents-first order.
+again; :meth:`ValueTaxonomy.build` alone rejects repeated node ids and edges.
+One cached Kahn pass gives both the acyclicity test and the parents-first order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from ._record import EMPTY_MAPPING, Record, setfield
-from .errors import DuplicateEdge, InvalidTaxonomy, UnknownNode
+from .errors import InvalidTaxonomy, ParseError, UnknownNode
 
 # Node identifiers and importance values are plain builtins; the aliases
 # document intent at API boundaries.
@@ -33,7 +33,7 @@ Importance = float
 IMPORTANCE_MIN = -1.0
 IMPORTANCE_MAX = 1.0
 
-# Validation rule names, as they appear in ValidationReport violations.
+# Validation rule names, as they appear in the violations validate returns.
 RULE_CYCLE = "CycleDetected"
 RULE_PROPERTY_LEAF = "PropertyNodeNotLeaf"
 RULE_UNKNOWN_ENDPOINT = "UnknownEdgeEndpoint"
@@ -97,17 +97,6 @@ class Violation(Record):
         setfield(self, "message", message)
 
 
-class ValidationReport(Record):
-    __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...] = ()):
-        setfield(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class ValueTaxonomy(Record):
     """An importance-annotated DAG of value concepts.
 
@@ -132,24 +121,25 @@ class ValueTaxonomy(Record):
         setfield(self, "nodes", MappingProxyType(nodes))
         setfield(self, "edges", edges)
         setfield(self, "importance", _checked_importance(nodes, importance))
-        report = validate(self)
-        if not report.ok:
-            raise InvalidTaxonomy(report)
+        violations = validate(self)
+        if violations:
+            raise InvalidTaxonomy(violations)
 
     @classmethod
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
               importance: Mapping[NodeId, Importance] | None = None) -> "ValueTaxonomy":
-        """Assemble a taxonomy from a node iterable, rejecting duplicate ids and edges."""
+        """Assemble a taxonomy from node and edge sequences; a repeated node id or
+        edge raises a ParseError located at its index."""
         node_map: dict[NodeId, Node] = {}
-        for node in nodes:
+        for i, node in enumerate(nodes):
             if node.id in node_map:
-                raise ValueError(f"duplicate node id: {node.id!r}")
+                raise ParseError(f"nodes[{i}].id", f"duplicate node id: {node.id!r}")
             node_map[node.id] = node
         edge_set: set[tuple[NodeId, NodeId]] = set()
-        for edge in edges:
-            if edge in edge_set:
-                raise DuplicateEdge(*edge)
-            edge_set.add(edge)
+        for i, (parent, child) in enumerate(edges):
+            if (parent, child) in edge_set:
+                raise ParseError(f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
+            edge_set.add((parent, child))
         return cls(node_map, frozenset(edge_set), dict(importance or {}))
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
@@ -237,12 +227,11 @@ def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
     return None
 
 
-def validate(taxonomy: ValueTaxonomy) -> ValidationReport:
-    """Check the graph-level invariants, rule by rule: known edge endpoints,
-    property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
-    constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with this
-    report on any violation. One cached Kahn pass decides acyclicity and
-    gives :func:`topological_order`.
+def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
+    """The violations of the graph-level invariants, rule by rule: known edge
+    endpoints, property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
+    constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with any it
+    finds. One cached Kahn pass decides acyclicity and gives :func:`topological_order`.
     """
     violations: list[Violation] = []
     edges = sorted(taxonomy.edges)
@@ -267,7 +256,7 @@ def validate(taxonomy: ValueTaxonomy) -> ValidationReport:
         trace = " -> ".join(cycle)
         violations.append(Violation(RULE_CYCLE, cycle[0], f"cycle detected: {trace}"))
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from valuetax import (
     label_node,
     serialize_taxonomy,
 )
+from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import demo_event_log, main
 
 from conftest import context_document
@@ -124,6 +126,28 @@ class TestValidateCommand:
                              "--input", str(GOLDEN / "invalid-taxonomy.json"))
         assert (code, err) == (1, "")
         assert out == (GOLDEN / "validate-invalid.json").read_text(encoding="utf-8")
+
+    def test_valid_document_is_validated_once(self, capsys, fairness_file, monkeypatch):
+        # counted wherever a module of the package binds validate, as the tracer wraps it
+        calls = []
+        original = taxonomy_module.validate
+
+        def counted(taxonomy):
+            calls.append(taxonomy)
+            return original(taxonomy)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "valuetax" and getattr(module, "validate", None) is original:
+                monkeypatch.setattr(module, "validate", counted)
+        assert run(capsys, "validate", "--input", fairness_file)[0] == 0
+        assert len(calls) == 1
+
+    def test_duplicate_edge_exits_one_naming_its_index(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "duplicate-edge-taxonomy.json").write_bytes(
+            (GOLDEN / "duplicate-edge-taxonomy.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "validate", "--input", "duplicate-edge-taxonomy.json")
+        assert (code, out) == (1, "")
+        assert err == (GOLDEN / "validate-duplicate-edge.txt").read_text(encoding="utf-8")
 
     def test_missing_file_is_io_failure(self, capsys):
         code, _, err = run(capsys, "validate", "--input", "/nonexistent.json")

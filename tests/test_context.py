@@ -18,9 +18,9 @@ from valuetax import (
     context_holds,
     select_nodes,
     topological_order,
-    validate,
 )
 from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
+from valuetax.taxonomy import validate
 
 from conftest import random_taxonomy, relabelled, roots_of, subtree_mean_oracle
 
@@ -199,7 +199,7 @@ class TestBuildContextTaxonomy:
                 continue
             built = build_context_taxonomy(general, ctx)
             checked += 1
-            assert validate(built).ok
+            assert validate(built) == ()
             assert check_coherence(built).coherent
             # closure: every kept node reaches a selected property downwards,
             # and every leaf of the result is a selected property node

@@ -74,11 +74,11 @@ PUBLIC = [
     "satisfaction_degrees", "sd_offer_ratio", "sd_task_balance", "sd_volunteer_ratio",
     "task_imbalance",
     "CoherenceReport", "CoherenceViolation", "PropagationResult", "check_coherence", "propagate",
-    "Node", "NodeKind", "ValidationReport", "ValueTaxonomy", "Violation", "all_paths_counts",
-    "ancestors", "label_node", "property_node", "topological_order", "validate",
+    "Node", "NodeKind", "ValueTaxonomy", "Violation", "all_paths_counts",
+    "ancestors", "label_node", "property_node", "topological_order",
 ]
 
 
 def test_public_surface_is_the_listed_names():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 71
+    assert len(PUBLIC) == len(set(PUBLIC)) == 69
     assert sorted(valuetax.__all__) == sorted(PUBLIC)

@@ -225,6 +225,36 @@ class TestTaxonomyParseErrors:
         assert excinfo.value.location == location
         assert str(excinfo.value) == f"{location}: {detail}"
 
+    # The parser's duplicate rows, given to build as sequences: one check, one wording.
+    @pytest.mark.parametrize("nodes, edges, location, detail", [
+        ([label_node("v"), property_node("p"), property_node("v")], [], "nodes[2].id",
+         "duplicate node id: 'v'"),
+        ([label_node("v"), property_node("p")], [("v", "p"), ("p", "v"), ("v", "p")], "edges[2]",
+         "duplicate edge 'v' -> 'p'"),
+    ], ids=["node", "edge"])
+    def test_build_words_a_duplicate_as_the_parser_does(self, nodes, edges, location, detail):
+        with pytest.raises(ParseError) as excinfo:
+            ValueTaxonomy.build(nodes, edges)
+        assert excinfo.value.location == location
+        assert str(excinfo.value) == f"{location}: {detail}"
+
+    # Entries are read whole before build checks for duplicates.
+    @pytest.mark.parametrize("doc, location, detail", [
+        ({"nodes": [V, V, {"id": "w", "kind": "blob"}]}, "nodes[2].kind",
+         "unknown node kind: 'blob'"),
+        ({"nodes": [V, V], "edges": [{"parent": "v", "child": 3}]}, "edges[0]",
+         "edge endpoints must be node id strings"),
+        ({"edges": [{"parent": "v", "child": "p"}, {"parent": "v", "child": "p"},
+                    {"parent": None, "child": "p"}]}, "edges[2]",
+         "edge endpoints must be node id strings"),
+    ], ids=["bad-kind-after-duplicate-id", "bad-edge-after-duplicate-id",
+            "bad-edge-after-duplicate-edge"])
+    def test_a_malformed_entry_is_reported_before_a_duplicate(self, doc, location, detail):
+        doc = {"schema_version": 1, "nodes": [self.V, self.P], **doc}
+        with pytest.raises(ParseError) as excinfo:
+            parse_taxonomy(json.dumps(doc))
+        assert str(excinfo.value) == f"{location}: {detail}"
+
     def test_json_syntax_error_location_and_message(self):
         with pytest.raises(ParseError) as excinfo:
             parse_taxonomy('{"schema_version": 1,\n "nodes": [}')
@@ -244,7 +274,7 @@ class TestTaxonomyParseErrors:
         with pytest.raises(InvalidTaxonomy) as excinfo:
             parse_taxonomy(text)
         assert excinfo.value.location == "rule CycleDetected"
-        assert [v.rule for v in excinfo.value.report.violations] == ["CycleDetected"]
+        assert [v.rule for v in excinfo.value.violations] == ["CycleDetected"]
 
 
 class TestContextDocuments:

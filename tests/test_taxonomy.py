@@ -19,10 +19,10 @@ from valuetax import (
     parse_taxonomy,
     property_node,
     topological_order,
-    validate,
 )
 from valuetax import taxonomy as taxonomy_module
-from valuetax.errors import DuplicateEdge, InvalidTaxonomy, ParseError, UnknownNode
+from valuetax.errors import InvalidTaxonomy, ParseError, UnknownNode
+from valuetax.taxonomy import validate
 
 from conftest import (
     children_of,
@@ -77,12 +77,16 @@ class TestNodes:
 class TestConstruction:
     def test_duplicate_edge_rejected(self):
         nodes = [label_node("a"), label_node("b")]
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(ParseError) as excinfo:
             ValueTaxonomy.build(nodes, [("a", "b"), ("a", "b")])
+        assert excinfo.value.location == "edges[1]"
+        assert str(excinfo.value) == "edges[1]: duplicate edge 'a' -> 'b'"
 
     def test_duplicate_node_id_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             ValueTaxonomy.build([label_node("a"), property_node("a")])
+        assert isinstance(excinfo.value, ParseError)
+        assert str(excinfo.value) == "nodes[1].id: duplicate node id: 'a'"
 
     def test_importance_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +114,7 @@ class TestConstruction:
 
     def test_two_nodes_may_share_label_text(self):
         t = ValueTaxonomy.build([label_node("a", "same"), label_node("b", "same")])
-        assert validate(t).ok
+        assert validate(t) == ()
 
 
 # Every place that takes an importance.
@@ -172,58 +176,53 @@ def refusal(nodes, edges) -> InvalidTaxonomy:
 
 class TestValidate:
     def test_fairness_example_is_valid(self, fairness):
-        report = validate(fairness)
-        assert report.ok
-        assert report.violations == ()
+        assert validate(fairness) == ()
 
     def test_property_node_with_child_flagged(self):
-        report = refusal(
+        violations = refusal(
             [property_node("p1"), label_node("reciprocity")],
             [("p1", "reciprocity")],
-        ).report
-        assert not report.ok
+        ).violations
         assert any(v.rule == "PropertyNodeNotLeaf" and v.subject == "p1"
-                   for v in report.violations)
+                   for v in violations)
 
     def test_two_cycle_flagged(self):
-        report = refusal(
+        violations = refusal(
             [label_node("a"), label_node("b")],
             [("a", "b"), ("b", "a")],
-        ).report
-        assert not report.ok
-        assert any(v.rule == "CycleDetected" for v in report.violations)
+        ).violations
+        assert any(v.rule == "CycleDetected" for v in violations)
 
     def test_unknown_endpoint_flagged(self):
-        report = refusal([label_node("a")], [("a", "ghost")]).report
-        assert not report.ok
-        assert any(v.rule == "UnknownEdgeEndpoint" for v in report.violations)
+        violations = refusal([label_node("a")], [("a", "ghost")]).violations
+        assert any(v.rule == "UnknownEdgeEndpoint" for v in violations)
 
     def test_unknown_endpoints_are_reported_before_property_leaves(self):
-        report = refusal(
+        violations = refusal(
             [label_node("a"), property_node("p"), property_node("q")],
-            [("p", "a"), ("a", "ghost"), ("q", "a"), ("zed", "q")]).report
-        assert [(v.rule, v.subject) for v in report.violations] == [
+            [("p", "a"), ("a", "ghost"), ("q", "a"), ("zed", "q")]).violations
+        assert [(v.rule, v.subject) for v in violations] == [
             ("UnknownEdgeEndpoint", "a->ghost"), ("UnknownEdgeEndpoint", "zed->q"),
             ("PropertyNodeNotLeaf", "p"), ("PropertyNodeNotLeaf", "q")]
 
     def test_cycle_is_worded_from_the_smallest_start_id(self):
         # Kahn's algorithm leaves over both cycles; the search from "a" meets z first.
-        report = refusal(
+        violations = refusal(
             [label_node(n) for n in ("a", "z", "z1", "b", "m", "m1")],
-            [("a", "z"), ("z", "z1"), ("z1", "z"), ("b", "m"), ("m", "m1"), ("m1", "m")]).report
-        assert [(v.rule, v.subject, v.message) for v in report.violations] == [
+            [("a", "z"), ("z", "z1"), ("z1", "z"), ("b", "m"), ("m", "m1"), ("m1", "m")]).violations
+        assert [(v.rule, v.subject, v.message) for v in violations] == [
             ("CycleDetected", "z", "cycle detected: z -> z1 -> z")]
 
     def test_self_loop_flagged(self):
-        report = refusal([label_node("s")], [("s", "s")]).report
-        assert [(v.rule, v.subject, v.message) for v in report.violations] == [
+        violations = refusal([label_node("s")], [("s", "s")]).violations
+        assert [(v.rule, v.subject, v.message) for v in violations] == [
             ("CycleDetected", "s", "cycle detected: s -> s")]
 
     def test_violations_keep_their_rule_order(self):
         exc = refusal(
             [label_node("a"), label_node("b"), property_node("p")],
             [("a", "ghost"), ("p", "a"), ("a", "b"), ("b", "a")])
-        assert [(v.rule, v.subject, v.message) for v in exc.report.violations] == [
+        assert [(v.rule, v.subject, v.message) for v in exc.violations] == [
             ("UnknownEdgeEndpoint", "a->ghost",
              "edge ('a', 'ghost') references unknown node 'ghost'"),
             ("PropertyNodeNotLeaf", "p",
@@ -256,7 +255,7 @@ class TestValidate:
             try:
                 t = ValueTaxonomy({n: label_node(n) for n in ids}, frozenset(edges), {})
             except InvalidTaxonomy as exc:
-                violations = exc.report.violations
+                violations = exc.violations
                 assert violations
             else:
                 violations = ()
@@ -277,19 +276,19 @@ class TestValidate:
         rng = random.Random(5)
         for _ in range(50):
             t = random_taxonomy(rng)
-            assert validate(t).ok
+            assert validate(t) == ()
             assert sorted(topological_order(t)) == sorted(t.nodes)
 
     def test_validate_is_idempotent(self, fairness):
         assert validate(fairness) == validate(fairness)
         nodes, edges = [label_node("a"), label_node("b")], [("a", "b"), ("b", "a")]
-        assert refusal(nodes, edges).report == refusal(nodes, edges).report
+        assert refusal(nodes, edges).violations == refusal(nodes, edges).violations
 
     def test_orphan_label_leaf_is_legal(self, fairness):
         # "equal_pay" has no property child; it is a legal, inert leaf
         assert "equal_pay" in fairness.nodes
         assert children_of(fairness)["equal_pay"] == set()
-        assert validate(fairness).ok
+        assert validate(fairness) == ()
 
 
 # One graph per structural rule, with the one violation it breaks.
@@ -322,7 +321,7 @@ def test_no_builder_yields_an_invalid_taxonomy(builder, graph):
     nodes, edges, violation = INVALID_GRAPHS[graph]
     with pytest.raises(InvalidTaxonomy) as excinfo:
         BUILDERS[builder](nodes, edges)
-    assert [(v.rule, v.subject, v.message) for v in excinfo.value.report.violations] == [violation]
+    assert [(v.rule, v.subject, v.message) for v in excinfo.value.violations] == [violation]
 
 
 class TestQueries:
@@ -396,7 +395,7 @@ class TestStructuralInvariants:
         rng = random.Random(1234)
         for _ in range(50):
             t = random_taxonomy(rng)
-            assert validate(t).ok
+            assert validate(t) == ()
             children = children_of(t)
             counts = all_paths_counts(t)
             for node in t.nodes:
