@@ -52,7 +52,13 @@ from .mutual_aid import (
     satisfaction_degrees,
 )
 from .propagation import check_coherence, propagate
-from .taxonomy import ValueTaxonomy, Violation, all_paths_counts, topological_order
+from .taxonomy import (
+    RULE_DUPLICATE_EDGE,
+    RULE_DUPLICATE_ID,
+    ValueTaxonomy,
+    all_paths_counts,
+    topological_order,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -63,9 +69,12 @@ _T = TypeVar("_T")
 
 
 class _Fail(Exception):
-    def __init__(self, code: int, message: str):
+    """A refusal: ``message`` goes to stderr and ``output``, if any, where a result goes."""
+
+    def __init__(self, code: int, message: str, output: Optional[str] = None):
         self.code = code
         self.message = message
+        self.output = output
         super().__init__(message)
 
 
@@ -121,22 +130,28 @@ def _domain_config(args) -> DomainConfig:
         raise _Fail(EXIT_INVALID, f"bad domain configuration: {exc}") from exc
 
 
-def _violations(text: str) -> tuple[Violation, ...]:
-    """The structural violations of a taxonomy document: none if it parses."""
+def _refusal(text: str) -> Optional[InvalidTaxonomy]:
+    """What refused a taxonomy document's graph: None if it parses."""
     try:
         parse_taxonomy(text)
     except InvalidTaxonomy as exc:
-        return exc.violations
-    return ()
+        return exc
+    return None
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    violations = _load(args.input, _violations)
+    refusal = _load(args.input, _refusal)
+    violations = refusal.violations if refusal else ()
     code = EXIT_INVALID if violations else EXIT_OK
+    report = None
     if args.format == "machine":
-        doc = {"ok": not violations, "violations": [
-            {"rule": v.rule, "subject": v.subject, "message": v.message} for v in violations]}
-        return code, _machine(doc)
+        report = _machine({"ok": not violations, "violations": [
+            {"rule": v.rule, "subject": v.subject, "message": v.message} for v in violations]})
+    if violations and violations[0].rule in (RULE_DUPLICATE_ID, RULE_DUPLICATE_EDGE):
+        # refused on stderr as by every command, with the report beside it
+        raise _Fail(code, f"{args.input}: {refusal}", report)
+    if report:
+        return code, report
     lines = [f"{args.input}: {'invalid' if violations else 'ok'}"]
     lines += [f"  {v.rule} at {v.subject}: {v.message}" for v in violations]
     return code, "\n".join(lines) + "\n"
@@ -486,7 +501,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, text = args.handler(args)
     except _Fail as fail:
         print(fail.message, file=sys.stderr)
-        return fail.code
+        if fail.output is None:
+            return fail.code
+        code, text = fail.code, fail.output
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -1,10 +1,10 @@
 """Exception and warning types shared across the package.
 
-A taxonomy that breaks a structural rule cannot be built: its constructor
-raises :class:`InvalidTaxonomy` with every violation. The other exceptions
-cover contract violations (unknown nodes, missing inputs, malformed documents,
-repeated ids or edges) and failures detected while computing (incoherent or
-conflicting importance values). Each survives ``pickle`` and ``copy``.
+A taxonomy that breaks a structural rule, or repeats a node id or edge, cannot
+be built: it raises :class:`InvalidTaxonomy` with its violations. The other
+exceptions cover contract violations (unknown nodes, missing inputs, malformed
+documents) and failures detected while computing (incoherent or conflicting
+importance values). Each survives ``pickle`` and ``copy``.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ class ParseError(TaxonomyError, ValueError):
 
 
 class InvalidTaxonomy(ParseError):
-    """A graph broke a structural rule of ``validate``. ``violations`` lists every
-    violation; the location (``rule <name>``) and message are the first one's."""
+    """A graph broke a structural rule of ``validate``: ``violations`` lists every
+    violation, and the location is ``rule <name>`` of the first. Or
+    ``ValueTaxonomy.build`` met a repeated node id or edge: ``violations`` holds
+    that one, and the location is its index. The message is the first violation's."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, location: str | None = None):
         self.violations = violations
-        super().__init__(f"rule {violations[0].rule}", violations[0].message)
+        super().__init__(location or f"rule {violations[0].rule}", violations[0].message)
 
 
 class SchemaVersionUnsupported(ParseError):

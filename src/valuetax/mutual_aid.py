@@ -207,6 +207,8 @@ def _normalize(dist: Sequence[float], name: str) -> tuple[float, ...]:
     weights = [float(v) for v in dist]
     if any(w < 0 for w in weights):
         raise ValueError(f"{name} has negative mass")
+    # The builtin sum is exact on what task_imbalance passes: integer counts as
+    # floats, whose sums are exact below 2**53 in any order and on any Python.
     total = sum(weights)
     if not weights or total <= 0:
         raise EmptyDistribution(f"{name} has no mass to normalize")

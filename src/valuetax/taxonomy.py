@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from ._record import EMPTY_MAPPING, Record, setfield
-from .errors import InvalidTaxonomy, ParseError, UnknownNode
+from .errors import InvalidTaxonomy, UnknownNode
 
 # Node identifiers and importance values are plain builtins; the aliases
 # document intent at API boundaries.
@@ -37,6 +37,9 @@ IMPORTANCE_MAX = 1.0
 RULE_CYCLE = "CycleDetected"
 RULE_PROPERTY_LEAF = "PropertyNodeNotLeaf"
 RULE_UNKNOWN_ENDPOINT = "UnknownEdgeEndpoint"
+# Rules of ValueTaxonomy.build, located at the index of the repeat.
+RULE_DUPLICATE_ID = "DuplicateNodeId"
+RULE_DUPLICATE_EDGE = "DuplicateEdge"
 
 
 class NodeKind(Enum):
@@ -129,16 +132,18 @@ class ValueTaxonomy(Record):
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
               importance: Mapping[NodeId, Importance] | None = None) -> "ValueTaxonomy":
         """Assemble a taxonomy from node and edge sequences; a repeated node id or
-        edge raises a ParseError located at its index."""
+        edge raises :class:`~valuetax.errors.InvalidTaxonomy` with that one
+        violation, located at its index."""
         node_map: dict[NodeId, Node] = {}
         for i, node in enumerate(nodes):
             if node.id in node_map:
-                raise ParseError(f"nodes[{i}].id", f"duplicate node id: {node.id!r}")
+                raise _repeat(RULE_DUPLICATE_ID, f"nodes[{i}].id", f"duplicate node id: {node.id!r}")
             node_map[node.id] = node
         edge_set: set[tuple[NodeId, NodeId]] = set()
         for i, (parent, child) in enumerate(edges):
             if (parent, child) in edge_set:
-                raise ParseError(f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
+                raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]",
+                              f"duplicate edge {parent!r} -> {child!r}")
             edge_set.add((parent, child))
         return cls(node_map, frozenset(edge_set), dict(importance or {}))
 
@@ -191,6 +196,10 @@ class ValueTaxonomy(Record):
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+def _repeat(rule: str, location: str, message: str) -> InvalidTaxonomy:
+    return InvalidTaxonomy((Violation(rule, location, message),), location)
 
 
 def _checked_importance(nodes: Mapping[NodeId, Node],

@@ -149,6 +149,30 @@ class TestValidateCommand:
         assert (code, out) == (1, "")
         assert err == (GOLDEN / "validate-duplicate-edge.txt").read_text(encoding="utf-8")
 
+    def test_machine_report_of_a_duplicate_edge_matches_the_golden_file(self, capsys, tmp_path,
+                                                                        monkeypatch):
+        (tmp_path / "duplicate-edge-taxonomy.json").write_bytes(
+            (GOLDEN / "duplicate-edge-taxonomy.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        report = (GOLDEN / "validate-duplicate-edge.json").read_text(encoding="utf-8")
+        refusal = (GOLDEN / "validate-duplicate-edge.txt").read_text(encoding="utf-8")
+        argv = ["validate", "--format", "machine", "--input", "duplicate-edge-taxonomy.json"]
+        assert run(capsys, *argv) == (1, report, refusal)
+        assert run(capsys, *argv, "--output", "report.json") == (1, "", refusal)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == report
+
+    def test_machine_report_of_a_duplicate_node_id(self, capsys, tmp_path):
+        doc = {"schema_version": 1, "nodes": [{"id": "a", "kind": "label"},
+                                              {"id": "b", "kind": "label"},
+                                              {"id": "a", "kind": "label"}]}
+        path = tmp_path / "duplicate-id.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--format", "machine", "--input", str(path))
+        assert (code, err) == (1, f"{path}: nodes[2].id: duplicate node id: 'a'\n")
+        assert json.loads(out) == {"ok": False, "violations": [{
+            "rule": "DuplicateNodeId", "subject": "nodes[2].id",
+            "message": "duplicate node id: 'a'"}]}
+
     def test_missing_file_is_io_failure(self, capsys):
         code, _, err = run(capsys, "validate", "--input", "/nonexistent.json")
         assert code == 3

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from valuetax import errors
-from valuetax.taxonomy import Violation
+from valuetax.taxonomy import ValueTaxonomy, Violation, label_node
 
 VIOLATIONS = (Violation("CycleDetected", "a", "cycle detected: a -> b -> a"),
               Violation("PropertyNodeNotLeaf", "p", "property node 'p' has child 'a'"))
@@ -58,3 +58,14 @@ def test_copy(error):
     duplicate = copy.copy(error)
     assert type(duplicate) is type(error)
     assert (str(duplicate), vars(duplicate)) == (str(error), vars(error))
+
+
+def test_a_repeat_refused_by_build_keeps_its_location():
+    with pytest.raises(errors.InvalidTaxonomy) as excinfo:
+        ValueTaxonomy.build([label_node("a"), label_node("a")])
+    error = excinfo.value
+    assert (error.location, error.violations) == (
+        "nodes[1].id", (Violation("DuplicateNodeId", "nodes[1].id", "duplicate node id: 'a'"),))
+    for restored in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(restored) is errors.InvalidTaxonomy
+        assert (str(restored), vars(restored)) == (str(error), vars(error))

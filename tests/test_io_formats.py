@@ -587,6 +587,57 @@ class TestCanonicalBlocks:
                 assert events == expected
 
 
+def compact(record: str) -> str:
+    """A record line respelled with ``json.dumps(..., separators=(",", ":"))``."""
+    return json.dumps(json.loads(record), ensure_ascii=False, separators=(",", ":"))
+
+
+class TestJsonDumpsSpelling:
+    """Blocks spelled as ``json.dumps`` writes by default are scanned by a literal
+    pattern first; every other spelling reads with the same results."""
+
+    RECORDS = [{"kind": kind.value, "member": member, "timestamp": t}
+               for t, member in enumerate(("a", "m\u00e9", "b\u2028c", "d e") * 50)
+               for kind in EventKind]
+
+    def test_json_dumps_blocks_take_the_literal_scan(self, monkeypatch):
+        lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in self.RECORDS]
+        assert len(lines) > 2 * io_formats._BLOCK_LINES
+        expected = ingest((r["kind"], r["member"], r["timestamp"]) for r in self.RECORDS)
+        with monkeypatch.context() as patched:
+            def refuse(text):
+                raise AssertionError("a json.dumps block reached the general scan")
+            patched.setattr(io_formats, "_find_canonical", refuse)
+            assert ingest_event_log(lines) == expected
+        assert ingest_event_log([compact(line) + "\n" for line in lines]) == expected
+
+    SPELLINGS = [
+        lambda t: offer(t),
+        lambda t: compact(offer(t)),
+        lambda t: f'{{"kind": "request", "member": "mé", "timestamp": {t}}}',
+        lambda t: compact(f'{{"kind": "request", "member": "mé", "timestamp": {t}}}'),
+        lambda t: offer(t, member='"\\u00e9"'),
+        lambda t: offer(f"0{t}"),
+        lambda t: offer(t) + "\x1e",
+    ]
+
+    def test_mixed_spellings_read_as_line_by_line(self, block_lines):
+        rng = random.Random(16)
+        results = set()
+        for _ in range(400):
+            # timestamps cross from 18 digits to 19, which only the decoder reads
+            timestamp, lines = 10 ** 18 - 12, []
+            for _ in range(rng.randint(1, 12)):
+                timestamp += rng.choice((0, 1, 2))
+                spelling = rng.choice(self.SPELLINGS[:4] * 6 + self.SPELLINGS[4:])
+                lines.append(spelling(timestamp) + "\n")
+            expected = outcome(lambda: line_by_line(lines))
+            assert outcome(lambda: ingest_event_log(lines)) == expected
+            assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
+            results.add(isinstance(expected, list))
+        assert results == {True, False}
+
+
 DEEP = "[" * 100_000
 HUGE = "1" * 5000  # past the interpreter's 4,300-digit limit on int conversion
 HUGE_RECORD = f'{{"kind": "offer", "member": "a", "timestamp": {HUGE}}}'

@@ -9,9 +9,10 @@ The propagation guards took about 1.7 s and 2.3 s while propagation swept
 every node once per pass until nothing changed; the 1 s bounds catch a
 return to one full sweep per level.
 
-The 200k-event guard folds its log from the open file in about 0.4-0.5 s
-(median of 5, same machine), against about 1.6 s for ``parse_event_log``
-plus ``ingest`` over the whole file read into one string.
+The 200k-event guard folds its log from the open file in about 0.33 s
+(median of 7, same machine; about 0.42 s before blocks spelled as
+``json.dumps`` writes them had their own scan), against about 1.6 s for
+``parse_event_log`` plus ``ingest`` over the whole file read into one string.
 """
 
 from __future__ import annotations
