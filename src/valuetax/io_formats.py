@@ -18,17 +18,12 @@ the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
 :func:`~valuetax.mutual_aid.ingest` counts. It is read in blocks of lines. A
 block's records come from one anchored regular-expression scan when each line
 ends with the block's only newlines, holds a canonical record - ``{"kind": K,
-"member": M, "timestamp": T}`` in that key order, M free of escapes and control
-characters (its text is its value), T an unsigned integer of at most 18 digits
-with no leading zero - and no timestamp decreases. A block is read by the first
-of three tiers that takes all of its lines:
-
-1. the canonical record spelled as ``json.dumps`` writes it by default, a space
-   after each colon and comma only, tried when ``{"kind": "`` occurs once per
-   line, so that other spellings pay no failed scan;
-2. the canonical record with spaces and tabs around any token;
-3. line by line, exactly, by the decoder that words every error: any other
-   block (a blank line, another key order, an escape, a BOM) goes here.
+"member": M, "timestamp": T}`` in that key order and spelled as ``json.dumps``
+writes it by default, a space after each colon and comma and none elsewhere, M
+free of escapes and control characters (its text is its value), T an unsigned
+integer of at most 18 digits with no leading zero - and no timestamp decreases.
+Any other block (a blank line, other spacing, another key order, an escape, a
+BOM) is read exactly, line by line, by the decoder that words every error.
 """
 
 from __future__ import annotations
@@ -52,19 +47,10 @@ _encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": 
 
 _EVENT_KINDS = frozenset(kind.value for kind in EventKind)
 _decode_record = json.JSONDecoder().raw_decode
-# the tokens of the canonical event record of the module docstring, one per line
-_CANONICAL_TOKENS = [
-    "^", r"\{", '"kind"', ":", '"(' + "|".join(re.escape(k.value) for k in EventKind) + ')"', ",",
-    '"member"', ":", r'"([^"\\\x00-\x1f]+)"', ",", '"timestamp"', ":", "(0|[1-9][0-9]{0,17})",
-    r"\}", "$"]
-# spaces and tabs around any token
-_find_canonical = re.compile(r"[ \t]*".join(_CANONICAL_TOKENS), re.M).findall
-# json.dumps's default spelling, a space after each colon and comma only: a subset
-# of the matches above, with the same groups, and a faster scan
-_find_dumps_spelled = re.compile(
-    "".join(token + " " if token in (":", ",") else token for token in _CANONICAL_TOKENS),
-    re.M).findall
-_DUMPS_PREFIX = '{"kind": "'  # once on each line of a block that json.dumps wrote
+# the canonical event record of the module docstring, one per line
+_find_canonical = re.compile(
+    r'^\{"kind": "(' + "|".join(re.escape(k.value) for k in EventKind)
+    + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,17})\}$', re.M).findall
 _BLOCK_LINES = 256  # thousands of lines per block raise peak memory
 _BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
@@ -221,10 +207,7 @@ def _event_records(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
         text = "".join(block)
         # each line ends with its only newline, so scanned lines are the given ones
         if text.count("\n") == len(block) and all(map(str.endswith, block, repeat("\n"))):
-            # the count spares other spellings a failed scan of the json.dumps one
-            found = _find_dumps_spelled(text) if text.count(_DUMPS_PREFIX) == len(block) else ()
-            if len(found) < len(block):
-                found = _find_canonical(text)
+            found = _find_canonical(text)
             if len(found) == len(block):
                 names, members, digits = zip(*found)
                 stamps = list(map(int, digits))

@@ -593,21 +593,21 @@ def compact(record: str) -> str:
 
 
 class TestJsonDumpsSpelling:
-    """Blocks spelled as ``json.dumps`` writes by default are scanned by a literal
-    pattern first; every other spelling reads with the same results."""
+    """Blocks spelled as ``json.dumps`` writes by default are scanned whole;
+    every other spelling reads with the same results, line by line."""
 
     RECORDS = [{"kind": kind.value, "member": member, "timestamp": t}
                for t, member in enumerate(("a", "m\u00e9", "b\u2028c", "d e") * 50)
                for kind in EventKind]
 
-    def test_json_dumps_blocks_take_the_literal_scan(self, monkeypatch):
+    def test_json_dumps_blocks_take_the_block_scan(self, monkeypatch):
         lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in self.RECORDS]
         assert len(lines) > 2 * io_formats._BLOCK_LINES
         expected = ingest((r["kind"], r["member"], r["timestamp"]) for r in self.RECORDS)
         with monkeypatch.context() as patched:
-            def refuse(text):
-                raise AssertionError("a json.dumps block reached the general scan")
-            patched.setattr(io_formats, "_find_canonical", refuse)
+            def refuse(lines, first_lineno, last_timestamp):
+                raise AssertionError("a json.dumps block was read line by line")
+            patched.setattr(io_formats, "_line_records", refuse)
             assert ingest_event_log(lines) == expected
         assert ingest_event_log([compact(line) + "\n" for line in lines]) == expected
 

@@ -9,9 +9,9 @@ The propagation guards took about 1.7 s and 2.3 s while propagation swept
 every node once per pass until nothing changed; the 1 s bounds catch a
 return to one full sweep per level.
 
-The 200k-event guard folds its log from the open file in about 0.33 s
-(median of 7, same machine; about 0.42 s before blocks spelled as
-``json.dumps`` writes them had their own scan), against about 1.6 s for
+The 200k-event guard folds its log from the open file in about 0.36-0.42 s
+(medians of 7 and 9, same machine; about 0.45-0.49 s while the block scan let
+spaces and tabs around any token), against about 1.6 s for
 ``parse_event_log`` plus ``ingest`` over the whole file read into one string.
 """
 
