@@ -309,6 +309,57 @@ class TestContextDocuments:
         assert "property_importance.p" == excinfo.value.location
 
 
+class TestContextParseErrors:
+    # every raise site, with its location and message
+    @pytest.mark.parametrize("doc, location, detail", [
+        ("[]", "document", "expected an object, got list"),
+        ('{"id": "c"}', "document.schema_version", "missing required field"),
+        ('{"schema_version": 2, "id": "c"}', "schema_version", "unsupported schema version: 2"),
+        ('{"schema_version": 1}', "document.id", "missing required field"),
+        ('{"schema_version": 1,\n "id": }', "line 2, column 8",
+         "invalid context document: Expecting value"),
+        ({"id": ""}, "document.id", "context id must be a non-empty string"),
+        ({"id": 5}, "document.id", "context id must be a non-empty string"),
+        ({"id": None}, "document.id", "context id must be a non-empty string"),
+        ({"defining_properties": "offer_ratio"}, "document.defining_properties",
+         "must be a list of property names"),
+        ({"defining_properties": {"offer_ratio": 1}}, "document.defining_properties",
+         "must be a list of property names"),
+        ({"defining_properties": ["offer_ratio", 3]}, "document.defining_properties",
+         "must be a list of property names"),
+        ({"property_importance": ["p"]}, "document.property_importance", "must be an object"),
+        ({"property_importance": {"p": 5.0}}, "property_importance.p",
+         "importance 5.0 outside [-1, 1]"),
+        ({"property_importance": {"q": 0.5, "p": -3}}, "property_importance.p",
+         "importance -3.0 outside [-1, 1]"),
+        ({"property_importance": {"p": True}}, "property_importance.p",
+         "importance must be a number, got True"),
+        ({"property_importance": {"p": "0.5"}}, "property_importance.p",
+         "importance must be a number, got '0.5'"),
+        ({"property_importance": {"p": None}}, "property_importance.p",
+         "importance must be a number, got None"),
+        ({"selection": 5}, "selection", "expected an object, got int"),
+        ({"selection": {"threshold": 0.5}}, "selection.kind", "missing required field"),
+        ({"selection": {"kind": "k9"}}, "selection.kind", "unknown selection strategy: 'k9'"),
+        ({"selection": {"kind": None}}, "selection.kind", "unknown selection strategy: None"),
+        ({"selection": {"kind": ["kmeans2"]}}, "selection.kind",
+         "unknown selection strategy: ['kmeans2']"),
+        ({"selection": {"kind": "positive_threshold", "threshold": 5.0}}, "selection.threshold",
+         "importance 5.0 outside [-1, 1]"),
+        ({"selection": {"kind": "positive_threshold", "threshold": "0.1"}}, "selection.threshold",
+         "importance must be a number, got '0.1'"),
+        ({"selection": {"kind": "positive_threshold", "threshold": None}}, "selection.threshold",
+         "importance must be a number, got None"),
+    ])
+    def test_every_raise_site_keeps_its_location_and_message(self, doc, location, detail):
+        if isinstance(doc, dict):  # fields over a valid document
+            doc = json.dumps({"schema_version": 1, "id": "c", **doc})
+        with pytest.raises(ParseError) as excinfo:
+            parse_context(doc)
+        assert excinfo.value.location == location
+        assert str(excinfo.value) == f"{location}: {detail}"
+
+
 class TestEventLogs:
     def test_three_lines_in_order(self):
         text = "\n".join([
