@@ -53,15 +53,6 @@ class AlignmentReport(Record):
         setfield(self, "per_property", per_property)
 
 
-def _sd_value(sd: Mapping[NodeId, float], node: NodeId) -> float:
-    if node not in sd:
-        raise MissingSatisfaction(node)
-    value = sd[node]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"satisfaction degree for {node!r} must be a number, got {value!r}")
-    return check_importance(value, f"satisfaction degree of {node!r}")
-
-
 def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
           scheme: AlignmentScheme = AlignmentScheme.MEAN_WEIGHTED) -> AlignmentReport:
     """Score the satisfaction degrees ``sd`` (property node to a value in
@@ -79,7 +70,9 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
     for node in props:
         if node not in taxonomy.importance:
             raise MissingImportance(node)
-        sd_val = _sd_value(sd, node)
+        if node not in sd:
+            raise MissingSatisfaction(node)
+        sd_val = check_importance(sd[node], f"satisfaction degree of {node!r}")
         imp = taxonomy.importance[node]
         factor = paths[node] if weighted else 1
         per_property.append(PropertyContribution(

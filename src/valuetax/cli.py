@@ -33,7 +33,7 @@ from .context import (
     context_holds,
     select_nodes,
 )
-from .errors import InvalidTaxonomy, PropagationError, TaxonomyError
+from .errors import InvalidTaxonomy, ParseError, PropagationError, TaxonomyError
 from .io_formats import (
     export_dot,
     ingest_event_log,
@@ -210,8 +210,8 @@ def _selection_override(args, default: SelectionStrategy) -> SelectionStrategy:
     threshold = default.threshold if args.threshold is None else args.threshold
     try:
         return SelectionStrategy(kind, threshold)
-    except ValueError as exc:
-        raise _Fail(EXIT_INVALID, f"bad selection override: {exc}") from exc
+    except ParseError as exc:  # located at the option
+        raise _Fail(EXIT_INVALID, f"bad selection override: --{exc.location}: {exc.detail}") from exc
 
 
 def _cmd_context(args) -> tuple[int, str]:

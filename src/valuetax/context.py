@@ -5,7 +5,8 @@ context-specific importances, the relevant ones are selected (by a
 threshold, or by two-way clustering), and the subgraph of branches leading
 to the selected nodes is extracted. Importance for the retained interior
 nodes is then filled in by propagation, independently of whatever the
-general taxonomy had assigned.
+general taxonomy had assigned. Both records check the values they hold and
+refuse one with a :class:`~valuetax.errors.ParseError` located at its field.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from ._record import EMPTY_MAPPING, Record, setfield
-from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
+from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator, ParseError
 from .propagation import propagate
-from .taxonomy import NodeId, ValueTaxonomy, ancestors, check_importance
+from .taxonomy import NodeId, ValueTaxonomy, ancestors, importance_at
 
 # Anything a property evaluator can be asked about.
 WorldState = Any
@@ -44,8 +45,10 @@ class SelectionStrategy(Record):
 
     def __init__(self, kind: SelectionKind = SelectionKind.POSITIVE_THRESHOLD,
                  threshold: float = 0.0):
+        if not isinstance(kind, SelectionKind):
+            raise ParseError("kind", f"unknown selection strategy: {kind!r}")
         setfield(self, "kind", kind)
-        setfield(self, "threshold", check_importance(threshold, "selection threshold"))
+        setfield(self, "threshold", importance_at("threshold", threshold))
 
 
 POSITIVE_SELECTION = SelectionStrategy()
@@ -68,13 +71,16 @@ class ContextSpec(Record):
     def __init__(self, id: str, defining_properties: frozenset[str] = frozenset(),
                  property_importance: Mapping[NodeId, float] = EMPTY_MAPPING,
                  selection: SelectionStrategy = POSITIVE_SELECTION):
-        if not id:
-            raise ValueError("context id must be a non-empty string")
-        cleaned = {}
-        for node, value in dict(property_importance).items():
-            cleaned[node] = check_importance(value, f"importance of {node!r}")
+        if not isinstance(id, str) or not id:
+            raise ParseError("id", "context id must be a non-empty string")
+        names = tuple(defining_properties)
+        # a bare string would be taken as a set of one-letter names
+        if isinstance(defining_properties, str) or not all(isinstance(p, str) for p in names):
+            raise ParseError("defining_properties", "must be a list of property names")
+        cleaned = {node: importance_at(f"property_importance.{node}", value)
+                   for node, value in dict(property_importance).items()}
         setfield(self, "id", id)
-        setfield(self, "defining_properties", frozenset(defining_properties))
+        setfield(self, "defining_properties", frozenset(names))
         setfield(self, "property_importance", MappingProxyType(cleaned))
         setfield(self, "selection", selection)
 

@@ -117,18 +117,20 @@ class MalformedEvent(TaxonomyError, ValueError):
 
 
 class ParseError(TaxonomyError, ValueError):
-    """A document or a ``ValueTaxonomy.build`` input was refused; ``location`` names the record."""
+    """A document or a record's value was refused. ``location`` is the field the
+    record names (``id``), prefixed by a parser with its entry (``nodes[2].id``)."""
 
     def __init__(self, location: str, detail: str):
         self.location = location
+        self.detail = detail
         super().__init__(f"{location}: {detail}")
 
 
 class InvalidTaxonomy(ParseError):
     """A graph broke a structural rule of ``validate``: ``violations`` lists every
-    violation, and the location is ``rule <name>`` of the first. Or
-    ``ValueTaxonomy.build`` met a repeated node id or edge: ``violations`` holds
-    that one, and the location is its index. The message is the first violation's."""
+    violation, and the location is ``rule <name>`` of the first. Or a node or
+    edge sequence repeated a node id or edge: ``violations`` holds that one, and
+    the location is its index. The message is the first violation's."""
 
     def __init__(self, violations, location: str | None = None):
         self.violations = violations

@@ -4,8 +4,9 @@
 Taxonomy serialization is deterministic - nodes and edges are emitted in sorted
 order and floats use their shortest exact decimal form - so that
 serialize(parse(serialize(t))) is byte-identical and round-trips preserve
-node, edge, and importance content exactly. Parse failures carry a location
-(line/column for malformed JSON, a field path otherwise).
+node, edge, and importance content exactly. A parser reads the shape of a
+document; the records check its values and locate a refusal at their field, to
+which the parser adds the entry (``nodes[2].``). Malformed JSON is located by line.
 
 A taxonomy is written byte for byte as ``json.dumps(doc, indent=2)`` would
 write it, but by the C encoder (``indent=`` drops ``json`` to pure Python):
@@ -38,11 +39,14 @@ from typing import Any, Generator, Iterable, Iterator
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
 from .mutual_aid import CommunityState, EventKind, ingest
-from .taxonomy import Node, NodeKind, ValueTaxonomy, check_importance
+from .taxonomy import Node, NodeKind, ValueTaxonomy
 
 SCHEMA_VERSION = 1
 # a node document's kind, as the node kind and the key of the node's text
 _NODE_KINDS = {"label": (NodeKind.LABEL, "label_text"), "property": (NodeKind.PROPERTY, "property_id")}
+# where a context record's field sits in the document; any other is located there already
+_CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.defining_properties",
+                   "kind": "selection.kind", "threshold": "selection.threshold"}
 _encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 _EVENT_KINDS = frozenset(kind.value for kind in EventKind)
@@ -78,13 +82,6 @@ def _check_version(doc: Any) -> None:
         raise SchemaVersionUnsupported(version)
 
 
-def _parse_importance(raw: Any, location: str) -> float:
-    try:
-        return check_importance(raw)
-    except ValueError as exc:
-        raise ParseError(location, str(exc)) from None
-
-
 def parse_taxonomy(text: str) -> ValueTaxonomy:
     """Parse a taxonomy document through :meth:`ValueTaxonomy.build`. A graph
     that breaks a structural rule, or repeats a node id or edge, raises
@@ -97,36 +94,36 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
     if not isinstance(raw_nodes, list):
         raise ParseError("document.nodes", "must be a list")
     for i, raw in enumerate(raw_nodes):  # locations are built only to raise
-        node_id = raw.get("id") if isinstance(raw, dict) else None
-        if not isinstance(node_id, str) or not node_id:
+        if not isinstance(raw, dict):
             _require(raw, "id", f"nodes[{i}]")
-            raise ParseError(f"nodes[{i}].id", "node id must be a non-empty string")
-        kind = raw.get("kind")
-        if type(kind) is not str or kind not in _NODE_KINDS:  # a list is unhashable
-            _require(raw, "kind", f"nodes[{i}]")
-            raise ParseError(f"nodes[{i}].kind", f"unknown node kind: {kind!r}")
-        node_kind, text_key = _NODE_KINDS[kind]
-        text = raw.get(text_key, node_id)
-        if not isinstance(text, str):
-            raise ParseError(f"nodes[{i}].{text_key}", f"must be a string, got {text!r}")
-        nodes.append(Node(node_id, node_kind, text))
-        value = raw.get("importance")
-        if value is not None:
-            if type(value) is not float or not -1.0 <= value <= 1.0:
-                value = _parse_importance(value, f"nodes[{i}].importance")
+        node_id, kind = raw.get("id"), raw.get("kind")
+        # Node refuses a kind that is not a document spelling, as it is spelled
+        node_kind, text_key = _NODE_KINDS.get(kind, (kind, "id")) if type(kind) is str else (kind, "id")
+        try:
+            nodes.append(Node(node_id, node_kind, raw.get(text_key, node_id)))
+        except ParseError as exc:  # a missing text key gives the id, which Node takes
+            field = text_key if exc.location == "text" else exc.location
+            _require(raw, field, f"nodes[{i}]")
+            raise ParseError(f"nodes[{i}].{field}", exc.detail) from None
+        if (value := raw.get("importance")) is not None:
             importance[node_id] = value
-    edges: list[tuple[str, str]] = []
+    edges: list[tuple[Any, Any]] = []
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
     for i, raw in enumerate(raw_edges):
         edge = (raw.get("parent"), raw.get("child")) if isinstance(raw, dict) else (None, None)
-        if not isinstance(edge[0], str) or not isinstance(edge[1], str):
+        if None in edge:
             for key in ("parent", "child"):
                 _require(raw, key, f"edges[{i}]")
-            raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
         edges.append(edge)
-    return ValueTaxonomy.build(nodes, edges, importance)
+    try:
+        return ValueTaxonomy.build(nodes, edges, importance)
+    except ParseError as exc:  # an importance is located at its node's entry
+        for i, node in enumerate(nodes):
+            if exc.location == f"importance.{node.id}":
+                raise ParseError(f"nodes[{i}].importance", exc.detail) from None
+        raise
 
 
 def _encode_entries(entries: list[dict[str, Any]]) -> str:
@@ -157,32 +154,26 @@ def parse_context(text: str) -> ContextSpec:
     doc = _load_json(text, "context document")
     _check_version(doc)
     ctx_id = _require(doc, "id", "document")
-    if not isinstance(ctx_id, str) or not ctx_id:
-        raise ParseError("document.id", "context id must be a non-empty string")
     raw_props = doc.get("defining_properties", [])
-    if not isinstance(raw_props, list) or not all(isinstance(p, str) for p in raw_props):
+    if not isinstance(raw_props, list):
         raise ParseError("document.defining_properties", "must be a list of property names")
     raw_importance = doc.get("property_importance", {})
     if not isinstance(raw_importance, dict):
         raise ParseError("document.property_importance", "must be an object")
-    importance = {node: _parse_importance(value, f"property_importance.{node}")
-                  for node, value in raw_importance.items()}
-    return ContextSpec(ctx_id, frozenset(raw_props), importance,
-                       _parse_selection(doc.get("selection")))
+    try:
+        return ContextSpec(ctx_id, raw_props, raw_importance, _parse_selection(doc.get("selection")))
+    except ParseError as exc:
+        raise ParseError(_CONTEXT_FIELDS.get(exc.location, exc.location), exc.detail) from None
 
 
 def _parse_selection(raw: Any) -> SelectionStrategy:
     if raw is None:
         return SelectionStrategy()
     kind = _require(raw, "kind", "selection")
-    try:
-        selection_kind = SelectionKind(kind)
-    except (TypeError, ValueError):
-        raise ParseError("selection.kind", f"unknown selection strategy: {kind!r}") from None
-    if selection_kind is SelectionKind.POSITIVE_THRESHOLD:
-        threshold = raw.get("threshold", 0.0)
-        return SelectionStrategy(selection_kind, _parse_importance(threshold, "selection.threshold"))
-    return SelectionStrategy(selection_kind)
+    # SelectionStrategy refuses a kind that is not a document spelling, as it is spelled
+    kind = next((k for k in SelectionKind if k.value == kind), kind)
+    threshold = raw.get("threshold", 0.0) if kind is SelectionKind.POSITIVE_THRESHOLD else 0.0
+    return SelectionStrategy(kind, threshold)
 
 
 def _event_records(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:

@@ -10,7 +10,7 @@ Taxonomies are immutable after construction and all queries are pure, so
 they are safe to share across threads. Construction checks every invariant,
 the graph-level rules of :func:`validate` included, and raises on any
 violation, so no taxonomy a caller holds is invalid and no query checks
-again; :meth:`ValueTaxonomy.build` alone rejects repeated node ids and edges.
+again. A value is checked once, by the record that holds it, at its field.
 One cached Kahn pass gives both the acyclicity test and the parents-first order.
 """
 
@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from ._record import EMPTY_MAPPING, Record, setfield
-from .errors import InvalidTaxonomy, UnknownNode
+from .errors import InvalidTaxonomy, ParseError, UnknownNode
 
 # Node identifiers and importance values are plain builtins; the aliases
 # document intent at API boundaries.
@@ -37,7 +37,7 @@ IMPORTANCE_MAX = 1.0
 RULE_CYCLE = "CycleDetected"
 RULE_PROPERTY_LEAF = "PropertyNodeNotLeaf"
 RULE_UNKNOWN_ENDPOINT = "UnknownEdgeEndpoint"
-# Rules of ValueTaxonomy.build, located at the index of the repeat.
+# Rules of node and edge sequences, located at the index of the repeat.
 RULE_DUPLICATE_ID = "DuplicateNodeId"
 RULE_DUPLICATE_EDGE = "DuplicateEdge"
 
@@ -55,11 +55,11 @@ class Node(Record):
 
     def __init__(self, id: NodeId, kind: NodeKind, text: str):
         if not isinstance(id, str) or not id:
-            raise ValueError("node id must be a non-empty string")
+            raise ParseError("id", "node id must be a non-empty string")
         if not isinstance(kind, NodeKind):
-            raise ValueError(f"unknown node kind: {kind!r}")
+            raise ParseError("kind", f"unknown node kind: {kind!r}")
         if not isinstance(text, str):
-            raise ValueError(f"node text of {id!r} must be a string, got {text!r}")
+            raise ParseError("text", f"must be a string, got {text!r}")
         setfield(self, "id", id)
         setfield(self, "kind", kind)
         setfield(self, "text", text)
@@ -76,12 +76,12 @@ def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
 
 
 def check_importance(value: float, what: str = "importance") -> float:
-    """``value`` as a float in [-1, 1]. It must be an int or a float, not a
-    bool; an int past the float range is taken as the infinity of its sign, so
-    that the range check rejects it like any other value. Raises ValueError."""
+    """``value`` as a float in [-1, 1], or a ValueError worded with ``what``. It
+    must be an int or a float, not a bool; an int past the float range is taken
+    as the infinity of its sign, which the range check then rejects."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"importance must be a number, got {value!r}")
+            raise ValueError(f"{what} must be a number, got {value!r}")
         try:
             value = float(value)
         except OverflowError:
@@ -89,6 +89,14 @@ def check_importance(value: float, what: str = "importance") -> float:
     if not (IMPORTANCE_MIN <= value <= IMPORTANCE_MAX):
         raise ValueError(f"{what} {value} outside [-1, 1]")
     return value
+
+
+def importance_at(location: str, value: float) -> float:
+    """:func:`check_importance`, a refused value raising a ParseError at ``location``."""
+    try:
+        return check_importance(value)
+    except ValueError as exc:
+        raise ParseError(location, str(exc)) from None
 
 
 class Violation(Record):
@@ -112,17 +120,22 @@ class ValueTaxonomy(Record):
     __slots__ = ("nodes", "edges", "importance", "__dict__")
 
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
-                 edges: frozenset[tuple[NodeId, NodeId]] = frozenset(),
+                 edges: Iterable[tuple[NodeId, NodeId]] = frozenset(),
                  importance: Mapping[NodeId, Importance] = EMPTY_MAPPING):
         nodes = dict(nodes)
         for node_id, node in nodes.items():
             if node_id != node.id:
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
-        edges = frozenset(edges)
-        if not all(isinstance(parent, str) and isinstance(child, str) for parent, child in edges):
-            raise ValueError("edge endpoints must be node id strings")
         setfield(self, "nodes", MappingProxyType(nodes))
-        setfield(self, "edges", edges)
+        checked: set[tuple[NodeId, NodeId]] = set()
+        for i, edge in enumerate(edges):  # located at its index in the order given
+            parent, child = edge
+            if not isinstance(parent, str) or not isinstance(child, str):
+                raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
+            if edge in checked:
+                raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
+            checked.add(edge)
+        setfield(self, "edges", frozenset(checked))
         setfield(self, "importance", _checked_importance(nodes, importance))
         violations = validate(self)
         if violations:
@@ -131,21 +144,15 @@ class ValueTaxonomy(Record):
     @classmethod
     def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[NodeId, NodeId]] = (),
               importance: Mapping[NodeId, Importance] | None = None) -> "ValueTaxonomy":
-        """Assemble a taxonomy from node and edge sequences; a repeated node id or
-        edge raises :class:`~valuetax.errors.InvalidTaxonomy` with that one
-        violation, located at its index."""
+        """Assemble a taxonomy from node and edge sequences; a repeated node id,
+        like a repeated edge, raises :class:`~valuetax.errors.InvalidTaxonomy`
+        with that one violation, located at its index."""
         node_map: dict[NodeId, Node] = {}
         for i, node in enumerate(nodes):
             if node.id in node_map:
                 raise _repeat(RULE_DUPLICATE_ID, f"nodes[{i}].id", f"duplicate node id: {node.id!r}")
             node_map[node.id] = node
-        edge_set: set[tuple[NodeId, NodeId]] = set()
-        for i, (parent, child) in enumerate(edges):
-            if (parent, child) in edge_set:
-                raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]",
-                              f"duplicate edge {parent!r} -> {child!r}")
-            edge_set.add((parent, child))
-        return cls(node_map, frozenset(edge_set), dict(importance or {}))
+        return cls(node_map, edges, importance or EMPTY_MAPPING)
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
         """Copy of this taxonomy with the importance mapping replaced. The copy
@@ -208,7 +215,7 @@ def _checked_importance(nodes: Mapping[NodeId, Node],
     for node_id, value in dict(importance).items():
         if node_id not in nodes:
             raise UnknownNode(node_id)
-        checked[node_id] = check_importance(value, f"importance of {node_id!r}")
+        checked[node_id] = importance_at(f"importance.{node_id}", value)
     return MappingProxyType(checked)
 
 

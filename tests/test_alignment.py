@@ -129,7 +129,7 @@ class TestSatisfactionMapping:
         t = ValueTaxonomy.build([property_node("p")], importance={"p": 1.0})
         with pytest.raises(ValueError) as excinfo:
             align("e", t, {"p": value})
-        assert str(excinfo.value) == f"satisfaction degree for 'p' must be a number, got {value!r}"
+        assert str(excinfo.value) == f"satisfaction degree of 'p' must be a number, got {value!r}"
 
     def test_missing_satisfaction_names_the_first_missing_node(self):
         t = ValueTaxonomy.build(

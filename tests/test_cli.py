@@ -298,6 +298,15 @@ class TestContextCommand:
         assert err == ("bad selection override: "
                        "--threshold applies only to positive selection, not kmeans2\n")
 
+    @pytest.mark.parametrize("threshold", ["5", "nan"])
+    def test_threshold_outside_the_range_is_rejected(
+            self, capsys, fairness_file, elder_context_file, threshold):
+        code, out, err = run(capsys, "context", "--input", fairness_file,
+                             "--context", elder_context_file, "--threshold", threshold)
+        assert (code, out) == (1, "")
+        assert err == (f"bad selection override: "
+                       f"--threshold: importance {float(threshold)} outside [-1, 1]\n")
+
     def test_threshold_with_positive_strategy_overrides_two_means(
             self, capsys, fairness_file, kmeans_context_file):
         code, out, _ = run(capsys, "context", "--input", fairness_file,
@@ -527,3 +536,13 @@ def test_invalid_taxonomy_exits_one_with_its_first_violation(
     code, out, err = run(capsys, command, "--input", "invalid-taxonomy.json", *extra)
     assert (code, out) == (1, "")
     assert err == (GOLDEN / "propagate-invalid.txt").read_text(encoding="utf-8")
+
+
+# A value a record refuses is located at the document entry that holds it.
+def test_out_of_range_importance_exits_one_naming_its_entry(capsys, tmp_path, monkeypatch):
+    (tmp_path / "bad-importance-taxonomy.json").write_bytes(
+        (GOLDEN / "bad-importance-taxonomy.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "propagate", "--input", "bad-importance-taxonomy.json")
+    assert (code, out) == (1, "")
+    assert err == (GOLDEN / "propagate-bad-importance.txt").read_text(encoding="utf-8")

@@ -19,7 +19,7 @@ from valuetax import (
     select_nodes,
     topological_order,
 )
-from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator
+from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator, ParseError
 from valuetax.taxonomy import validate
 
 from conftest import random_taxonomy, relabelled, roots_of, subtree_mean_oracle
@@ -267,11 +267,31 @@ class TestContextSpec:
     def test_importance_past_the_float_range_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             ContextSpec("c", property_importance={"p": 10 ** 400})
-        assert str(excinfo.value) == "importance of 'p' inf outside [-1, 1]"
+        assert str(excinfo.value) == "property_importance.p: importance inf outside [-1, 1]"
 
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            ContextSpec("")
+    @pytest.mark.parametrize("ctx_id", ["", 5, None], ids=["empty", "int", "None"])
+    def test_id_must_be_a_non_empty_string(self, ctx_id):
+        with pytest.raises(ParseError) as excinfo:
+            ContextSpec(ctx_id)
+        assert str(excinfo.value) == "id: context id must be a non-empty string"
+
+    # A bare string was stored as the set of its letters.
+    @pytest.mark.parametrize("names", ["offer_ratio", ["offer_ratio", 3]], ids=["str", "int"])
+    def test_defining_properties_must_be_property_names(self, names):
+        with pytest.raises(ParseError) as excinfo:
+            ContextSpec("c", names)
+        assert str(excinfo.value) == "defining_properties: must be a list of property names"
+
+    def test_defining_properties_may_be_any_collection_of_names(self):
+        for names in (["b", "a"], ("a", "b"), iter(["a", "b"]), frozenset({"a", "b"})):
+            assert ContextSpec("c", names).defining_properties == frozenset({"a", "b"})
+
+    # A kind given by its value was taken for two-means selection.
+    @pytest.mark.parametrize("kind", ["positive_threshold", "kmeans2", None])
+    def test_selection_kind_must_be_a_selection_kind(self, kind):
+        with pytest.raises(ParseError) as excinfo:
+            SelectionStrategy(kind)
+        assert str(excinfo.value) == f"kind: unknown selection strategy: {kind!r}"
 
     def test_threshold_range_enforced(self):
         with pytest.raises(ValueError):
@@ -280,7 +300,7 @@ class TestContextSpec:
     def test_threshold_past_the_float_range_rejected(self):
         with pytest.raises(ValueError) as excinfo:
             SelectionStrategy(threshold=-10 ** 400)
-        assert str(excinfo.value) == "selection threshold -inf outside [-1, 1]"
+        assert str(excinfo.value) == "threshold: importance -inf outside [-1, 1]"
 
     def test_threshold_is_stored_as_the_checked_float(self):
         strategy = SelectionStrategy(threshold=1)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
+import pkgutil
 import random
 from collections import Counter
 
@@ -30,7 +32,8 @@ from valuetax import (
     property_node,
     serialize_taxonomy,
 )
-from valuetax import io_formats
+import valuetax
+from valuetax import io_formats, taxonomy
 from valuetax.errors import (
     InvalidTaxonomy,
     MalformedEvent,
@@ -238,18 +241,20 @@ class TestTaxonomyParseErrors:
         assert excinfo.value.location == location
         assert str(excinfo.value) == f"{location}: {detail}"
 
-    # Entries are read whole before build checks for duplicates.
+    # Every node is read whole before build checks for a repeated id; the
+    # constructor then checks the edges in order, each for its endpoints and
+    # then for a repeat.
     @pytest.mark.parametrize("doc, location, detail", [
         ({"nodes": [V, V, {"id": "w", "kind": "blob"}]}, "nodes[2].kind",
          "unknown node kind: 'blob'"),
-        ({"nodes": [V, V], "edges": [{"parent": "v", "child": 3}]}, "edges[0]",
-         "edge endpoints must be node id strings"),
+        ({"nodes": [V, V], "edges": [{"parent": "v", "child": 3}]}, "nodes[1].id",
+         "duplicate node id: 'v'"),
         ({"edges": [{"parent": "v", "child": "p"}, {"parent": "v", "child": "p"},
-                    {"parent": None, "child": "p"}]}, "edges[2]",
-         "edge endpoints must be node id strings"),
+                    {"parent": None, "child": "p"}]}, "edges[1]",
+         "duplicate edge 'v' -> 'p'"),
     ], ids=["bad-kind-after-duplicate-id", "bad-edge-after-duplicate-id",
             "bad-edge-after-duplicate-edge"])
-    def test_a_malformed_entry_is_reported_before_a_duplicate(self, doc, location, detail):
+    def test_which_of_two_refusals_is_reported(self, doc, location, detail):
         doc = {"schema_version": 1, "nodes": [self.V, self.P], **doc}
         with pytest.raises(ParseError) as excinfo:
             parse_taxonomy(json.dumps(doc))
@@ -358,6 +363,41 @@ class TestContextParseErrors:
             parse_context(doc)
         assert excinfo.value.location == location
         assert str(excinfo.value) == f"{location}: {detail}"
+
+
+@pytest.fixture
+def importance_checks(monkeypatch):
+    """The values given to ``check_importance``, counted in every package module
+    that binds it."""
+    checked = []
+    original = taxonomy.check_importance
+
+    def counted(value, *args):
+        checked.append(value)
+        return original(value, *args)
+
+    names = [f"valuetax.{info.name}" for info in pkgutil.iter_modules(valuetax.__path__)]
+    for module in map(importlib.import_module, names):
+        if getattr(module, "check_importance", None) is original:
+            monkeypatch.setattr(module, "check_importance", counted)
+    return checked
+
+
+# Ints, which a float-only fast path would not skip.
+class TestEachImportanceIsCheckedOnce:
+    VALUES = [1, 0, -1, 1, 0, -1]
+
+    def test_taxonomy_document(self, importance_checks):
+        nodes = [{"id": f"n{i}", "kind": "label", "importance": v} for i, v in enumerate(self.VALUES)]
+        parse_taxonomy(json.dumps({"schema_version": 1, "nodes": nodes}))
+        assert importance_checks == self.VALUES
+
+    def test_context_document(self, importance_checks):
+        parse_context(json.dumps({
+            "schema_version": 1, "id": "c",
+            "property_importance": {f"p{i}": v for i, v in enumerate(self.VALUES)},
+            "selection": {"kind": "positive_threshold", "threshold": 0}}))
+        assert sorted(importance_checks) == sorted([*self.VALUES, 0])  # the threshold is 0
 
 
 class TestEventLogs:

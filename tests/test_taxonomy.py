@@ -58,20 +58,20 @@ class TestNodes:
     def test_id_must_be_a_string(self, node_id):
         with pytest.raises(ValueError) as excinfo:
             Node(node_id, NodeKind.LABEL, "five")
-        assert str(excinfo.value) == "node id must be a non-empty string"
+        assert str(excinfo.value) == "id: node id must be a non-empty string"
 
     @pytest.mark.parametrize("kind", ["label", None, 0], ids=["value", "None", "int"])
     def test_kind_must_be_a_node_kind(self, kind):
         with pytest.raises(ValueError) as excinfo:
             Node("x", kind, "t")
-        assert str(excinfo.value) == f"unknown node kind: {kind!r}"
+        assert str(excinfo.value) == f"kind: unknown node kind: {kind!r}"
 
     @pytest.mark.parametrize("kind", list(NodeKind))
     @pytest.mark.parametrize("text", [None, 3, b"t"], ids=["None", "int", "bytes"])
     def test_text_must_be_a_string(self, kind, text):
         with pytest.raises(ValueError) as excinfo:
             Node("x", kind, text)
-        assert str(excinfo.value) == f"node text of 'x' must be a string, got {text!r}"
+        assert str(excinfo.value) == f"text: must be a string, got {text!r}"
 
 
 class TestConstruction:
@@ -97,41 +97,52 @@ class TestConstruction:
     def test_importance_past_the_float_range_rejected(self, value, shown):
         with pytest.raises(ValueError) as excinfo:
             ValueTaxonomy.build([label_node("a")], importance={"a": value})
-        assert str(excinfo.value) == f"importance of 'a' {shown} outside [-1, 1]"
+        assert str(excinfo.value) == f"importance.a: importance {shown} outside [-1, 1]"
 
     def test_importance_for_unknown_node_rejected(self):
         with pytest.raises(UnknownNode):
             ValueTaxonomy.build([label_node("a")], importance={"ghost": 0.1})
 
     # Mixed with string endpoints, a number made validation's sort raise TypeError.
-    @pytest.mark.parametrize("edge", [("a", 5), (5, "a"), ("a", None), ("a", ("b",))],
-                             ids=["int-child", "int-parent", "None", "tuple"])
+    @pytest.mark.parametrize("edge", [("a", 5), (5, "a"), ("a", None), ("a", ("b",)), ("a", ["b"])],
+                             ids=["int-child", "int-parent", "None", "tuple", "list"])
     def test_edge_endpoints_must_be_strings(self, edge):
         nodes = [label_node("a"), label_node("b")]
         with pytest.raises(ValueError) as excinfo:
             ValueTaxonomy.build(nodes, [edge, ("a", "b")])
-        assert str(excinfo.value) == "edge endpoints must be node id strings"
+        assert str(excinfo.value) == "edges[0]: edge endpoints must be node id strings"
+
+    def test_constructor_refuses_a_repeated_edge_at_its_index(self):
+        nodes = {"a": label_node("a"), "b": label_node("b")}
+        with pytest.raises(InvalidTaxonomy) as excinfo:
+            ValueTaxonomy(nodes, [("a", "b"), ("a", "b")])
+        assert str(excinfo.value) == "edges[1]: duplicate edge 'a' -> 'b'"
 
     def test_two_nodes_may_share_label_text(self):
         t = ValueTaxonomy.build([label_node("a", "same"), label_node("b", "same")])
         assert validate(t) == ()
 
 
-# Every place that takes an importance.
+# Every place that takes an importance, and the field it locates a refusal at.
 IMPORTANCE_TAKERS = {
-    "build": lambda v: ValueTaxonomy.build([label_node("a")], [], {"a": v}),
-    "with_importance": lambda v: ValueTaxonomy.build([label_node("a")]).with_importance({"a": v}),
-    "ContextSpec": lambda v: ContextSpec("c", property_importance={"p": v}),
-    "SelectionStrategy": lambda v: SelectionStrategy(threshold=v),
+    "build": ("importance.a",
+              lambda v: ValueTaxonomy.build([label_node("a")], [], {"a": v})),
+    "with_importance": ("importance.a",
+                        lambda v: ValueTaxonomy.build([label_node("a")]).with_importance({"a": v})),
+    "ContextSpec": ("property_importance.p",
+                    lambda v: ContextSpec("c", property_importance={"p": v})),
+    "SelectionStrategy": ("threshold", lambda v: SelectionStrategy(threshold=v)),
 }
 
 
 @pytest.mark.parametrize("taker", IMPORTANCE_TAKERS)
 @pytest.mark.parametrize("value", ["0.5", True, None], ids=["str", "bool", "None"])
 def test_importance_must_be_an_int_or_a_float(taker, value):
-    with pytest.raises(ValueError) as excinfo:
-        IMPORTANCE_TAKERS[taker](value)
-    assert str(excinfo.value) == f"importance must be a number, got {value!r}"
+    location, take = IMPORTANCE_TAKERS[taker]
+    with pytest.raises(ParseError) as excinfo:
+        take(value)
+    assert excinfo.value.location == location
+    assert str(excinfo.value) == f"{location}: importance must be a number, got {value!r}"
 
 
 STRUCTURE_CACHES = ("_children", "_parents", "_order")
@@ -164,7 +175,7 @@ class TestWithImportance:
         t = ValueTaxonomy.build([label_node("a")])
         with pytest.raises(ValueError) as excinfo:
             t.with_importance({"a": -10 ** 400})
-        assert str(excinfo.value) == "importance of 'a' -inf outside [-1, 1]"
+        assert str(excinfo.value) == "importance.a: importance -inf outside [-1, 1]"
 
 
 def refusal(nodes, edges) -> InvalidTaxonomy:
