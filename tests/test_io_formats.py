@@ -383,7 +383,7 @@ def importance_checks(monkeypatch):
     return checked
 
 
-# Ints, which a float-only fast path would not skip.
+# Int values: a shortcut that passed in-range floats through would still check these.
 class TestEachImportanceIsCheckedOnce:
     VALUES = [1, 0, -1, 1, 0, -1]
 
