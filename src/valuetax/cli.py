@@ -217,8 +217,7 @@ def _selection_override(args, default: SelectionStrategy) -> SelectionStrategy:
 def _cmd_context(args) -> tuple[int, str]:
     general = _load(args.input, parse_taxonomy)
     ctx = _load(args.context, parse_context)
-    strategy = _selection_override(args, ctx.selection)
-    ctx = ContextSpec(ctx.id, ctx.defining_properties, dict(ctx.property_importance), strategy)
+    ctx = ctx.with_selection(_selection_override(args, ctx.selection))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -84,6 +84,13 @@ class ContextSpec(Record):
         setfield(self, "property_importance", MappingProxyType(cleaned))
         setfield(self, "selection", selection)
 
+    def with_selection(self, selection: SelectionStrategy) -> "ContextSpec":
+        """Copy of this context with the selection replaced; the other fields are not checked again."""
+        copy = object.__new__(ContextSpec)
+        for name in self._fields:
+            setfield(copy, name, selection if name == "selection" else getattr(self, name))
+        return copy
+
 
 # Rounding in the centred running sums moves a cut's error by up to about
 # 0.7 * n * eps of the total squared error (measured for 2 to 100,000
@@ -141,6 +148,9 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
     importances; interior importances are filled by propagation and owe
     nothing to the general taxonomy's own annotations.
 
+    The kept nodes are closed upwards, so the subgraph is valid: it inherits
+    its structure from ``general``, filtered to them, without being validated again.
+
     An empty selection is reported as an EmptySelectionWarning and yields
     an empty taxonomy.
     """
@@ -158,9 +168,13 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
         return ValueTaxonomy()
 
     keep = selected | ancestors(general, selected)
-    nodes = {n: general.nodes[n] for n in keep}
-    edges = frozenset((p, c) for p, c in general.edges if p in keep and c in keep)
-    seeded = ValueTaxonomy(nodes, edges, {p: importances[p] for p in selected})
+    order = [n for n in general._order if n in keep]  # every kept node keeps all its parents
+    seeded = ValueTaxonomy._inherit(
+        MappingProxyType({n: general.nodes[n] for n in order}),
+        frozenset(edge for edge in general.edges if edge[1] in keep),
+        {p: importances[p] for p in selected},
+        {"_children": {n: tuple([c for c in general._children[n] if c in keep]) for n in order},
+         "_parents": {n: general._parents[n] for n in order}, "_order": order})
     return propagate(seeded).taxonomy
 
 

@@ -11,7 +11,9 @@ they are safe to share across threads. Construction checks every invariant,
 the graph-level rules of :func:`validate` included, and raises on any
 violation, so no taxonomy a caller holds is invalid and no query checks
 again. A value is checked once, by the record that holds it, at its field.
-One cached Kahn pass gives both the acyclicity test and the parents-first order.
+One pass over the edges derives both adjacency maps, and one cached Kahn pass
+gives both the acyclicity test and the parents-first order. An upward-closed
+subgraph of a valid taxonomy inherits that structure without being validated again.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class ValueTaxonomy(Record):
     id to a value in [-1, 1]. Equality is structural over all three.
     """
 
-    # __dict__ holds the derived structure (the cached properties), which validation fills.
+    # __dict__ holds the derived structure: the adjacency maps, built in the constructor's
+    # one pass over the edges, and the cached order, which validation fills.
     __slots__ = ("nodes", "edges", "importance", "__dict__")
 
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
@@ -128,6 +131,7 @@ class ValueTaxonomy(Record):
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
         setfield(self, "nodes", MappingProxyType(nodes))
         checked: set[tuple[NodeId, NodeId]] = set()
+        children, parents = {n: [] for n in nodes}, {n: [] for n in nodes}
         for i, edge in enumerate(edges):  # located at its index in the order given
             parent, child = edge
             if not isinstance(parent, str) or not isinstance(child, str):
@@ -135,7 +139,14 @@ class ValueTaxonomy(Record):
             if edge in checked:
                 raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
             checked.add(edge)
+            if parent in children and child in parents:  # validate reports the others
+                children[parent].append(child)
+                parents[child].append(parent)
         setfield(self, "edges", frozenset(checked))
+        for adjacency in (children, parents):  # id order, which propagation sums in
+            for node, ids in adjacency.items():
+                adjacency[node] = tuple(sorted(ids))
+        self.__dict__.update(_children=children, _parents=parents)
         setfield(self, "importance", _checked_importance(nodes, importance))
         violations = validate(self)
         if violations:
@@ -156,31 +167,19 @@ class ValueTaxonomy(Record):
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
         """Copy of this taxonomy with the importance mapping replaced. The copy
-        shares the nodes, the edges and the structure validation derived from them."""
-        checked = _checked_importance(self.nodes, importance)
-        copy = object.__new__(ValueTaxonomy)
-        setfield(copy, "nodes", self.nodes)
-        setfield(copy, "edges", self.edges)
-        setfield(copy, "importance", checked)
-        copy.__dict__.update(self.__dict__)
-        return copy
+        shares the nodes, the edges and the structure derived from them."""
+        return ValueTaxonomy._inherit(self.nodes, self.edges, importance, self.__dict__)
 
-    # Adjacency maps are derived once; the instance is immutable.
-    @cached_property
-    def _children(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        out: dict[NodeId, list[NodeId]] = {n: [] for n in self.nodes}
-        for parent, child in self.edges:
-            if parent in out and child in self.nodes:
-                out[parent].append(child)
-        return {n: tuple(sorted(cs)) for n, cs in out.items()}
-
-    @cached_property
-    def _parents(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        out: dict[NodeId, list[NodeId]] = {n: [] for n in self.nodes}
-        for parent, child in self.edges:
-            if child in out and parent in self.nodes:
-                out[child].append(parent)
-        return {n: tuple(sorted(ps)) for n, ps in out.items()}
+    @classmethod
+    def _inherit(cls, nodes, edges, importance, structure: Mapping) -> "ValueTaxonomy":
+        """A taxonomy given its derived structure, the one path that skips :func:`validate`: only
+        for a valid taxonomy's structure, or an upward-closed subgraph's. Importance is checked."""
+        taxonomy = object.__new__(cls)
+        setfield(taxonomy, "nodes", nodes)
+        setfield(taxonomy, "edges", edges)
+        setfield(taxonomy, "importance", _checked_importance(nodes, importance))
+        taxonomy.__dict__.update(structure)
+        return taxonomy
 
     @cached_property
     def _order(self) -> list[NodeId]:
@@ -247,24 +246,22 @@ def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
     """The violations of the graph-level invariants, rule by rule: known edge
     endpoints, property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
     constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with any it
-    finds. One cached Kahn pass decides acyclicity and gives :func:`topological_order`.
-    """
+    finds; the cached Kahn order that decides acyclicity gives :func:`topological_order`."""
     violations: list[Violation] = []
-    edges = sorted(taxonomy.edges)
-
-    for parent, child in edges:
+    nodes = taxonomy.nodes
+    # Found over the edges as stored; only what is found is sorted, to be worded in order.
+    for parent, child in sorted([(p, c) for p, c in taxonomy.edges if p not in nodes or c not in nodes]):
         for endpoint in (parent, child):
-            if endpoint not in taxonomy.nodes:
+            if endpoint not in nodes:
                 violations.append(Violation(
                     RULE_UNKNOWN_ENDPOINT, f"{parent}->{child}",
                     f"edge ({parent!r}, {child!r}) references unknown node {endpoint!r}"))
 
-    for parent, child in edges:
-        node = taxonomy.nodes.get(parent)
-        if node is not None and node.kind is NodeKind.PROPERTY:
-            violations.append(Violation(
-                RULE_PROPERTY_LEAF, parent,
-                f"property node {parent!r} has child {child!r}; property nodes must be leaves"))
+    for parent, child in sorted([(p, c) for p, c in taxonomy.edges
+                                 if p in nodes and nodes[p].kind is NodeKind.PROPERTY]):
+        violations.append(Violation(
+            RULE_PROPERTY_LEAF, parent,
+            f"property node {parent!r} has child {child!r}; property nodes must be leaves"))
 
     # The Kahn order decides that there is a cycle; the DFS only words it.
     if len(taxonomy._order) < len(taxonomy.nodes):

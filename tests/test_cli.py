@@ -53,6 +53,20 @@ def elder_context_file(tmp_path):
     return str(path)
 
 
+def record_calls(monkeypatch, original) -> list[tuple]:
+    """The arguments of every call of ``original``, counted wherever a module
+    of the package binds it, as the benchmark tracer wraps it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "valuetax" and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -128,16 +142,7 @@ class TestValidateCommand:
         assert out == (GOLDEN / "validate-invalid.json").read_text(encoding="utf-8")
 
     def test_valid_document_is_validated_once(self, capsys, fairness_file, monkeypatch):
-        # counted wherever a module of the package binds validate, as the tracer wraps it
-        calls = []
-        original = taxonomy_module.validate
-
-        def counted(taxonomy):
-            calls.append(taxonomy)
-            return original(taxonomy)
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "valuetax" and getattr(module, "validate", None) is original:
-                monkeypatch.setattr(module, "validate", counted)
+        calls = record_calls(monkeypatch, taxonomy_module.validate)
         assert run(capsys, "validate", "--input", fairness_file)[0] == 0
         assert len(calls) == 1
 
@@ -315,6 +320,33 @@ class TestContextCommand:
         assert code == 0
         ids = [n["id"] for n in json.loads(out)["nodes"]]
         assert ids == ["fairness", "give_take", "offer_ratio", "reciprocity"]
+
+    GOLDEN_ARGV = ("context", "--input", str(GOLDEN / "context-general-taxonomy.json"),
+                   "--context", str(GOLDEN / "context-spec.json"))
+
+    # A DAG whose shared child is kept under both overrides, with ids not in edge order.
+    @pytest.mark.parametrize("override, golden", [
+        (("--strategy", "kmeans2"), "context-kmeans2.json"),
+        (("--threshold", "0.3"), "context-threshold.json")], ids=["kmeans2", "threshold"])
+    def test_machine_output_matches_the_golden_file(self, capsys, override, golden):
+        code, out, err = run(capsys, *self.GOLDEN_ARGV, *override, "--format", "machine")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_only_the_general_taxonomy_is_validated(self, capsys, monkeypatch):
+        # the kept subgraph inherits its structure from the validated general taxonomy
+        calls = record_calls(monkeypatch, taxonomy_module.validate)
+        assert run(capsys, *self.GOLDEN_ARGV, "--strategy", "kmeans2")[0] == 0
+        assert [len(taxonomy.nodes) for (taxonomy,) in calls] == [10]
+
+    def test_each_context_importance_is_checked_once(self, capsys, monkeypatch):
+        # counted where each check is located: the override copies the parsed context
+        calls = record_calls(monkeypatch, taxonomy_module.importance_at)
+        assert run(capsys, *self.GOLDEN_ARGV, "--strategy", "kmeans2")[0] == 0
+        located = sorted(location for location, _ in calls
+                         if location.startswith("property_importance."))
+        names = json.loads((GOLDEN / "context-spec.json").read_text())["property_importance"]
+        assert located == sorted(f"property_importance.{name}" for name in names)
 
     def test_empty_selection_warns_but_succeeds(self, capsys, fairness_file, tmp_path):
         ctx = ContextSpec("none", property_importance={"offer_ratio": -0.5})

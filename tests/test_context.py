@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from valuetax import (
+    KMEANS_SELECTION,
+    POSITIVE_SELECTION,
     ContextSpec,
     SelectionKind,
     SelectionStrategy,
@@ -18,6 +20,7 @@ from valuetax import (
     context_holds,
     select_nodes,
     topological_order,
+    ValueTaxonomy,
 )
 from valuetax.errors import EmptyInput, EmptySelectionWarning, MissingEvaluator, ParseError
 from valuetax.taxonomy import validate
@@ -236,6 +239,50 @@ class TestBuildContextTaxonomy:
                 n for n in topological_order(general) if n in built.nodes]
         assert checked > 50
 
+    def test_inherited_structure_equals_a_fresh_build(self):
+        # The subgraph takes its structure from the general taxonomy instead of
+        # deriving it; a fresh build of the induced subgraph must derive the same.
+        rng = random.Random(1515)
+        checked = 0
+        for _ in range(300):
+            general = random_taxonomy(rng, max_nodes=16, extra_edge_prob=0.3)
+            if not general.property_nodes():  # nothing to select from
+                continue
+            names = sorted(general.nodes)
+            general = relabelled(general, dict(zip(names, rng.sample(names, len(names)))))
+            ctx = ContextSpec("rand", property_importance={
+                p: rng.uniform(-1, 1) for p in general.property_nodes()},
+                selection=rng.choice([POSITIVE_SELECTION, KMEANS_SELECTION]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptySelectionWarning)
+                built = build_context_taxonomy(general, ctx)
+            induced = [(p, c) for p, c in general.edges if p in built.nodes and c in built.nodes]
+            fresh = ValueTaxonomy(built.nodes, induced, built.importance)
+            assert built.edges == fresh.edges
+            for name in ("_children", "_parents", "_order"):
+                assert getattr(built, name) == getattr(fresh, name), name
+            checked += len(induced) < len(general.edges) and len(built.nodes) > 2
+        assert checked > 50
+
+    def test_adjacency_is_in_id_order(self):
+        # Propagation and check_coherence sum children in this order, so any
+        # other order could change the last bit of a mean.
+        rng = random.Random(1616)
+        for _ in range(200):
+            general = random_taxonomy(rng, max_nodes=16, extra_edge_prob=0.4)
+            names = sorted(general.nodes)
+            general = relabelled(general, dict(zip(names, rng.sample(names, len(names)))))
+            ctx = ContextSpec("rand", property_importance={
+                p: rng.uniform(-1, 1) for p in general.property_nodes()})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptySelectionWarning)
+                built = build_context_taxonomy(general, ctx)
+            for t in (general, built):
+                for adjacency in (t._children, t._parents):
+                    assert set(adjacency) == set(t.nodes)
+                    for ids in adjacency.values():
+                        assert type(ids) is tuple and list(ids) == sorted(ids)
+
 
 class TestContextHolds:
     def test_vacuous_when_no_defining_properties(self):
@@ -260,6 +307,14 @@ class TestContextHolds:
 
 
 class TestContextSpec:
+    def test_with_selection_replaces_only_the_selection(self):
+        ctx = ContextSpec("c", frozenset({"offer_ratio"}), {"p": 0.5, "q": -1})
+        copy = ctx.with_selection(KMEANS_SELECTION)
+        assert copy == ContextSpec("c", frozenset({"offer_ratio"}), {"p": 0.5, "q": -1},
+                                   KMEANS_SELECTION)
+        assert copy.property_importance is ctx.property_importance
+        assert ctx.selection == POSITIVE_SELECTION
+
     def test_importance_range_enforced(self):
         with pytest.raises(ValueError):
             ContextSpec("c", property_importance={"p": 1.2})
