@@ -239,9 +239,11 @@ class TestBuildContextTaxonomy:
                 n for n in topological_order(general) if n in built.nodes]
         assert checked > 50
 
-    def test_inherited_structure_equals_a_fresh_build(self):
+    def test_inherited_structure_equals_a_fresh_build_in_id_order(self):
         # The subgraph takes its structure from the general taxonomy instead of
         # deriving it; a fresh build of the induced subgraph must derive the same.
+        # Propagation and check_coherence sum children in adjacency order, so
+        # any order but id order could change the last bit of a mean.
         rng = random.Random(1515)
         checked = 0
         for _ in range(300):
@@ -261,27 +263,13 @@ class TestBuildContextTaxonomy:
             assert built.edges == fresh.edges
             for name in ("_children", "_parents", "_order"):
                 assert getattr(built, name) == getattr(fresh, name), name
-            checked += len(induced) < len(general.edges) and len(built.nodes) > 2
-        assert checked > 50
-
-    def test_adjacency_is_in_id_order(self):
-        # Propagation and check_coherence sum children in this order, so any
-        # other order could change the last bit of a mean.
-        rng = random.Random(1616)
-        for _ in range(200):
-            general = random_taxonomy(rng, max_nodes=16, extra_edge_prob=0.4)
-            names = sorted(general.nodes)
-            general = relabelled(general, dict(zip(names, rng.sample(names, len(names)))))
-            ctx = ContextSpec("rand", property_importance={
-                p: rng.uniform(-1, 1) for p in general.property_nodes()})
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptySelectionWarning)
-                built = build_context_taxonomy(general, ctx)
             for t in (general, built):
                 for adjacency in (t._children, t._parents):
                     assert set(adjacency) == set(t.nodes)
                     for ids in adjacency.values():
                         assert type(ids) is tuple and list(ids) == sorted(ids)
+            checked += len(induced) < len(general.edges) and len(built.nodes) > 2
+        assert checked > 50
 
 
 class TestContextHolds:
