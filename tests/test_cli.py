@@ -231,6 +231,14 @@ class TestPropagateCommand:
         from valuetax import parse_taxonomy
         assert parse_taxonomy(out) == fairness_taxonomy()
 
+    # Given and propagated values -0.0, 5e-324 and 1e-300; ids and texts with a
+    # quote, a backslash, control characters, U+2028 and a non-BMP character.
+    def test_edge_values_output_matches_the_golden_file(self, capsys):
+        code, out, err = run(capsys, "propagate", "--format", "machine",
+                             "--input", str(GOLDEN / "edge-values-taxonomy.json"))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "propagate-edge-values.json").read_text(encoding="utf-8")
+
 
 class TestCoherenceCommand:
     def test_incoherent_exits_two(self, capsys, incoherent_file):
