@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 from ._record import EMPTY_MAPPING, Record, setfield
 from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator, ParseError
 from .propagation import propagate
-from .taxonomy import NodeId, ValueTaxonomy, ancestors, importance_at
+from .taxonomy import NodeId, NodeKind, ValueTaxonomy, ancestors, importance_at
 
 # Anything a property evaluator can be asked about.
 WorldState = Any
@@ -154,7 +154,7 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
     An empty selection is reported as an EmptySelectionWarning and yields
     an empty taxonomy.
     """
-    property_ids = set(general.property_nodes())
+    property_ids = {n for n, node in general.nodes.items() if node.kind is NodeKind.PROPERTY}
     stray = set(ctx.property_importance) - property_ids
     if stray:
         raise ValueError(

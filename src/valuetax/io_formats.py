@@ -8,11 +8,12 @@ node, edge, and importance content exactly. A parser reads the shape of a
 document; the records check its values and locate a refusal at their field, to
 which the parser adds the entry (``nodes[2].``). Malformed JSON is located by line.
 
-A taxonomy is written byte for byte as ``json.dumps(doc, indent=2)`` would
-write it, but by the C encoder (``indent=`` drops ``json`` to pure Python):
-each entry list is encoded with the separator ``",\\n      "``, a key's newline
-and indent. No encoded string holds a raw newline and no entry a nested object,
-so ``"},\\n      {"`` occurs only between entries, where one replace splits it.
+A taxonomy is written byte for byte as ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` writes it: each node and edge entry fills a fixed template
+of that layout, with strings encoded by ``json.encoder.encode_basestring`` and
+importances (finite floats in [-1, 1]) by ``float.__repr__``, the two functions
+``json`` itself calls for them. Nodes come in id order, and edges from the
+adjacency map in that order, each child tuple being in id order: sorted pairs.
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
 the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
@@ -47,7 +48,7 @@ _NODE_KINDS = {"label": (NodeKind.LABEL, "label_text"), "property": (NodeKind.PR
 # where a context record's field sits in the document; any other is located there already
 _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.defining_properties",
                    "kind": "selection.kind", "threshold": "selection.threshold"}
-_encode_flat = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
+_quote = json.encoder.encode_basestring  # json.dumps' string encoder under ensure_ascii=False
 
 _EVENT_KINDS = frozenset(kind.value for kind in EventKind)
 _decode_record = json.JSONDecoder().raw_decode
@@ -126,27 +127,26 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
         raise
 
 
-def _encode_entries(entries: list[dict[str, Any]]) -> str:
-    """``entries`` as ``json.dumps(..., indent=2)`` writes a list two levels deep."""
-    if not entries:
-        return "[]"
-    body = _encode_flat(entries).replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + body[2:-2] + "\n    }\n  ]"
+def _entry_list(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
     """Render a taxonomy document; output is deterministic for equal inputs."""
-    nodes = []
+    importance, children = taxonomy.importance, taxonomy._children
+    nodes, edges = [], []
     for node_id in sorted(taxonomy.nodes):
-        node = taxonomy.nodes[node_id]
+        node, quoted = taxonomy.nodes[node_id], _quote(node_id)
         kind = node.kind.value
-        entry: dict[str, Any] = {"id": node.id, "kind": kind, _NODE_KINDS[kind][1]: node.text}
-        if node_id in taxonomy.importance:
-            entry["importance"] = taxonomy.importance[node_id]
-        nodes.append(entry)
-    edges = [{"parent": p, "child": c} for p, c in sorted(taxonomy.edges)]
-    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": {_encode_entries(nodes)},'
-            f'\n  "edges": {_encode_entries(edges)}\n}}\n')
+        entry = (f'    {{\n      "id": {quoted},\n      "kind": "{kind}",'
+                 f'\n      "{_NODE_KINDS[kind][1]}": {_quote(node.text)}')
+        if node_id in importance:  # a finite float, written as json writes one
+            entry += f',\n      "importance": {importance[node_id]!r}'
+        nodes.append(entry + "\n    }")
+        edges.extend(f'    {{\n      "parent": {quoted},\n      "child": {_quote(c)}\n    }}'
+                     for c in children[node_id])  # each child tuple is in id order
+    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": {_entry_list(nodes)},'
+            f'\n  "edges": {_entry_list(edges)}\n}}\n')
 
 
 def parse_context(text: str) -> ContextSpec:
@@ -278,12 +278,10 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
     for node_id in sorted(taxonomy.nodes):
         node = taxonomy.nodes[node_id]
         shape = "circle" if node.kind is NodeKind.LABEL else "square"
-        label = node.text.replace("\\", "\\\\").replace('"', '\\"')
+        label = _dot_quote(node.text)[1:-1]
         if node_id in taxonomy.importance:
             # \n is DOT's in-label line break, kept out of _dot_quote's escaping
             label = f"{label}\\n{taxonomy.importance[node_id]:.6f}"
         lines.append(f'  {_dot_quote(node_id)} [shape={shape}, label="{label}"];')
-    for parent, child in sorted(taxonomy.edges):
-        lines.append(f"  {_dot_quote(parent)} -> {_dot_quote(child)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"  {_dot_quote(p)} -> {_dot_quote(c)};" for p, c in sorted(taxonomy.edges))
+    return "\n".join(lines) + "\n}\n"

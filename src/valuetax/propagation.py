@@ -269,7 +269,7 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     """
     values, assigned, rounds = _resolve(taxonomy)
     return PropagationResult(
-        taxonomy=taxonomy.with_importance(values),
+        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, values, taxonomy.__dict__),
         assigned=assigned,
         iterations=rounds,
     )

@@ -147,7 +147,7 @@ class ValueTaxonomy(Record):
             for node, ids in adjacency.items():
                 adjacency[node] = tuple(sorted(ids))
         self.__dict__.update(_children=children, _parents=parents)
-        setfield(self, "importance", _checked_importance(nodes, importance))
+        setfield(self, "importance", MappingProxyType(_checked_importance(nodes, importance)))
         violations = validate(self)
         if violations:
             raise InvalidTaxonomy(violations)
@@ -166,18 +166,20 @@ class ValueTaxonomy(Record):
         return cls(node_map, edges, importance or EMPTY_MAPPING)
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
-        """Copy of this taxonomy with the importance mapping replaced. The copy
-        shares the nodes, the edges and the structure derived from them."""
-        return ValueTaxonomy._inherit(self.nodes, self.edges, importance, self.__dict__)
+        """Copy of this taxonomy with the importance mapping replaced and checked.
+        The copy shares the nodes, the edges and the structure derived from them."""
+        return ValueTaxonomy._inherit(self.nodes, self.edges, _checked_importance(self.nodes, importance),
+                                      self.__dict__)
 
     @classmethod
-    def _inherit(cls, nodes, edges, importance, structure: Mapping) -> "ValueTaxonomy":
-        """A taxonomy given its derived structure, the one path that skips :func:`validate`: only
-        for a valid taxonomy's structure, or an upward-closed subgraph's. Importance is checked."""
+    def _inherit(cls, nodes, edges, importance: dict, structure: Mapping) -> "ValueTaxonomy":
+        """A taxonomy given its derived structure, the one path that skips :func:`validate` and the
+        value checks: only for a valid taxonomy's structure, or an upward-closed subgraph's, and for
+        floats in [-1, 1] keyed by its nodes, checked where they entered: a record or propagation."""
         taxonomy = object.__new__(cls)
         setfield(taxonomy, "nodes", nodes)
         setfield(taxonomy, "edges", edges)
-        setfield(taxonomy, "importance", _checked_importance(nodes, importance))
+        setfield(taxonomy, "importance", MappingProxyType(importance))
         taxonomy.__dict__.update(structure)
         return taxonomy
 
@@ -209,13 +211,13 @@ def _repeat(rule: str, location: str, message: str) -> InvalidTaxonomy:
 
 
 def _checked_importance(nodes: Mapping[NodeId, Node],
-                        importance: Mapping[NodeId, Importance]) -> Mapping[NodeId, Importance]:
+                        importance: Mapping[NodeId, Importance]) -> dict[NodeId, Importance]:
     checked = {}
     for node_id, value in dict(importance).items():
         if node_id not in nodes:
             raise UnknownNode(node_id)
         checked[node_id] = importance_at(f"importance.{node_id}", value)
-    return MappingProxyType(checked)
+    return checked
 
 
 def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:

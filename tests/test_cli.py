@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,31 @@ from valuetax.cli import demo_event_log, main
 from conftest import context_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(tmp_path_factory):
+    """The benchmark's full-size inputs of a workload at seed 4242, by name."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def generate(name: str) -> Path:
+        out = tmp_path_factory.mktemp(name)
+        workloads.generate(name, 4242, "full", str(out))
+        return out
+    return generate
+
+
+def located_importance_checks(calls: list[tuple]) -> list[str]:
+    """The node importance checks among ``importance_at`` calls, by location."""
+    return sorted(location for location, _ in calls if location.startswith("importance."))
+
+
+def given_importance_locations(path: Path) -> list[str]:
+    nodes = json.loads(path.read_text(encoding="utf-8"))["nodes"]
+    return sorted(f"importance.{node['id']}" for node in nodes if "importance" in node)
 
 
 @pytest.fixture
@@ -239,6 +265,25 @@ class TestPropagateCommand:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "propagate-edge-values.json").read_text(encoding="utf-8")
 
+    # each given value is checked by the parse, and propagate's values are not checked again
+    def test_each_importance_is_checked_once(self, capsys, monkeypatch, workload_inputs, tmp_path):
+        document = workload_inputs("propagate-deep") / "taxonomy.json"
+        calls = record_calls(monkeypatch, taxonomy_module.importance_at)
+        code, _, err = run(capsys, "propagate", "--input", str(document), "--format", "machine",
+                           "--output", str(tmp_path / "out.json"))
+        assert (code, err) == (0, "")
+        located = located_importance_checks(calls)
+        assert len(located) == 123
+        assert located == given_importance_locations(document)
+
+    def test_propagating_a_parsed_taxonomy_checks_no_importance(self, monkeypatch):
+        from valuetax import parse_taxonomy, propagate
+        t = parse_taxonomy((GOLDEN / "edge-values-taxonomy.json").read_text(encoding="utf-8"))
+        calls = record_calls(monkeypatch, taxonomy_module.importance_at)
+        result = propagate(t)
+        assert calls == []
+        assert len(result.taxonomy.importance) == len(t.nodes)
+
 
 class TestCoherenceCommand:
     def test_incoherent_exits_two(self, capsys, incoherent_file):
@@ -355,6 +400,19 @@ class TestContextCommand:
                          if location.startswith("property_importance."))
         names = json.loads((GOLDEN / "context-spec.json").read_text())["property_importance"]
         assert located == sorted(f"property_importance.{name}" for name in names)
+
+    def test_the_seeded_subgraph_and_its_result_check_no_importance(
+            self, capsys, monkeypatch, workload_inputs, tmp_path):
+        # the context checked each seeded value; propagation range-checks what it computes
+        inputs = workload_inputs("context-wide")
+        calls = record_calls(monkeypatch, taxonomy_module.importance_at)
+        code, _, err = run(capsys, "context", "--input", str(inputs / "general.json"),
+                           "--context", str(inputs / "context.json"), "--strategy", "kmeans2",
+                           "--format", "machine", "--output", str(tmp_path / "out.json"))
+        assert (code, err) == (0, "")
+        assert given_importance_locations(inputs / "general.json") == []
+        assert located_importance_checks(calls) == []
+        assert len(json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["nodes"]) == 2437
 
     def test_empty_selection_warns_but_succeeds(self, capsys, fairness_file, tmp_path):
         ctx = ContextSpec("none", property_importance={"offer_ratio": -0.5})

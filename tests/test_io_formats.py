@@ -7,6 +7,7 @@ import io
 import json
 import pkgutil
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuetax import (
+    KMEANS_SELECTION,
+    POSITIVE_SELECTION,
     CommunityState,
     ContextSpec,
     EventKind,
@@ -29,19 +32,22 @@ from valuetax import (
     parse_context,
     parse_event_log,
     parse_taxonomy,
+    propagate,
     property_node,
     serialize_taxonomy,
 )
 import valuetax
 from valuetax import io_formats, taxonomy
 from valuetax.errors import (
+    EmptySelectionWarning,
     InvalidTaxonomy,
     MalformedEvent,
     ParseError,
     SchemaVersionUnsupported,
+    TaxonomyError,
 )
 
-from conftest import context_document, importance_values, random_taxonomy, taxonomies
+from conftest import context_document, importance_values, random_taxonomy, relabelled, taxonomies
 
 
 class TestTaxonomyRoundTrip:
@@ -98,6 +104,14 @@ def reference_document(taxonomy: ValueTaxonomy) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def with_shuffled_ids(rng: random.Random, t: ValueTaxonomy) -> ValueTaxonomy:
+    """``t`` with its node ids permuted among themselves."""
+    names = sorted(t.nodes)
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    return relabelled(t, dict(zip(names, shuffled)))
+
+
 # Pieces a JSON encoder escapes or passes through raw, and the writer's own
 # entry separator written inside a string.
 AWKWARD_PIECES = ['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\U0001f600", "},\n      {",
@@ -147,6 +161,42 @@ class TestTaxonomyWriter:
         text = serialize_taxonomy(t)
         assert text == reference_document(t)
         assert str(parse_taxonomy(text).importance["b"]) == str(value)
+
+    # Taxonomies that inherit their adjacency rather than build it: a context
+    # subgraph holds its nodes parents-first and filtered child tuples, and a
+    # propagation result shares its input's structure. Shuffled ids put id order
+    # out of step with the structure.
+    @pytest.mark.parametrize("selection", [POSITIVE_SELECTION, KMEANS_SELECTION],
+                             ids=["positive", "kmeans2"])
+    def test_context_taxonomies_equal_json_dumps_with_indent(self, selection):
+        written = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            general = with_shuffled_ids(rng, random_taxonomy(rng))
+            ctx = ContextSpec("c", property_importance={
+                p: rng.uniform(-1.0, 1.0) for p in general.property_nodes()}, selection=selection)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptySelectionWarning)
+                try:
+                    built = build_context_taxonomy(general, ctx)
+                except TaxonomyError:
+                    continue
+            assert serialize_taxonomy(built) == reference_document(built), seed
+            written += len(built.edges) > 1
+        assert written > 100
+
+    def test_propagated_taxonomies_equal_json_dumps_with_indent(self):
+        written = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            general = with_shuffled_ids(rng, random_taxonomy(rng, importance_prob=0.3))
+            try:
+                result = propagate(general).taxonomy
+            except TaxonomyError:
+                continue
+            assert serialize_taxonomy(result) == reference_document(result), seed
+            written += len(result.edges) > 1
+        assert written > 100
 
     def test_empty_lists_stay_inline(self):
         assert serialize_taxonomy(ValueTaxonomy()) == (
