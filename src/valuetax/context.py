@@ -154,12 +154,12 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
     An empty selection is reported as an EmptySelectionWarning and yields
     an empty taxonomy.
     """
-    property_ids = {n for n, node in general.nodes.items() if node.kind is NodeKind.PROPERTY}
-    stray = set(ctx.property_importance) - property_ids
+    importances = {n: ctx.property_importance.get(n, 0.0)
+                   for n, node in general.nodes.items() if node.kind is NodeKind.PROPERTY}
+    stray = ctx.property_importance.keys() - importances.keys()
     if stray:
         raise ValueError(
             f"context {ctx.id!r} assigns importance to non-property nodes: {sorted(stray)}")
-    importances = {p: ctx.property_importance.get(p, 0.0) for p in property_ids}
 
     selected = select_nodes(importances, ctx.selection)
     if not selected:

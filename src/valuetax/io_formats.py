@@ -283,5 +283,7 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
             # \n is DOT's in-label line break, kept out of _dot_quote's escaping
             label = f"{label}\\n{taxonomy.importance[node_id]:.6f}"
         lines.append(f'  {_dot_quote(node_id)} [shape={shape}, label="{label}"];')
-    lines.extend(f"  {_dot_quote(p)} -> {_dot_quote(c)};" for p, c in sorted(taxonomy.edges))
-    return "\n".join(lines) + "\n}\n"
+    for parent, child in sorted(taxonomy.edges):
+        lines.append(f"  {_dot_quote(parent)} -> {_dot_quote(child)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -166,16 +166,14 @@ class ValueTaxonomy(Record):
         return cls(node_map, edges, importance or EMPTY_MAPPING)
 
     def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
-        """Copy of this taxonomy with the importance mapping replaced and checked.
-        The copy shares the nodes, the edges and the structure derived from them."""
-        return ValueTaxonomy._inherit(self.nodes, self.edges, _checked_importance(self.nodes, importance),
-                                      self.__dict__)
+        """Copy with ``importance`` checked in place of this one's, sharing nodes, edges and structure."""
+        checked = _checked_importance(self.nodes, importance)
+        return self._inherit(self.nodes, self.edges, checked, self.__dict__)
 
     @classmethod
     def _inherit(cls, nodes, edges, importance: dict, structure: Mapping) -> "ValueTaxonomy":
-        """A taxonomy given its derived structure, the one path that skips :func:`validate` and the
-        value checks: only for a valid taxonomy's structure, or an upward-closed subgraph's, and for
-        floats in [-1, 1] keyed by its nodes, checked where they entered: a record or propagation."""
+        """A taxonomy given its derived structure and importance, the one path that checks neither: only
+        for a valid taxonomy's structure or an upward-closed subgraph's, and floats checked on entry."""
         taxonomy = object.__new__(cls)
         setfield(taxonomy, "nodes", nodes)
         setfield(taxonomy, "edges", edges)
