@@ -112,8 +112,8 @@ def with_shuffled_ids(rng: random.Random, t: ValueTaxonomy) -> ValueTaxonomy:
     return relabelled(t, dict(zip(names, shuffled)))
 
 
-# Pieces a JSON encoder escapes or passes through raw, and the writer's own
-# entry separator written inside a string.
+# Pieces a JSON encoder escapes or passes through raw, and the text between two
+# indented entries written inside a string.
 AWKWARD_PIECES = ['"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\U0001f600", "},\n      {",
                   "\u2028", "\ud800", "a"]
 awkward_text = st.one_of(
