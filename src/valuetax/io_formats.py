@@ -17,14 +17,15 @@ adjacency map in that order, each child tuple being in id order: sorted pairs.
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
 the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
-:func:`~valuetax.mutual_aid.ingest` counts. It is read in blocks of lines. A
-block's records come from one anchored regular-expression scan when each line
-ends with the block's only newlines, holds a canonical record - ``{"kind": K,
+:func:`~valuetax.mutual_aid.ingest` counts. It is read from a text stream,
+8,192 characters at a time; lines end at ``\n``, and the lines of a read are
+checked before a later read error. A read's records come from one anchored
+regular-expression scan when each line holds a canonical record - ``{"kind": K,
 "member": M, "timestamp": T}`` in that key order and spelled as ``json.dumps``
 writes it by default, a space after each colon and comma and none elsewhere, M
 free of escapes and control characters (its text is its value), T an unsigned
 integer of at most 18 digits with no leading zero - and no timestamp decreases.
-Any other block (a blank line, other spacing, another key order, an escape, a
+Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, by the decoder that words every error.
 """
 
@@ -33,9 +34,9 @@ from __future__ import annotations
 import io
 import json
 import re
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import le
-from typing import Any, Generator, Iterable, Iterator
+from typing import Any, Generator, Iterable, Iterator, TextIO
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
@@ -56,7 +57,7 @@ _decode_record = json.JSONDecoder().raw_decode
 _find_canonical = re.compile(
     r'^\{"kind": "(' + "|".join(re.escape(k.value) for k in EventKind)
     + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,17})\}$', re.M).findall
-_BLOCK_LINES = 256  # thousands of lines per block raise peak memory
+_BLOCK_CHARS = 8192  # io's text chunk: a larger read fails on a bad byte, lines before it unread
 _BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
@@ -176,38 +177,36 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
     return SelectionStrategy(kind, threshold)
 
 
-def _event_records(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
+def _event_records(stream: TextIO) -> Iterator[tuple[str, str, int]]:
     """Yield ``(kind, member, timestamp)`` for each non-blank line of an event
-    log, ``kind`` being an :class:`~valuetax.mutual_aid.EventKind` value. A bad
-    record, or a timestamp below the one before, raises :class:`MalformedEvent`
-    with its 1-based line number, blank lines counted.
+    log's text stream, ``kind`` being an :class:`~valuetax.mutual_aid.EventKind`
+    value. A bad record, or a timestamp below the one before, raises
+    :class:`MalformedEvent` with its 1-based line number, blank lines counted;
+    the lines of earlier reads are checked before a read error is raised.
 
-    Blocks of canonical records are scanned whole; any other block goes to
+    Reads of canonical records are scanned whole; any other read goes to
     :func:`_line_records`, which alone words errors."""
-    lines = iter(lines)
-    lineno, last_timestamp = 1, 0
-    while True:
-        block: list[str] = []
-        try:
-            block.extend(islice(lines, _BLOCK_LINES))
-        except Exception:  # such as undecodable bytes: the lines read before come first
-            yield from _line_records(block, lineno, last_timestamp)
-            raise
-        if not block:
-            return
-        text = "".join(block)
-        # each line ends with its only newline, so scanned lines are the given ones
-        if text.count("\n") == len(block) and all(map(str.endswith, block, repeat("\n"))):
-            found = _find_canonical(text)
-            if len(found) == len(block):
-                names, members, digits = zip(*found)
-                stamps = list(map(int, digits))
-                if all(map(le, chain((last_timestamp,), stamps), stamps)):
-                    yield from zip(names, members, stamps)
-                    lineno, last_timestamp = lineno + len(block), stamps[-1]
-                    continue
-        last_timestamp = yield from _line_records(block, lineno, last_timestamp)
-        lineno += len(block)
+    lineno, last_timestamp, tail = 1, 0, []
+    while chunk := stream.read(_BLOCK_CHARS):
+        end = chunk.rfind("\n") + 1
+        if not end:  # a line longer than a read is joined once, when it ends
+            tail.append(chunk)
+            continue
+        tail.append(chunk[:end])
+        text, tail = "".join(tail), [chunk[end:]]
+        lines = text.count("\n")
+        found = _find_canonical(text)
+        if len(found) == lines:  # a match lies within one line, so each line matched
+            names, members, digits = zip(*found)
+            stamps = list(map(int, digits))
+            if all(map(le, chain((last_timestamp,), stamps), stamps)):
+                yield from zip(names, members, stamps)
+                lineno, last_timestamp = lineno + lines, stamps[-1]
+                continue
+        last_timestamp = yield from _line_records(text.split("\n"), lineno, last_timestamp)
+        lineno += lines
+    if last := "".join(tail):  # an unterminated last line
+        yield from _line_records((last,), lineno, last_timestamp)
 
 
 def _line_records(lines: Iterable[str], first_lineno: int,
@@ -255,12 +254,12 @@ def parse_event_log(text: str) -> list[tuple[str, str, int]]:
     return list(_event_records(io.StringIO(text, newline=None)))
 
 
-def ingest_event_log(lines: Iterable[str]) -> CommunityState:
-    """Count an event log into a :class:`CommunityState` with
+def ingest_event_log(stream: TextIO) -> CommunityState:
+    """Count an event log read lazily from a text stream, such as an open file
+    or an :class:`io.StringIO`, into a :class:`CommunityState` with
     :func:`~valuetax.mutual_aid.ingest`, checking it as :func:`parse_event_log`
-    does but keeping no records; an open file is read lazily, a few hundred
-    lines at a time."""
-    return ingest(_event_records(lines))
+    does but keeping no records."""
+    return ingest(_event_records(stream))
 
 
 def _dot_quote(text: str) -> str:

@@ -144,8 +144,8 @@ class ValueTaxonomy(Record):
                 parents[child].append(parent)
         setfield(self, "edges", frozenset(checked))
         for adjacency in (children, parents):  # id order, which propagation sums in
-            for node, ids in adjacency.items():
-                adjacency[node] = tuple(sorted(ids))
+            for node, ids in adjacency.items():  # most lists hold one id or none
+                adjacency[node] = tuple(sorted(ids)) if len(ids) > 1 else tuple(ids)
         self.__dict__.update(_children=children, _parents=parents)
         setfield(self, "importance", MappingProxyType(_checked_importance(nodes, importance)))
         violations = validate(self)

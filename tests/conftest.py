@@ -186,6 +186,16 @@ def taxonomies(draw, max_nodes: int = 10, leaf_importance_only: bool = False):
     return ValueTaxonomy.build(nodes, sorted(edges), importance)
 
 
+def shuffle_equal_timestamps(rng: random.Random, records: list[dict]) -> list[dict]:
+    """Event records in timestamp order, those with equal timestamps shuffled."""
+    groups: dict[int, list[dict]] = {}
+    for record in records:
+        groups.setdefault(record["timestamp"], []).append(record)
+    for group in groups.values():
+        rng.shuffle(group)
+    return [record for timestamp in sorted(groups) for record in groups[timestamp]]
+
+
 def context_document(ctx: ContextSpec) -> str:
     """A context document holding everything ``ctx`` records."""
     selection: dict = {"kind": ctx.selection.kind.value}

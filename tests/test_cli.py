@@ -18,6 +18,7 @@ from valuetax import (
     label_node,
     serialize_taxonomy,
 )
+from valuetax import io_formats
 from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import demo_event_log, main
 
@@ -560,6 +561,18 @@ class TestAlignCommand:
         log.write_text("", encoding="utf-8")
         code, out, err = run(capsys, "align", "--input", str(taxonomy), "--log", str(log))
         assert (code, out, err) == (1, "", f"{log}: community has no members to aggregate over\n")
+
+    @pytest.mark.parametrize("read_chars", [1, 3, io_formats._BLOCK_CHARS])
+    def test_mixed_log_output_matches_the_golden_file(self, capsys, monkeypatch, read_chars):
+        # canonical and other spellings, CRLF ends, a blank line, a non-ASCII member
+        # and an unterminated last line
+        log = GOLDEN / "align-mixed-log.jsonl"
+        assert b"\r\n" in log.read_bytes() and not log.read_bytes().endswith(b"\n")
+        monkeypatch.setattr(io_formats, "_BLOCK_CHARS", read_chars)
+        code, out, err = run(capsys, "align", "--format", "machine", "--log", str(log),
+                             "--input", str(GOLDEN / "align-taxonomy.json"))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "align-mixed.json").read_text(encoding="utf-8")
 
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "absent.jsonl"

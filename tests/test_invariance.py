@@ -1,6 +1,7 @@
 """Same meaning, same answer: context derivation does not depend on node
-names, and the document parsers raise only ``TaxonomyError`` subclasses on
-structurally mutated input."""
+names, ``align`` does not depend on the order of events with equal timestamps
+or on how its log is cut into reads, and the document parsers raise only
+``TaxonomyError`` subclasses on structurally mutated input."""
 
 from __future__ import annotations
 
@@ -18,8 +19,10 @@ from valuetax import (
     KMEANS_SELECTION,
     POSITIVE_SELECTION,
     ContextSpec,
+    EventKind,
     ValueTaxonomy,
     build_context_taxonomy,
+    fairness_taxonomy,
     ingest_event_log,
     label_node,
     parse_context,
@@ -28,9 +31,11 @@ from valuetax import (
     property_node,
     serialize_taxonomy,
 )
+from valuetax import io_formats
+from valuetax.cli import main
 from valuetax.errors import EmptySelectionWarning, TaxonomyError
 
-from conftest import random_taxonomy, relabelled
+from conftest import random_taxonomy, relabelled, shuffle_equal_timestamps
 
 # 0.3 twice, so that ties between property importances are common
 TIED_IMPORTANCES = (-0.5, 0.0, 0.3, 0.3, 0.8)
@@ -71,6 +76,66 @@ def test_context_derivation_does_not_depend_on_node_names(selection):
         assert set(other.importance) == {relabel[n] for n in base.importance}, seed
         for node, value in base.importance.items():
             assert other.importance[relabel[node]] == pytest.approx(value, abs=1e-9), seed
+
+
+# -- align under event reordering ----------------------------------------------
+
+ALIGN_MEMBERS = ("a", "m\u00e9", "b\u2028c", "d e")
+
+
+def scorable_records(rng: random.Random) -> list[dict]:
+    """Event records that ``align`` can score, in timestamp order, with many
+    equal timestamps: each member offers and volunteers, and tasks are assigned."""
+    members = ALIGN_MEMBERS[:rng.randint(1, len(ALIGN_MEMBERS))]
+    events = [(kind, member) for member in members for kind in ("offer", "volunteer_chosen")]
+    kinds = [kind.value for kind in EventKind]
+    events += [(rng.choice(kinds), rng.choice(members)) for _ in range(rng.randint(0, 30))]
+    events.append(("task_assigned", rng.choice(members)))
+    rng.shuffle(events)
+    records, timestamp = [], 0
+    for kind, member in events:
+        timestamp += rng.choice((0, 0, 0, 1))
+        records.append({"kind": kind, "member": member, "timestamp": timestamp})
+    return records
+
+
+def log_text(rng: random.Random, records: list[dict]) -> str:
+    """The records one per line, spelled as ``json.dumps`` writes them by
+    default or otherwise, with blank lines and mixed line ends."""
+    lines = []
+    for record in records:
+        if rng.random() < 0.1:
+            lines.append("")
+        separators = rng.choice([None, None, (",", ":")])
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.3, separators=separators))
+    return "".join(line + rng.choice(("\n", "\n", "\r\n")) for line in lines)
+
+
+def test_align_does_not_depend_on_event_order_or_read_size(tmp_path, capsys, monkeypatch):
+    taxonomy = tmp_path / "taxonomy.json"
+    taxonomy.write_text(serialize_taxonomy(build_context_taxonomy(fairness_taxonomy(), ContextSpec(
+        "c", property_importance={"offer_ratio": 0.7, "volunteer_ratio": 0.4,
+                                  "task_balance": 0.9}))), encoding="utf-8")
+    log = tmp_path / "events.jsonl"
+
+    def align_output(text: str, scheme: str) -> str:
+        log.write_text(text, encoding="utf-8", newline="")
+        code = main(["align", "--format", "machine", "--scheme", scheme,
+                     "--input", str(taxonomy), "--log", str(log)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        return out
+
+    for seed in range(60):
+        rng = random.Random(seed)
+        scheme = rng.choice(("mean", "path"))
+        records = scorable_records(rng)
+        expected = align_output(log_text(rng, records), scheme)
+        shuffled = log_text(rng, shuffle_equal_timestamps(rng, records))
+        for size in (1, 2, 3, 4, io_formats._BLOCK_CHARS):
+            monkeypatch.setattr(io_formats, "_BLOCK_CHARS", size)
+            assert align_output(shuffled, scheme) == expected, (seed, size)
+        monkeypatch.undo()
 
 
 # -- parser robustness ---------------------------------------------------------

@@ -47,7 +47,8 @@ from valuetax.errors import (
     TaxonomyError,
 )
 
-from conftest import context_document, importance_values, random_taxonomy, relabelled, taxonomies
+from conftest import (context_document, importance_values, random_taxonomy, relabelled,
+                      shuffle_equal_timestamps, taxonomies)
 
 
 class TestTaxonomyRoundTrip:
@@ -511,15 +512,6 @@ def random_log(rng: random.Random) -> tuple[list[dict], str]:
     return records, "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
 
 
-def shuffle_equal_timestamps(rng: random.Random, records: list[dict]) -> list[dict]:
-    groups: dict[int, list[dict]] = {}
-    for record in records:
-        groups.setdefault(record["timestamp"], []).append(record)
-    for group in groups.values():
-        rng.shuffle(group)
-    return [record for timestamp in sorted(groups) for record in groups[timestamp]]
-
-
 class TestEventLogFold:
     def test_fold_equals_ingest_of_parse_on_random_logs(self, tmp_path):
         rng = random.Random(4)
@@ -535,7 +527,7 @@ class TestEventLogFold:
                 dict(state.requests), dict(state.offers), dict(state.volunteering),
                 dict(state.task_distribution)]
             shuffled = "\n".join(json.dumps(r) for r in shuffle_equal_timestamps(rng, records))
-            assert ingest_event_log(shuffled.split("\n")) == state
+            assert ingest_event_log(io.StringIO(shuffled)) == state
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path, separator):
@@ -591,8 +583,14 @@ def outcome(read):
 
 
 def line_by_line(lines) -> CommunityState:
-    """The fold with every line decoded on its own: the reference for blocks."""
-    return ingest(io_formats._line_records(lines, 1, 0))
+    """The fold with every line of the text of ``lines`` decoded on its own:
+    the reference for the scanned reads."""
+    return ingest(io_formats._line_records(io.StringIO("".join(lines)), 1, 0))
+
+
+def read_fold(lines) -> CommunityState:
+    """The fold of the text of ``lines``, read as a stream."""
+    return ingest_event_log(io.StringIO("".join(lines)))
 
 
 def offer(timestamp="1", member='"a"') -> str:
@@ -608,14 +606,15 @@ def error(index: int, detail: str):
     return index, f"malformed event at position {index}: {detail}"
 
 
-@pytest.fixture(params=[1, 2, 3, io_formats._BLOCK_LINES], ids=lambda n: f"blocks-of-{n}")
-def block_lines(request, monkeypatch):
-    monkeypatch.setattr(io_formats, "_BLOCK_LINES", request.param)
+@pytest.fixture(params=[1, 2, 3, io_formats._BLOCK_CHARS], ids=lambda n: f"reads-of-{n}")
+def block_chars(request, monkeypatch):
+    """Reads of a few characters, so that lines span reads, and the default."""
+    monkeypatch.setattr(io_formats, "_BLOCK_CHARS", request.param)
     return request.param
 
 
 class TestCanonicalBlocks:
-    """Blocks of canonical records are scanned whole; everything else must be
+    """Reads of canonical records are scanned whole; everything else must be
     read exactly as the line-by-line decoder reads it."""
 
     # each log with the counts or error of the line-by-line reader
@@ -624,8 +623,8 @@ class TestCanonicalBlocks:
          error(1, "invalid record: Expecting property name enclosed in double quotes")),
         ([A + "\n", A + B + "\n"], error(2, "invalid record: Extra data")),
         ([A + " " + B + "\n"], error(1, "invalid record: Extra data")),
-        ([A + "\n" + B + "\n", "\n"], error(1, "invalid record: Extra data")),
-        ([A + "\n" + B, "\n"], error(1, "invalid record: Extra data")),
+        ([A + "\n" + B + "\n", "\n"], [{"b": 1}, {"a": 1}, {}, {}]),
+        ([A + "\n" + B, "\n"], [{"b": 1}, {"a": 1}, {}, {}]),
         ([A + "\x1e\n"], OFFER_A),
         ([A + "\u2028\n"], OFFER_A),
         (["\ufeff" + A + "\n"],
@@ -646,8 +645,8 @@ class TestCanonicalBlocks:
             "trailing-u2028", "bom", "leading-zero", "exponent", "19-digit-timestamp",
             "arabic-indic-digit", "no-break-space-between-tokens", "escaped-member",
             "control-in-member", "keys-reordered", "duplicate-kind"])
-    def test_adversarial_logs_read_as_line_by_line(self, block_lines, lines, expected):
-        assert outcome(lambda: ingest_event_log(lines)) == expected
+    def test_adversarial_logs_read_as_line_by_line(self, block_chars, lines, expected):
+        assert outcome(lambda: read_fold(lines)) == expected
         assert outcome(lambda: line_by_line(lines)) == expected
 
     CANONICAL = [offer(timestamp) + "\n" for timestamp in (5, 5, 5)]
@@ -662,21 +661,22 @@ class TestCanonicalBlocks:
         (["\n", offer(5) + "\n", "\n"] + CANONICAL, [{}, {"a": 7}, {}, {}]),
     ], ids=["bad-record", "decrease-at-boundary", "decrease-inside-block",
             "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks"])
-    def test_block_boundaries_keep_positions_and_order(self, block_lines, tmp_path, tail,
+    def test_block_boundaries_keep_positions_and_order(self, block_chars, tmp_path, tail,
                                                        expected):
         lines = self.CANONICAL + tail
-        assert outcome(lambda: ingest_event_log(lines)) == expected
+        assert outcome(lambda: read_fold(lines)) == expected
         assert outcome(lambda: fold_file(tmp_path, "".join(lines))) == expected
         assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
 
-    def test_lines_before_a_read_error_are_checked_first(self, block_lines, tmp_path):
+    def test_lines_before_a_read_error_are_checked_first(self, block_chars, tmp_path):
         path = tmp_path / "events.jsonl"  # the bad byte lies past the first 8 KiB read
         path.write_bytes((A + "\n[]\n" + (A + "\n") * 200).encode() + b"\xff\n")
         with open(path, encoding="utf-8") as handle, pytest.raises(MalformedEvent) as excinfo:
             ingest_event_log(handle)
         assert (excinfo.value.index, str(excinfo.value)) == error(2, "record must be an object")
+        path.write_bytes((A + "\n" + (A + "\n") * 200).encode() + b"\xff\n")
         with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
-            ingest_event_log(line for line in handle if line != "[]\n")
+            ingest_event_log(handle)
 
     PIECES = [
         lambda t: offer(t),
@@ -702,20 +702,15 @@ class TestCanonicalBlocks:
             timestamp = max(0, timestamp + rng.choice((-1, 0, 0, 1, 1, 2)))
             piece = rng.choice(self.PIECES[:3] * 3 + self.PIECES)(timestamp)
             lines.append(piece + rng.choice(("\n",) * 6 + ("\r\n", "")))
-        if len(lines) > 1 and rng.random() < 0.2:  # one element holding two lines
-            at = rng.randrange(len(lines) - 1)
-            lines[at:at + 2] = [lines[at] + lines[at + 1]]
         return lines
 
     def test_fold_equals_the_line_by_line_reader(self, monkeypatch):
         rng = random.Random(6)
         for trial in range(3000):
-            monkeypatch.setattr(io_formats, "_BLOCK_LINES", 1 + trial % 4)
+            monkeypatch.setattr(io_formats, "_BLOCK_CHARS", 1 + trial % 4)
             lines = self.random_lines(rng)
             text = "".join(lines)
-            assert outcome(lambda: ingest_event_log(lines)) == outcome(lambda: line_by_line(lines))
-            assert outcome(lambda: ingest_event_log(io.StringIO(text))) == outcome(
-                lambda: line_by_line(io.StringIO(text)))
+            assert outcome(lambda: read_fold(lines)) == outcome(lambda: line_by_line(lines))
             try:
                 expected = list(io_formats._line_records(io.StringIO(text, newline=None), 1, 0))
             except MalformedEvent as exc:
@@ -734,7 +729,7 @@ def compact(record: str) -> str:
 
 
 class TestJsonDumpsSpelling:
-    """Blocks spelled as ``json.dumps`` writes by default are scanned whole;
+    """Reads spelled as ``json.dumps`` writes by default are scanned whole;
     every other spelling reads with the same results, line by line."""
 
     RECORDS = [{"kind": kind.value, "member": member, "timestamp": t}
@@ -743,14 +738,14 @@ class TestJsonDumpsSpelling:
 
     def test_json_dumps_blocks_take_the_block_scan(self, monkeypatch):
         lines = [json.dumps(record, ensure_ascii=False) + "\n" for record in self.RECORDS]
-        assert len(lines) > 2 * io_formats._BLOCK_LINES
+        assert len("".join(lines)) > 2 * io_formats._BLOCK_CHARS
         expected = ingest((r["kind"], r["member"], r["timestamp"]) for r in self.RECORDS)
         with monkeypatch.context() as patched:
             def refuse(lines, first_lineno, last_timestamp):
-                raise AssertionError("a json.dumps block was read line by line")
+                raise AssertionError("a json.dumps read was read line by line")
             patched.setattr(io_formats, "_line_records", refuse)
-            assert ingest_event_log(lines) == expected
-        assert ingest_event_log([compact(line) + "\n" for line in lines]) == expected
+            assert read_fold(lines) == expected
+        assert read_fold([compact(line) + "\n" for line in lines]) == expected
 
     SPELLINGS = [
         lambda t: offer(t),
@@ -762,7 +757,7 @@ class TestJsonDumpsSpelling:
         lambda t: offer(t) + "\x1e",
     ]
 
-    def test_mixed_spellings_read_as_line_by_line(self, block_lines):
+    def test_mixed_spellings_read_as_line_by_line(self, block_chars):
         rng = random.Random(16)
         results = set()
         for _ in range(400):
@@ -773,7 +768,7 @@ class TestJsonDumpsSpelling:
                 spelling = rng.choice(self.SPELLINGS[:4] * 6 + self.SPELLINGS[4:])
                 lines.append(spelling(timestamp) + "\n")
             expected = outcome(lambda: line_by_line(lines))
-            assert outcome(lambda: ingest_event_log(lines)) == expected
+            assert outcome(lambda: read_fold(lines)) == expected
             assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
             results.add(isinstance(expected, list))
         assert results == {True, False}

@@ -9,10 +9,19 @@ The propagation guards took about 1.7 s and 2.3 s while propagation swept
 every node once per pass until nothing changed; the 1 s bounds catch a
 return to one full sweep per level.
 
-The 200k-event guard folds its log from the open file in about 0.36-0.42 s
-(medians of 7 and 9, same machine; about 0.45-0.49 s while the block scan let
-spaces and tabs around any token), against about 1.6 s for
-``parse_event_log`` plus ``ingest`` over the whole file read into one string.
+The 200k-event guard folds its log from the open file in about 0.19-0.21 s
+(medians of 9, same machine, Python 3.11.7; about 0.24 s in the same spell
+while lines were read a few hundred at a time), against about 0.46 s for
+``parse_event_log`` plus ``ingest`` over the whole file read into one string,
+which keeps every record.
+
+The 16 MB record-line guard folds a line that spans about 2,000 reads in about
+0.13-0.19 s: the reads' pieces are joined once, when the newline arrives. A
+carry that copies itself on each read, such as ``rest = "".join((rest,
+chunk))``, took about 3.4 s on that line, and its time grows with the square
+of the line's length. CPython resizes ``rest += chunk`` in place when nothing
+else holds ``rest``, which keeps it about as fast as the joined pieces, so the
+1 s bound catches a copying carry, not that one.
 """
 
 from __future__ import annotations
@@ -117,3 +126,16 @@ def test_200k_event_log_folds_fast(tmp_path):
     assert sum(sum(counter.values()) for counter in counters) == 200_000
     assert len(state.members) == 5000
     assert elapsed < 5.0, f"folding 200k events took {elapsed:.2f}s"
+
+
+def test_16_mb_record_line_folds_fast(tmp_path):
+    member = "m" * 16_000_000  # about 2,000 reads of 8,192 characters
+    path = tmp_path / "events.jsonl"
+    path.write_text(f'{{"kind": "offer", "member": "a", "timestamp": 0}}\n'
+                    f'{{"kind": "offer", "member": "{member}", "timestamp": 1}}\n', encoding="utf-8")
+    started = time.perf_counter()
+    with open(path, encoding="utf-8") as handle:
+        state = ingest_event_log(handle)
+    elapsed = time.perf_counter() - started
+    assert dict(state.offers) == {"a": 1, member: 1}
+    assert elapsed < 1.0, f"folding a 16 MB record line took {elapsed:.2f}s"
