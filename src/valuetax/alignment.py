@@ -5,7 +5,11 @@ nodes, of each property's satisfaction degree weighted by its importance.
 The path-weighted variant additionally multiplies each term by the number
 of taxonomy paths leading to the property, so properties that ground many
 value concepts count more; such scores can leave [-1, 1] and are reported
-unclamped together with their theoretical bound.
+unclamped together with their theoretical bound. The path-weighted
+contributions, score and bound are computed exactly from the integer path
+counts and each float's integer ratio, and rounded once; one whose rounded
+value would be past the float range is refused with a
+:class:`~valuetax.errors.TaxonomyError`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from enum import Enum
 from typing import Mapping
 
 from ._record import Record, setfield
-from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes
+from .errors import MissingImportance, MissingSatisfaction, NoPropertyNodes, TaxonomyError
 from .taxonomy import NodeId, ValueTaxonomy, all_paths_counts, check_importance
 
 
@@ -66,7 +70,7 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
     if not props:
         raise NoPropertyNodes("taxonomy has no property nodes to align against")
     weighted = scheme is AlignmentScheme.PATH_WEIGHTED
-    per_property = []
+    per_property, exact = [], []
     for node in props:
         if node not in taxonomy.importance:
             raise MissingImportance(node)
@@ -74,15 +78,36 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
             raise MissingSatisfaction(node)
         sd_val = check_importance(sd[node], f"satisfaction degree of {node!r}")
         imp = taxonomy.importance[node]
-        factor = paths[node] if weighted else 1
+        if weighted:
+            (imp_n, imp_d), (sd_n, sd_d) = imp.as_integer_ratio(), sd_val.as_integer_ratio()
+            num, den = paths[node] * imp_n * sd_n, imp_d * sd_d
+            exact.append((num, den))
+            contribution = _rounded(num, den, f"contribution of {node!r}")
+        else:
+            contribution = imp * sd_val
         per_property.append(PropertyContribution(
-            node=node, sd=sd_val, importance=imp, paths=paths[node],
-            contribution=factor * imp * sd_val))
-    score = sum(p.contribution for p in per_property) / len(per_property)
-    bound = float(max(paths[n] for n in props)) if weighted else 1.0
+            node=node, sd=sd_val, importance=imp, paths=paths[node], contribution=contribution))
+    if weighted:
+        # Power-of-two denominators: the largest is a multiple of every other.
+        common = max(den for _, den in exact)
+        total = sum(num * (common // den) for num, den in exact)
+        score = _rounded(total, common * len(props), "score")
+        bound = _rounded(max(paths[n] for n in props), 1, "score bound")
+    else:
+        score = sum(p.contribution for p in per_property) / len(per_property)
+        bound = 1.0
     return AlignmentReport(
         entity=entity, scheme=scheme, score=score, score_bound=bound,
         per_property=tuple(per_property))
+
+
+def _rounded(numerator: int, denominator: int, what: str) -> float:
+    """The exact ratio rounded once to the nearest float; a TaxonomyError when
+    that is past the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        raise TaxonomyError(f"path-weighted {what} is past the float range") from None
 
 
 def explain(report: AlignmentReport) -> tuple[PropertyContribution, ...]:

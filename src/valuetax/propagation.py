@@ -34,7 +34,10 @@ derive, and no rule depends on node names. The run ends after the first
 round whose defaults propose nothing. Candidates for a round's defaults
 are the nodes valued since the last one and their parents, and "has a
 valued descendant" is a flag set by an upward walk that stops at the first
-flagged node, so a run costs O(nodes + edges) whatever the depth.
+flagged node, so a run costs O(nodes + edges) whatever the depth. Only the
+defaults read the flags: they are built the first time a default has a
+candidate with an unvalued child, and kept up to date from then on, so a run
+whose first closure leaves no node with an unvalued child never walks for them.
 Pre-assigned values are never modified, only extended.
 
 :func:`propagate` aggregates with :func:`~valuetax.aggregation.mean_aggregate`
@@ -119,14 +122,16 @@ class _Run:
         self.values: dict[NodeId, float] = dict(taxonomy.importance)
         self.assigned: dict[NodeId, float] = {}
         # Unvalued children per node.
-        self.missing = {n: sum(c not in self.values for c in kids)
-                        for n, kids in self.children.items()}
+        self.missing = {n: len(kids) for n, kids in self.children.items()}
+        for node in self.values:
+            for parent in self.parents[node]:
+                self.missing[parent] -= 1
         # Every node with a valued strict descendant, mapped to the number of
         # its unvalued children that have one too; a default waits while
-        # that number is above 0.
-        self.blocked: dict[NodeId, int] = {}
-        for node in self.values:
-            self.flag_ancestors(node)
+        # that number is above 0. Only the defaults read it, so it stays None
+        # until a defaults round first has a candidate with an unvalued child;
+        # from then on, assign keeps it up to date.
+        self.blocked: dict[NodeId, int] | None = None
         self.queue = deque(order)
         self.queued = set(order)
         self.fresh: list[NodeId] = []
@@ -162,13 +167,15 @@ class _Run:
         self.assigned[node] = value
         self.fresh.append(node)
         self.enqueue(node)
-        flagged = node in self.blocked
+        blocked = self.blocked
+        flagged = blocked is not None and node in blocked
         for parent in self.parents[node]:
             self.missing[parent] -= 1
             if flagged:
-                self.blocked[parent] -= 1
+                blocked[parent] -= 1
             self.enqueue(parent)
-        self.flag_ancestors(node)
+        if blocked is not None:
+            self.flag_ancestors(node)
 
     def settle(self) -> None:
         """Apply the forced rules until the worklist is empty."""
@@ -207,12 +214,17 @@ class _Run:
     def apply_defaults(self, candidates: Iterable[NodeId]) -> bool:
         """Commit every default rule that applies to a candidate in the
         current state; True if anything was assigned."""
-        values = self.values
+        values, missing = self.values, self.missing
+        candidates = [node for node in candidates if missing[node]]
+        if candidates and self.blocked is None:
+            self.blocked = {}
+            for node in values:
+                self.flag_ancestors(node)
         proposals: dict[NodeId, list[float]] = {}
         for node in candidates:
-            left = self.missing[node]
-            if not left or self.blocked.get(node):
+            if self.blocked.get(node):
                 continue
+            left = missing[node]
             kids = self.children[node]
             value = values.get(node)
             if value is None and left == len(kids):

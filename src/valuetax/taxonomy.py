@@ -11,8 +11,10 @@ they are safe to share across threads. Construction checks every invariant,
 the graph-level rules of :func:`validate` included, and raises on any
 violation, so no taxonomy a caller holds is invalid and no query checks
 again. A value is checked once, by the record that holds it, at its field.
-One pass over the edges derives both adjacency maps, and one cached Kahn pass
-gives both the acyclicity test and the parents-first order. An upward-closed
+One pass over the edges derives both adjacency maps, which :func:`validate`
+reads for its rules, going back to the edge set only for an edge with an
+unknown endpoint; one cached Kahn pass gives both the acyclicity test and the
+parents-first order. An upward-closed
 subgraph of a valid taxonomy inherits that structure without being validated again.
 """
 
@@ -246,19 +248,27 @@ def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
     """The violations of the graph-level invariants, rule by rule: known edge
     endpoints, property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
     constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with any it
-    finds; the cached Kahn order that decides acyclicity gives :func:`topological_order`."""
+    finds; the cached Kahn order that decides acyclicity gives :func:`topological_order`.
+
+    The rules read the constructor's adjacency maps, which hold every edge
+    between known nodes; the edge set is scanned only when the maps hold
+    fewer edges, that is when some edge has an unknown endpoint."""
     violations: list[Violation] = []
-    nodes = taxonomy.nodes
-    # Found over the edges as stored; only what is found is sorted, to be worded in order.
-    for parent, child in sorted([(p, c) for p, c in taxonomy.edges if p not in nodes or c not in nodes]):
+    nodes, children = taxonomy.nodes, taxonomy._children
+    stray: list[tuple[NodeId, NodeId]] = []  # only what is found is sorted, to be worded in order
+    if sum(map(len, children.values())) < len(taxonomy.edges):
+        stray = sorted([(p, c) for p, c in taxonomy.edges if p not in nodes or c not in nodes])
+    for parent, child in stray:
         for endpoint in (parent, child):
             if endpoint not in nodes:
                 violations.append(Violation(
                     RULE_UNKNOWN_ENDPOINT, f"{parent}->{child}",
                     f"edge ({parent!r}, {child!r}) references unknown node {endpoint!r}"))
 
-    for parent, child in sorted([(p, c) for p, c in taxonomy.edges
-                                 if p in nodes and nodes[p].kind is NodeKind.PROPERTY]):
+    branching = [(p, c) for p, kids in children.items() if kids and nodes[p].kind is NodeKind.PROPERTY
+                 for c in kids]
+    branching += [(p, c) for p, c in stray if p in nodes and nodes[p].kind is NodeKind.PROPERTY]
+    for parent, child in sorted(branching):
         violations.append(Violation(
             RULE_PROPERTY_LEAF, parent,
             f"property node {parent!r} has child {child!r}; property nodes must be leaves"))

@@ -140,6 +140,27 @@ def relabelled(t: ValueTaxonomy, relabel: dict[str, str]) -> ValueTaxonomy:
     )
 
 
+def diamond_ladder(layers: int) -> ValueTaxonomy:
+    """A root over ``layers`` layers of two label nodes, each node pointing to
+    both nodes of the next layer, and the ``offer_ratio`` and
+    ``volunteer_ratio`` property nodes, of importance 1, under the last layer:
+    each property is reached by ``2 ** layers`` paths."""
+    rungs = [("root",)] + [(f"a{i:04d}", f"b{i:04d}") for i in range(1, layers + 1)]
+    rungs.append((OFFER_RATIO, VOLUNTEER_RATIO))
+    nodes = [label_node(n) for rung in rungs[:-1] for n in rung]
+    nodes += [property_node(OFFER_RATIO), property_node(VOLUNTEER_RATIO)]
+    edges = [(p, c) for upper, lower in zip(rungs, rungs[1:]) for p in upper for c in lower]
+    return ValueTaxonomy.build(nodes, edges, {OFFER_RATIO: 1.0, VOLUNTEER_RATIO: 1.0})
+
+
+def saturating_log() -> str:
+    """An event log in which, with ``--max-r 2``, both ratio properties have
+    satisfaction degree 1."""
+    kinds = ["request", "request", "offer", "volunteer_chosen", "task_assigned"]
+    return "".join(json.dumps({"kind": kind, "member": "a", "timestamp": stamp}) + "\n"
+                   for stamp, kind in enumerate(kinds))
+
+
 importance_values = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 

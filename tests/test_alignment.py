@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -22,9 +23,11 @@ from valuetax.errors import (
     MissingImportance,
     MissingSatisfaction,
     NoPropertyNodes,
+    TaxonomyError,
 )
 
 from conftest import (
+    diamond_ladder,
     enumerate_paths_oracle,
     literal_alignment_oracle,
     random_taxonomy,
@@ -258,6 +261,54 @@ class TestAlignProperties:
             assert path_report.score == pytest.approx(
                 literal_alignment_oracle(sd_map, importance, paths), abs=1e-12)
         assert checked > 30
+
+
+class TestPathWeightedRange:
+    """Path counts double per layer of a diamond ladder, past the float range
+    after 1,023 layers; contributions, score and bound are exact, rounded once."""
+
+    def test_a_score_at_the_top_of_the_float_range_is_finite(self):
+        sd = {"offer_ratio": 1.0, "volunteer_ratio": 1.0}
+        report = align("e", diamond_ladder(1023), sd, AlignmentScheme.PATH_WEIGHTED)
+        assert [p.contribution for p in report.per_property] == [2.0 ** 1023] * 2
+        assert report.score == report.score_bound == 2.0 ** 1023
+
+    def test_a_contribution_past_the_float_range_is_refused(self):
+        sd = {"offer_ratio": 1.0, "volunteer_ratio": 1.0}
+        with pytest.raises(TaxonomyError) as excinfo:
+            align("e", diamond_ladder(1100), sd, AlignmentScheme.PATH_WEIGHTED)
+        assert str(excinfo.value) == (
+            "path-weighted contribution of 'offer_ratio' is past the float range")
+
+    def test_a_bound_past_the_float_range_is_refused(self):
+        sd = {"offer_ratio": 2.0 ** -100, "volunteer_ratio": -(2.0 ** -100)}
+        with pytest.raises(TaxonomyError) as excinfo:
+            align("e", diamond_ladder(1100), sd, AlignmentScheme.PATH_WEIGHTED)
+        assert str(excinfo.value) == "path-weighted score bound is past the float range"
+
+    def test_the_mean_scheme_scores_the_same_ladder(self):
+        sd = {"offer_ratio": 1.0, "volunteer_ratio": 0.5}
+        report = align("e", diamond_ladder(1100), sd)
+        assert (report.score, report.score_bound) == (0.75, 1.0)
+        assert [p.paths for p in report.per_property] == [2 ** 1100] * 2
+
+    def test_path_scores_are_the_exact_sum_rounded_once(self):
+        rng = random.Random(64)
+        checked = 0
+        for _ in range(300):
+            t = random_taxonomy(rng, all_property_importance=True, extra_edge_prob=0.5)
+            props = t.property_nodes()
+            if not props:
+                continue
+            checked += 1
+            sd = {p: rng.uniform(-1, 1) for p in props}
+            paths = {p: enumerate_paths_oracle(t, p) for p in props}
+            exact = [paths[p] * Fraction(t.importance[p]) * Fraction(sd[p]) for p in props]
+            report = align("e", t, sd, AlignmentScheme.PATH_WEIGHTED)
+            assert [p.contribution for p in report.per_property] == [float(x) for x in exact]
+            assert report.score == float(sum(exact) / len(props))
+            assert report.score_bound == float(max(paths.values()))
+        assert checked > 150
 
 
 class TestContextImportance:

@@ -22,7 +22,7 @@ from valuetax import io_formats
 from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import demo_event_log, main
 
-from conftest import context_document
+from conftest import context_document, diamond_ladder, saturating_log
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -265,6 +265,16 @@ class TestPropagateCommand:
                              "--input", str(GOLDEN / "edge-values-taxonomy.json"))
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "propagate-edge-values.json").read_text(encoding="utf-8")
+
+    # Partial-mean in the first round, then down-single and down-split in the
+    # second, through a child shared by two parents; three rounds in all.
+    def test_default_rules_output_matches_the_golden_file(self, capsys):
+        from valuetax import parse_taxonomy, propagate
+        document = GOLDEN / "propagate-defaults-taxonomy.json"
+        assert propagate(parse_taxonomy(document.read_text(encoding="utf-8"))).iterations == 3
+        code, out, err = run(capsys, "propagate", "--format", "machine", "--input", str(document))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "propagate-defaults.json").read_text(encoding="utf-8")
 
     # each given value is checked by the parse, and propagate's values are not checked again
     def test_each_importance_is_checked_once(self, capsys, monkeypatch, workload_inputs, tmp_path):
@@ -573,6 +583,36 @@ class TestAlignCommand:
                              "--input", str(GOLDEN / "align-taxonomy.json"))
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "align-mixed.json").read_text(encoding="utf-8")
+
+    @pytest.fixture
+    def saturating_log_file(self, tmp_path):
+        path = tmp_path / "saturating.jsonl"
+        path.write_text(saturating_log(), encoding="utf-8")
+        return str(path)
+
+    def ladder_align(self, capsys, tmp_path, log, layers, *options):
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_taxonomy(diamond_ladder(layers)), encoding="utf-8")
+        return path, run(capsys, "align", "--input", str(path), "--log", log,
+                         "--max-r", "2", "--scheme", "path", *options)
+
+    def test_a_path_score_at_the_top_of_the_float_range_is_valid_json(
+            self, capsys, tmp_path, saturating_log_file):
+        _, (code, out, err) = self.ladder_align(capsys, tmp_path, saturating_log_file, 1023,
+                                                "--format", "machine")
+        assert (code, err) == (0, "")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["score"] == doc["score_bound"] == 2.0 ** 1023
+        assert [p["paths"] for p in doc["per_property"]] == [2 ** 1023] * 2
+
+    def test_a_path_score_past_the_float_range_is_invalid_input(
+            self, capsys, tmp_path, saturating_log_file):
+        path, (code, out, err) = self.ladder_align(capsys, tmp_path, saturating_log_file, 1100)
+        assert (code, out) == (1, "")
+        assert err == f"{path}: path-weighted contribution of 'offer_ratio' is past the float range\n"
 
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "absent.jsonl"

@@ -1,6 +1,6 @@
 """What package modules import: every imported name is used, the CLI
-starts without the modules `dataclasses` pulls in, and the package exports
-exactly the names listed here."""
+starts without the modules `dataclasses` pulls in or `fractions` and
+`decimal`, and the package exports exactly the names listed here."""
 
 from __future__ import annotations
 
@@ -43,11 +43,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# What `dataclasses` alone pulls in; the CLI starts without any of them.
-STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# What `dataclasses` alone pulls in, and the exact-arithmetic modules that
+# path-weighted alignment does without; the CLI starts without any of them.
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
 
 
-def test_cli_starts_without_code_generation_modules():
+def test_cli_starts_without_code_generation_or_exact_arithmetic_modules():
     check = ("import sys, valuetax.cli; "
              f"print(' '.join(m for m in {STARTUP_FREE!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

@@ -1,13 +1,14 @@
-"""Same meaning, same answer: context derivation does not depend on node
-names, ``align`` does not depend on the order of events with equal timestamps
-or on how its log is cut into reads, and the document parsers raise only
-``TaxonomyError`` subclasses on structurally mutated input."""
+"""Same meaning, same answer: context derivation and alignment do not depend
+on node names, ``align`` does not depend on the order of events with equal
+timestamps or on how its log is cut into reads, and the document parsers raise
+only ``TaxonomyError`` subclasses on structurally mutated input."""
 
 from __future__ import annotations
 
 import copy
 import io
 import json
+import math
 import random
 import warnings
 
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 from valuetax import (
     KMEANS_SELECTION,
     POSITIVE_SELECTION,
+    AlignmentScheme,
     ContextSpec,
     EventKind,
     ValueTaxonomy,
+    align,
     build_context_taxonomy,
     fairness_taxonomy,
     ingest_event_log,
@@ -76,6 +79,43 @@ def test_context_derivation_does_not_depend_on_node_names(selection):
         assert set(other.importance) == {relabel[n] for n in base.importance}, seed
         for node, value in base.importance.items():
             assert other.importance[relabel[node]] == pytest.approx(value, abs=1e-9), seed
+
+
+# -- align under relabelling ---------------------------------------------------
+
+
+def test_alignment_does_not_depend_on_node_names():
+    # The path scheme sums exactly, so it is bitwise equal. The mean scheme sums
+    # its floats in property-id order, which a relabelling changes: its score
+    # may move by a few units in the last place of the largest contribution.
+    compared = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        t = random_taxonomy(rng, all_property_importance=True, extra_edge_prob=0.4)
+        properties = t.property_nodes()
+        if not properties:
+            continue
+        names = sorted(t.nodes)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        relabel = dict(zip(names, shuffled))
+        sd = {p: rng.uniform(-1.0, 1.0) for p in properties}
+        other_t = relabelled(t, relabel)
+        other_sd = {relabel[p]: v for p, v in sd.items()}
+        for scheme in AlignmentScheme:
+            base, other = align("e", t, sd, scheme), align("e", other_t, other_sd, scheme)
+            assert other.score_bound == base.score_bound, seed
+            assert {relabel[p.node]: (p.sd, p.importance, p.paths, p.contribution)
+                    for p in base.per_property} == {
+                p.node: (p.sd, p.importance, p.paths, p.contribution)
+                for p in other.per_property}, seed
+            if scheme is AlignmentScheme.PATH_WEIGHTED:
+                assert other.score == base.score, seed
+            else:
+                largest = max(abs(p.contribution) for p in base.per_property)
+                assert abs(other.score - base.score) <= 4 * math.ulp(largest), seed
+        compared += 1
+    assert compared > 1000
 
 
 # -- align under event reordering ----------------------------------------------

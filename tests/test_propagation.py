@@ -20,10 +20,13 @@ from valuetax.errors import (
     PropagationError,
     RangeViolation,
 )
+from valuetax.propagation import _Run
 
 from conftest import (
+    children_of,
     context_c_fragment,
     random_taxonomy,
+    parents_of,
     random_tree,
     relabelled,
     subtree_mean_oracle,
@@ -336,6 +339,50 @@ class TestForcedBeforeDefaults:
             assert second.iterations == 1
             assert second.taxonomy.importance == first.taxonomy.importance
         assert succeeded > 100
+
+
+def flags_by_definition(t: ValueTaxonomy, values: dict) -> dict:
+    """Each node with a valued strict descendant, mapped to the number of its
+    unvalued children that have one too, read from the edge set alone."""
+    children, parents = children_of(t), parents_of(t)
+    above: set = set()
+    stack = [p for node in values for p in parents[node]]
+    while stack:
+        node = stack.pop()
+        if node not in above:
+            above.add(node)
+            stack.extend(parents[node])
+    return {n: sum(c in above and c not in values for c in children[n]) for n in above}
+
+
+class TestDefaultFlags:
+    def test_lazily_built_flags_match_their_definition_at_every_defaults_round(self, monkeypatch):
+        original = _Run.apply_defaults
+        counts = {"built": 0, "rounds after the build": 0}
+        current: list[ValueTaxonomy] = []
+
+        def checked(run, candidates):
+            before = run.blocked
+            if before is not None:
+                assert before == flags_by_definition(current[0], run.values)
+                counts["rounds after the build"] += 1
+            assigned = original(run, candidates)
+            if run.blocked is not None:
+                assert run.blocked == flags_by_definition(current[0], run.values)
+                counts["built"] += before is None
+            return assigned
+
+        monkeypatch.setattr(_Run, "apply_defaults", checked)
+        for seed in range(2400):
+            rng = random.Random(seed)
+            current[:] = [random_taxonomy(rng, max_nodes=16, importance_prob=rng.choice((0.1, 0.3)))]
+            try:
+                propagate(current[0])
+            except PropagationError:
+                pass
+        # about two runs in three build the flags, and as many later rounds read them
+        assert counts["built"] > 1000
+        assert counts["rounds after the build"] > 1000
 
 
 class TestCheckCoherence:

@@ -5,9 +5,17 @@ The 16k-node guard takes about 0.35 s on a 2-vCPU machine, and took about
 every cut from scratch. Its 5 s bound catches a return to quadratic work,
 not machine-speed noise, as does the same bound on writing that tree back.
 
-The propagation guards took about 1.7 s and 2.3 s while propagation swept
-every node once per pass until nothing changed; the 1 s bounds catch a
-return to one full sweep per level.
+The propagation guards take about 3-5 ms on the chain and 9-10 ms on the
+caterpillar (medians of 9, same machine, Python 3.11.7), and took about 1.7 s
+and 2.3 s while propagation swept every node once per pass until nothing
+changed; the 1 s bounds catch a return to one full sweep per level. The
+chain needs no default, so it never walks up for the default rules' flags,
+which took about a quarter of its time when every run walked for them.
+
+The diamond ladder of 1,100 layers has 2 ** 1100 paths to each property
+node. ``paths`` prints those counts and ``align --scheme path`` refuses the
+contributions past the float range, in about 30 ms each against a 1 s bound:
+the path-weighted sums are exact, over integers of about 1,100 bits.
 
 The 200k-event guard folds its log from the open file in about 0.19-0.21 s
 (medians of 9, same machine, Python 3.11.7; about 0.24 s in the same spell
@@ -43,6 +51,10 @@ from valuetax import (
     select_nodes,
     serialize_taxonomy,
 )
+from valuetax.cli import main
+from valuetax.propagation import _Run
+
+from conftest import diamond_ladder, saturating_log
 
 
 def tree_document(internal: int, rng: random.Random) -> str:
@@ -84,30 +96,86 @@ def timed_propagate(taxonomy: ValueTaxonomy):
     return result, time.perf_counter() - started
 
 
-def test_1000_node_chain_propagates_in_one_round():
+def chain() -> ValueTaxonomy:
     names = [f"c{i:04d}" for i in range(1000)]
     edges = [(names[i], names[i + 1]) for i in range(999)]
-    chain = ValueTaxonomy.build([label_node(n) for n in names], edges, {names[-1]: 0.25})
-    result, elapsed = timed_propagate(chain)
-    assert result.iterations == 1
-    assert result.taxonomy.importance[names[0]] == pytest.approx(0.25, abs=1e-12)
-    assert elapsed < 1.0, f"1000-node chain propagation took {elapsed:.2f}s"
+    return ValueTaxonomy.build([label_node(n) for n in names], edges, {names[-1]: 0.25})
 
 
-def test_1999_node_caterpillar_climbs_one_round_per_level():
+def caterpillar() -> ValueTaxonomy:
     # spine s0000 -> ... -> s0999, each spine node but the last with a leaf;
     # the partial mean climbs one spine node per round
     spine = [f"s{i:04d}" for i in range(1000)]
     leaves = [f"l{i:04d}" for i in range(999)]
     edges = [(spine[i], spine[i + 1]) for i in range(999)]
     edges += [(spine[i], leaves[i]) for i in range(999)]
-    caterpillar = ValueTaxonomy.build(
-        [label_node(n) for n in spine + leaves], edges, {spine[-1]: -0.5})
-    result, elapsed = timed_propagate(caterpillar)
+    return ValueTaxonomy.build([label_node(n) for n in spine + leaves], edges, {spine[-1]: -0.5})
+
+
+def test_1000_node_chain_propagates_in_one_round():
+    result, elapsed = timed_propagate(chain())
+    assert result.iterations == 1
+    assert result.taxonomy.importance["c0000"] == pytest.approx(0.25, abs=1e-12)
+    assert elapsed < 1.0, f"1000-node chain propagation took {elapsed:.2f}s"
+
+
+def test_1999_node_caterpillar_climbs_one_round_per_level():
+    result, elapsed = timed_propagate(caterpillar())
     assert result.iterations == 1000
     assert len(result.assigned) == 1998
     assert set(result.taxonomy.importance.values()) == {-0.5}
     assert elapsed < 1.0, f"1999-node caterpillar propagation took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("build, walks", [(chain, 0), (caterpillar, 1999)],
+                         ids=["chain", "caterpillar"])
+def test_flags_for_the_defaults_are_walked_only_when_a_default_can_fire(monkeypatch, build, walks):
+    # The chain's first closure values every node, so no default has a
+    # candidate and the flags are never built. The caterpillar needs a default
+    # in its first round: the flags are built from its one given value, then
+    # kept up to date from each of its 1,998 assignments, one walk per node.
+    calls = []
+    original = _Run.flag_ancestors
+
+    def counted(run, node):
+        calls.append(node)
+        return original(run, node)
+    monkeypatch.setattr(_Run, "flag_ancestors", counted)
+    taxonomy = build()
+    propagate(taxonomy)
+    assert len(calls) == walks <= len(taxonomy)
+
+
+@pytest.fixture(scope="module")
+def ladder_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ladder") / "ladder.json"
+    path.write_text(serialize_taxonomy(diamond_ladder(1100)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def saturating_log_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("log") / "events.jsonl"
+    path.write_text(saturating_log(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, code", [
+    (("paths",), 0), (("align", "--scheme", "path", "--max-r", "2"), 1)], ids=["paths", "align"])
+def test_1100_layer_diamond_ladder_paths_and_path_scores_stay_fast(
+        capsys, ladder_file, saturating_log_file, command, code):
+    argv = [*command, "--input", ladder_file]
+    if command[0] == "align":
+        argv += ["--log", saturating_log_file]
+    started = time.perf_counter()
+    assert main(argv) == code
+    elapsed = time.perf_counter() - started
+    out, err = capsys.readouterr()
+    if code:
+        assert err.endswith("path-weighted contribution of 'offer_ratio' is past the float range\n")
+    else:
+        assert f"offer_ratio: {2 ** 1100}" in out
+    assert elapsed < 1.0, f"{command[0]} on a 1,100-layer diamond ladder took {elapsed:.2f}s"
 
 
 def test_200k_event_log_folds_fast(tmp_path):

@@ -280,6 +280,41 @@ class TestValidate:
                 assert all((p, c) in edges for p, c in zip(trace, trace[1:]))
         assert 500 < cyclic < 2000
 
+    def test_violations_match_a_scan_of_the_edge_set_on_random_graphs(self):
+        # validate reads the adjacency maps; the reference reads the edges alone
+        def edge_scan(nodes, edges):
+            found = []
+            for parent, child in sorted(e for e in edges if e[0] not in nodes or e[1] not in nodes):
+                found += [("UnknownEdgeEndpoint", f"{parent}->{child}",
+                           f"edge ({parent!r}, {child!r}) references unknown node {end!r}")
+                          for end in (parent, child) if end not in nodes]
+            for parent, child in sorted(e for e in edges if e[0] in nodes
+                                        and nodes[e[0]].kind is NodeKind.PROPERTY):
+                found.append(("PropertyNodeNotLeaf", parent, f"property node {parent!r} has child "
+                              f"{child!r}; property nodes must be leaves"))
+            return found
+
+        rng = random.Random(12)
+        kinds = {"UnknownEdgeEndpoint": 0, "PropertyNodeNotLeaf": 0, "CycleDetected": 0}
+        for _ in range(3000):
+            ids = [f"n{i:02d}" for i in range(rng.randint(1, 10))]
+            nodes = {n: property_node(n) if rng.random() < 0.3 else label_node(n) for n in ids}
+            ends = ids + ["ghost", "a-ghost", "zz"][:rng.randint(0, 3)]
+            edges = {(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 2 * len(ids)))}
+            try:
+                ValueTaxonomy(nodes, frozenset(edges), {})
+            except InvalidTaxonomy as exc:
+                found = [(v.rule, v.subject, v.message) for v in exc.violations]
+            else:
+                found = []
+            if found and found[-1][0] == "CycleDetected":
+                kinds["CycleDetected"] += 1
+                found.pop()
+            assert found == edge_scan(nodes, edges)
+            for rule in {rule for rule, _, _ in found}:
+                kinds[rule] += 1
+        assert min(kinds.values()) > 300, kinds
+
     def test_valid_taxonomy_validates_without_the_cycle_search(self, monkeypatch):
         def refuse(taxonomy):
             raise AssertionError("the cycle search ran on a valid taxonomy")
