@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .aggregation import (
-    Law,
-    LawReport,
     check_all_laws,
     check_compensative_bounds,
     check_idempotence,

@@ -5,10 +5,12 @@ nodes, of each property's satisfaction degree weighted by its importance.
 The path-weighted variant additionally multiplies each term by the number
 of taxonomy paths leading to the property, so properties that ground many
 value concepts count more; such scores can leave [-1, 1] and are reported
-unclamped together with their theoretical bound. The path-weighted
-contributions, score and bound are computed exactly from the integer path
-counts and each float's integer ratio, and rounded once; one whose rounded
-value would be past the float range is refused with a
+unclamped together with their theoretical bound. The mean scheme is the
+path scheme with a factor of 1 and a bound of 1. Under both, every
+contribution and the score are computed exactly from the path counts and
+each float's integer ratio, and rounded once, so they do not depend on the
+order of the properties or on the Python version. A path-weighted value
+whose rounded value would be past the float range is refused with a
 :class:`~valuetax.errors.TaxonomyError`.
 """
 
@@ -78,24 +80,17 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
             raise MissingSatisfaction(node)
         sd_val = check_importance(sd[node], f"satisfaction degree of {node!r}")
         imp = taxonomy.importance[node]
-        if weighted:
-            (imp_n, imp_d), (sd_n, sd_d) = imp.as_integer_ratio(), sd_val.as_integer_ratio()
-            num, den = paths[node] * imp_n * sd_n, imp_d * sd_d
-            exact.append((num, den))
-            contribution = _rounded(num, den, f"contribution of {node!r}")
-        else:
-            contribution = imp * sd_val
+        (imp_n, imp_d), (sd_n, sd_d) = imp.as_integer_ratio(), sd_val.as_integer_ratio()
+        num, den = (paths[node] if weighted else 1) * imp_n * sd_n, imp_d * sd_d
+        exact.append((num, den))
         per_property.append(PropertyContribution(
-            node=node, sd=sd_val, importance=imp, paths=paths[node], contribution=contribution))
-    if weighted:
-        # Power-of-two denominators: the largest is a multiple of every other.
-        common = max(den for _, den in exact)
-        total = sum(num * (common // den) for num, den in exact)
-        score = _rounded(total, common * len(props), "score")
-        bound = _rounded(max(paths[n] for n in props), 1, "score bound")
-    else:
-        score = sum(p.contribution for p in per_property) / len(per_property)
-        bound = 1.0
+            node=node, sd=sd_val, importance=imp, paths=paths[node],
+            contribution=_rounded(num, den, f"contribution of {node!r}")))
+    # Power-of-two denominators: the largest is a multiple of every other.
+    common = max(den for _, den in exact)
+    total = sum(num * (common // den) for num, den in exact)
+    score = _rounded(total, common * len(props), "score")
+    bound = _rounded(max(paths[n] for n in props) if weighted else 1, 1, "score bound")
     return AlignmentReport(
         entity=entity, scheme=scheme, score=score, score_bound=bound,
         per_property=tuple(per_property))

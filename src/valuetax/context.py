@@ -19,6 +19,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from ._record import EMPTY_MAPPING, Record, setfield
+from .aggregation import mean_aggregate
 from .errors import EmptyInput, EmptySelectionWarning, MissingEvaluator, ParseError
 from .propagation import propagate
 from .taxonomy import NodeId, NodeKind, ValueTaxonomy, ancestors, importance_at
@@ -124,7 +125,7 @@ def select_nodes(importances: Mapping[NodeId, float],
     if items[0][1] == items[-1][1]:
         return set(importances)
     n = len(items)
-    mean = math.fsum(v for _, v in items) / n
+    mean = mean_aggregate([v for _, v in items])
     centred = [v - mean for _, v in items]
     total = math.fsum(centred)
     total_sse = math.fsum(c * c for c in centred)

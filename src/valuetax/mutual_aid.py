@@ -30,6 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._record import EMPTY_MAPPING, Record, setfield
+from .aggregation import mean_aggregate
 from .errors import (
     EmptyDistribution,
     EmptyInput,
@@ -198,7 +199,7 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
             members = state.members
             if not members:
                 raise EmptyInput("community has no members to aggregate over")
-            degrees[node] = sum(sd_fn(state, m, cfg) for m in members) / len(members)
+            degrees[node] = mean_aggregate([sd_fn(state, m, cfg) for m in members])
     return degrees
 
 

@@ -69,23 +69,35 @@ class TestMean:
         assert mean_aggregate(full) == pytest.approx(parent, abs=1e-12)
 
 
+    # math.fsum rounds the exact sum once, so no order of the values moves a bit
+    @given(st.lists(importances, min_size=1, max_size=30).flatmap(
+        lambda v: st.tuples(st.just(v), st.permutations(v))))
+    def test_mean_does_not_depend_on_order(self, lists):
+        values, permuted = lists
+        assert mean_aggregate(permuted).hex() == mean_aggregate(values).hex()
+
+    @given(st.lists(importances, max_size=30).flatmap(
+        lambda v: st.tuples(st.just(v), st.permutations(v))), importances,
+        st.integers(min_value=1, max_value=5))
+    def test_invert_does_not_depend_on_order(self, lists, parent, unknown_count):
+        known, permuted = lists
+        assert (mean_invert(parent, permuted, unknown_count).hex()
+                == mean_invert(parent, known, unknown_count).hex())
+
+
 class TestLawChecks:
     def test_mean_passes_every_law(self):
-        reports = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(7))
-        assert all(report.passed for report in reports.values())
-        assert all(report.counterexample is None for report in reports.values())
+        found = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(7))
+        assert found == {"Symmetry": None, "Idempotence": None, "Monotonicity": None,
+                         "CompensativeBounds": None}
 
     def test_first_element_fails_symmetry_with_counterexample(self):
-        report = check_symmetry(first, trials=500, rng=random.Random(3))
-        assert not report.passed
-        values, permuted = report.counterexample
+        values, permuted = check_symmetry(first, trials=500, rng=random.Random(3))
         assert sorted(values) == sorted(permuted)
         assert first(values) != first(permuted)
 
     def test_sum_fails_idempotence(self):
-        report = check_idempotence(sum, trials=10, rng=random.Random(5))
-        assert not report.passed
-        (constant,) = report.counterexample
+        (constant,) = check_idempotence(sum, trials=10, rng=random.Random(5))
         assert len(set(constant)) == 1
         assert sum(constant) != constant[0]
 
@@ -94,18 +106,15 @@ class TestLawChecks:
         def clamped(v):
             return max(-0.5, min(0.5, mean_aggregate(v)))
 
-        report = check_idempotence(clamped, trials=3, rng=random.Random(1))
-        assert not report.passed
+        assert check_idempotence(clamped, trials=3, rng=random.Random(1)) is not None
 
     def test_negated_mean_fails_monotonicity(self):
-        report = check_monotonicity(negated_mean, trials=500, rng=random.Random(11))
-        assert not report.passed
-        lo, hi = report.counterexample
+        lo, hi = check_monotonicity(negated_mean, trials=500, rng=random.Random(11))
         assert all(a <= b for a, b in zip(lo, hi))
 
     def test_above_max_fails_compensative_bounds(self):
-        report = check_compensative_bounds(above_max, trials=50, rng=random.Random(2))
-        assert not report.passed
+        (values,) = check_compensative_bounds(above_max, trials=50, rng=random.Random(2))
+        assert above_max(values) > max(values)
 
     def test_idempotence_plus_monotonicity_imply_bounds(self):
         # sampled restatement: every operator that passes the first two
@@ -116,13 +125,13 @@ class TestLawChecks:
             rng = random.Random(31)
             idem = check_idempotence(op, trials=300, rng=rng)
             mono = check_monotonicity(op, trials=300, rng=rng)
-            if idem.passed and mono.passed:
-                assert check_compensative_bounds(op, trials=300, rng=rng).passed, name
+            if idem is None and mono is None:
+                assert check_compensative_bounds(op, trials=300, rng=rng) is None, name
 
     @pytest.mark.parametrize("op", [min, max, statistics.median], ids=["min", "max", "median"])
     def test_other_averaging_functions_pass_every_law(self, op):
-        reports = check_all_laws(op, trials=300, rng=random.Random(13))
-        assert [law for law, report in reports.items() if not report.passed] == []
+        found = check_all_laws(op, trials=300, rng=random.Random(13))
+        assert [law for law, counterexample in found.items() if counterexample is not None] == []
 
     @pytest.mark.parametrize("check", [check_symmetry, check_idempotence, check_monotonicity,
                                        check_compensative_bounds, check_all_laws])
@@ -135,6 +144,6 @@ class TestLawChecks:
         (check_compensative_bounds, above_max)], ids=["symmetry", "idempotence", "monotonicity",
                                                       "bounds"])
     def test_the_same_seed_finds_the_same_counterexample(self, check, violator):
-        report = check(violator, trials=200, rng=random.Random(17))
-        assert report.counterexample is not None
-        assert check(violator, trials=200, rng=random.Random(17)) == report
+        found = check(violator, trials=200, rng=random.Random(17))
+        assert found is not None
+        assert check(violator, trials=200, rng=random.Random(17)) == found

@@ -8,6 +8,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valuetax import (
     AlignmentScheme,
@@ -29,6 +31,7 @@ from valuetax.errors import (
 from conftest import (
     diamond_ladder,
     enumerate_paths_oracle,
+    importance_values,
     literal_alignment_oracle,
     random_taxonomy,
 )
@@ -309,6 +312,20 @@ class TestPathWeightedRange:
             assert report.score == float(sum(exact) / len(props))
             assert report.score_bound == float(max(paths.values()))
         assert checked > 150
+
+
+@given(st.lists(st.tuples(importance_values, importance_values), min_size=1, max_size=12))
+def test_mean_scores_are_the_exact_mean_rounded_once(pairs):
+    # pairs of (importance, sd), one property node each under one root
+    props = [f"p{i:02d}" for i in range(len(pairs))]
+    t = ValueTaxonomy.build([label_node("root")] + [property_node(p) for p in props],
+                            [("root", p) for p in props],
+                            {p: imp for p, (imp, _) in zip(props, pairs)})
+    report = align("e", t, {p: sd for p, (_, sd) in zip(props, pairs)})
+    exact = sum(Fraction(imp) * Fraction(sd) for imp, sd in pairs) / len(pairs)
+    assert report.score.hex() == float(exact).hex()
+    # a float product is already the exact product rounded once
+    assert [p.contribution for p in report.per_property] == [imp * sd for imp, sd in pairs]
 
 
 class TestContextImportance:

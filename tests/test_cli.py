@@ -53,6 +53,16 @@ def given_importance_locations(path: Path) -> list[str]:
 
 
 @pytest.fixture
+def min_digit_limit():
+    """The interpreter's limit on converting an int to text, at its minimum
+    of 640 digits for the test and restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
 def fairness_file(tmp_path):
     path = tmp_path / "fairness.json"
     path.write_text(serialize_taxonomy(fairness_taxonomy()), encoding="utf-8")
@@ -258,7 +268,8 @@ class TestPropagateCommand:
         from valuetax import parse_taxonomy
         assert parse_taxonomy(out) == fairness_taxonomy()
 
-    # Given and propagated values -0.0, 5e-324 and 1e-300; ids and texts with a
+    # Given values -0.0, 5e-324 and 1e-300 and values propagated from them (a
+    # mean of zeros is +0.0, as math.fsum sums them); ids and texts with a
     # quote, a backslash, control characters, U+2028 and a non-BMP character.
     def test_edge_values_output_matches_the_golden_file(self, capsys):
         code, out, err = run(capsys, "propagate", "--format", "machine",
@@ -614,6 +625,16 @@ class TestAlignCommand:
         assert (code, out) == (1, "")
         assert err == f"{path}: path-weighted contribution of 'offer_ratio' is past the float range\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_a_path_count_too_long_to_print_is_invalid_input(
+            self, capsys, tmp_path, saturating_log_file, min_digit_limit, fmt):
+        # 2 ** 2200 has 663 digits; --scheme mean overrides the path scheme, whose
+        # contributions past the float range would be refused first
+        path, (code, out, err) = self.ladder_align(capsys, tmp_path, saturating_log_file, 2200,
+                                                   "--scheme", "mean", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"{path}: path count of 'offer_ratio' has more than 640 digits\n"
+
     def test_missing_log_is_io_failure(self, capsys, alignment_taxonomy_file, tmp_path):
         path = tmp_path / "absent.jsonl"
         code, _, err = run(capsys, "align", "--input", alignment_taxonomy_file,
@@ -639,6 +660,20 @@ class TestOtherCommands:
                            "--node", "nope")
         assert code == 1
         assert "nope" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_a_path_count_too_long_to_print_is_invalid_input(
+            self, capsys, tmp_path, min_digit_limit, fmt):
+        # 2 ** 2200 has 663 digits
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_taxonomy(diamond_ladder(2200)), encoding="utf-8")
+        code, out, err = run(capsys, "paths", "--input", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"{path}: path count of 'offer_ratio' has more than 640 digits\n"
+        # a node whose count prints is still answered
+        code, out, _ = run(capsys, "paths", "--input", str(path), "--node", "a0002",
+                           "--format", fmt)
+        assert (code, out) == (0, "a0002: 2\n" if fmt == "text" else '{\n  "a0002": 2\n}\n')
 
     def test_export_dot(self, capsys, fairness_file):
         code, out, _ = run(capsys, "export-dot", "--input", fairness_file)
@@ -697,3 +732,18 @@ def test_out_of_range_importance_exits_one_naming_its_entry(capsys, tmp_path, mo
     code, out, err = run(capsys, "propagate", "--input", "bad-importance-taxonomy.json")
     assert (code, out) == (1, "")
     assert err == (GOLDEN / "propagate-bad-importance.txt").read_text(encoding="utf-8")
+
+
+# Benchmark workload inputs at tiny scale (bench/workloads.py: context-wide at
+# seed 6, align-log at seed 1) whose output moved between Python 3.11 and 3.12
+# while means were taken with the builtin sum; CI diffs them on 3.10 to 3.13.
+@pytest.mark.parametrize("argv, golden", [
+    (("context", "--input", "context-wide-general-taxonomy.json",
+      "--context", "context-wide-spec.json", "--strategy", "kmeans2"), "context-wide-kmeans2.json"),
+    (("align", "--input", "align-log-taxonomy.json", "--log", "align-log-events.jsonl"),
+     "align-log.json")], ids=["context-wide", "align-log"])
+def test_workload_outputs_match_the_golden_files(capsys, monkeypatch, argv, golden):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run(capsys, *argv, "--format", "machine")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

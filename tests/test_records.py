@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 import pytest
 
-from valuetax.aggregation import Law, LawReport
 from valuetax.alignment import AlignmentReport, AlignmentScheme, PropertyContribution
 from valuetax.context import KMEANS_SELECTION, POSITIVE_SELECTION, ContextSpec, SelectionKind, SelectionStrategy
 from valuetax.mutual_aid import CommunityState, DomainConfig, Measure
@@ -54,9 +53,6 @@ CASES = [
          ({"a": LABEL_A, "b": PROPERTY_B}, frozenset({("a", "b")}), {"b": 0.5}),
          0, {"nodes": {}, "edges": frozenset(), "importance": {}}, 2, {"b": 0.25},
          TAXONOMY_REPR, False),
-    Case(LawReport, ("law", "counterexample"), (Law.SYMMETRY, ((0.1,), (0.2,))),
-         1, {"counterexample": None}, 1, ((0.3,),),
-         "LawReport(law=<Law.SYMMETRY: 'Symmetry'>, counterexample=((0.1,), (0.2,)))", True),
     Case(PropertyContribution, ("node", "sd", "importance", "paths", "contribution"),
          ("p", 0.5, 0.4, 2, 0.4), 5, {}, 3, 3, CONTRIBUTION_REPR, True),
     Case(AlignmentReport, ("entity", "scheme", "score", "score_bound", "per_property"),
@@ -108,7 +104,7 @@ def field_values(record, case: Case) -> tuple:
 
 
 def test_every_record_is_covered():
-    assert len({case.cls for case in CASES}) == 13
+    assert len({case.cls for case in CASES}) == 12
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -183,8 +179,6 @@ class TestRecordContract:
 @pytest.mark.parametrize("record, verdict, holds", [
     (CoherenceReport(unevaluable=("b",)), "coherent", True),
     (CoherenceReport((CoherenceViolation("a", 0.5, 0.25),)), "coherent", False),
-    (LawReport(Law.SYMMETRY), "passed", True),
-    (LawReport(Law.SYMMETRY, ((0.1,),)), "passed", False),
 ])
 def test_verdicts_are_read_only_properties_of_the_fields(record, verdict, holds):
     assert getattr(record, verdict) is holds
