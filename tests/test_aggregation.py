@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import statistics
 
@@ -147,3 +149,29 @@ class TestLawChecks:
         found = check(violator, trials=200, rng=random.Random(17))
         assert found is not None
         assert check(violator, trials=200, rng=random.Random(17)) == found
+
+    # a counterexample is a plain value: tuples of float tuples, compared,
+    # hashed, copied and pickled as any tuple is
+    @pytest.mark.parametrize("check, violator", [
+        (check_symmetry, first), (check_idempotence, sum), (check_monotonicity, negated_mean),
+        (check_compensative_bounds, above_max)], ids=["symmetry", "idempotence", "monotonicity",
+                                                      "bounds"])
+    def test_a_counterexample_is_a_plain_tuple_of_float_tuples(self, check, violator):
+        found = check(violator, trials=200, rng=random.Random(17))
+        assert type(found) is tuple
+        assert all(type(values) is tuple and all(type(v) is float for v in values)
+                   for values in found)
+        assert hash(found) == hash(tuple(found))
+        assert copy.deepcopy(found) == found
+        assert pickle.loads(pickle.dumps(found)) == found
+
+    @pytest.mark.parametrize("violator, broken", [
+        (first, ["Symmetry"]),
+        (sum, ["Idempotence", "CompensativeBounds"]),
+        (negated_mean, ["Idempotence", "Monotonicity", "CompensativeBounds"]),
+        (above_max, ["Idempotence", "CompensativeBounds"])],
+        ids=["first", "sum", "negated_mean", "above_max"])
+    def test_all_laws_names_exactly_the_broken_laws(self, violator, broken):
+        found = check_all_laws(violator, trials=200, rng=random.Random(17))
+        assert list(found) == ["Symmetry", "Idempotence", "Monotonicity", "CompensativeBounds"]
+        assert [law for law, counterexample in found.items() if counterexample is not None] == broken
