@@ -6,8 +6,11 @@ machine`` switches to JSON so scripts and tests share the same entry point.
 Numbers in tables are printed with six decimals to keep golden output
 stable.
 
-Exit codes: 0 success, 1 validation or parse failure, 2 incoherence or
-propagation conflict, 3 I/O failure.
+Exit codes: 0 success, 1 an invalid or refused input, 2 a failed
+propagation (or an incoherent taxonomy under ``coherence``), 3 a file that
+cannot be read or written. A refusal is one stderr line naming the file it
+came from; ``_blamed`` maps a library call's refusal onto this table. The
+golden cases of this contract are listed once, in ``tests/golden/cases.txt``.
 """
 
 from __future__ import annotations
@@ -82,27 +85,31 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _blamed(path: str, fn: Callable[..., _T], *args) -> _T:
+    """``fn(*args)``, its refusal of an input blamed on ``path``: a failed
+    propagation exits 2, any other refused input exits 1."""
+    try:
+        return fn(*args)
+    except PropagationError as exc:
+        raise _Fail(EXIT_INCOHERENT, f"{path}: {exc}") from exc
+    except (TaxonomyError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
+
+
 def _read(path: str, consume: Callable[[TextIO], _T] = lambda handle: handle.read()) -> _T:
     """``consume`` applied to the open file at ``path``, by default its whole text.
     An unreadable file exits 3; one not in UTF-8, or that ``consume`` rejects, exits 1."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return consume(handle)
+            return _blamed(path, consume, handle)
     except OSError as exc:
         raise _Fail(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, TaxonomyError) as exc:
-        raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
 
 
 def _load(path: str, parse: Callable[[str], _T]) -> _T:
     """``parse`` applied to the text of the file at ``path``. The file is
-    closed before parsing, since parsing while it is open raises peak memory;
-    a document ``parse`` rejects exits 1."""
-    text = _read(path)
-    try:
-        return parse(text)
-    except TaxonomyError as exc:
-        raise _Fail(EXIT_INVALID, f"{path}: {exc}") from exc
+    closed before parsing, since parsing while it is open raises peak memory."""
+    return _blamed(path, parse, _read(path))
 
 
 def _machine(doc) -> str:
@@ -116,18 +123,6 @@ def _taxonomy_table(taxonomy: ValueTaxonomy) -> str:
         value = _fmt(taxonomy.importance[node_id]) if node_id in taxonomy.importance else "-"
         lines.append(f"{node_id:<20} {node.kind.value:<9} {value:>10}")
     return "\n".join(lines)
-
-
-def _domain_config(args) -> DomainConfig:
-    try:
-        return DomainConfig(
-            max_ratio=args.max_r,
-            epsilon=args.epsilon,
-            max_delta=args.max_delta,
-            difference_measure=Measure(args.measure),
-        )
-    except ValueError as exc:
-        raise _Fail(EXIT_INVALID, f"bad domain configuration: {exc}") from exc
 
 
 def _refusal(text: str) -> Optional[InvalidTaxonomy]:
@@ -158,11 +153,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 
 def _cmd_propagate(args) -> tuple[int, str]:
-    taxonomy = _load(args.input, parse_taxonomy)
-    try:
-        result = propagate(taxonomy)
-    except PropagationError as exc:
-        raise _Fail(EXIT_INCOHERENT, f"{args.input}: {exc}") from exc
+    result = _blamed(args.input, propagate, _load(args.input, parse_taxonomy))
     if args.format == "machine":
         return EXIT_OK, serialize_taxonomy(result.taxonomy)
     lines = [_taxonomy_table(result.taxonomy), ""]
@@ -220,12 +211,7 @@ def _cmd_context(args) -> tuple[int, str]:
     ctx = ctx.with_selection(_selection_override(args, ctx.selection))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            built = build_context_taxonomy(general, ctx)
-        except PropagationError as exc:
-            raise _Fail(EXIT_INCOHERENT, f"{args.context}: {exc}") from exc
-        except ValueError as exc:
-            raise _Fail(EXIT_INVALID, f"{args.context}: {exc}") from exc
+        built = _blamed(args.context, build_context_taxonomy, general, ctx)
     for warning in caught:
         if issubclass(warning.category, EmptySelectionWarning):
             print(f"warning: {warning.message}", file=sys.stderr)
@@ -239,16 +225,10 @@ def _cmd_context(args) -> tuple[int, str]:
 def _cmd_align(args) -> tuple[int, str]:
     taxonomy = _load(args.input, parse_taxonomy)
     state = _read(args.log, ingest_event_log)
-    cfg = _domain_config(args)
-    scheme = AlignmentScheme(args.scheme)
-    try:
-        sd = satisfaction_degrees(state, cfg, taxonomy.property_nodes())
-    except TaxonomyError as exc:  # the log's counts cannot be scored
-        raise _Fail(EXIT_INVALID, f"{args.log}: {exc}") from exc
-    try:
-        report = align(args.entity, taxonomy, sd, scheme)
-    except TaxonomyError as exc:
-        raise _Fail(EXIT_INVALID, f"{args.input}: {exc}") from exc
+    cfg = _blamed("bad domain configuration", DomainConfig,
+                  args.max_r, args.epsilon, args.max_delta, Measure(args.measure))
+    sd = _blamed(args.log, satisfaction_degrees, state, cfg, taxonomy.property_nodes())
+    report = _blamed(args.input, align, args.entity, taxonomy, sd, AlignmentScheme(args.scheme))
     _printable_counts(args.input, {p.node: p.paths for p in report.per_property})
     return EXIT_OK, _render_alignment(report, args.format)
 
@@ -359,7 +339,7 @@ def demo_contexts() -> dict[str, ContextSpec]:
 
 
 def _cmd_demo(args) -> tuple[int, str]:
-    general = parse_taxonomy(serialize_taxonomy(fairness_taxonomy()))  # parsed, hence valid
+    general = fairness_taxonomy()
     laws = check_all_laws(mean_aggregate, trials=1000, rng=random.Random(20240601))
     contexts = demo_contexts()
 

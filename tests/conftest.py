@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from valuetax import (
     ContextSpec,
+    EventKind,
     Node,
     SelectionKind,
     ValueTaxonomy,
@@ -215,6 +216,37 @@ def shuffle_equal_timestamps(rng: random.Random, records: list[dict]) -> list[di
     for group in groups.values():
         rng.shuffle(group)
     return [record for timestamp in sorted(groups) for record in groups[timestamp]]
+
+
+ALIGN_MEMBERS = ("a", "m\u00e9", "b\u2028c", "d e")
+
+
+def scorable_records(rng: random.Random) -> list[dict]:
+    """Event records that ``align`` can score, in timestamp order, with many
+    equal timestamps: each member offers and volunteers, and tasks are assigned."""
+    members = ALIGN_MEMBERS[:rng.randint(1, len(ALIGN_MEMBERS))]
+    events = [(kind, member) for member in members for kind in ("offer", "volunteer_chosen")]
+    kinds = [kind.value for kind in EventKind]
+    events += [(rng.choice(kinds), rng.choice(members)) for _ in range(rng.randint(0, 30))]
+    events.append(("task_assigned", rng.choice(members)))
+    rng.shuffle(events)
+    records, timestamp = [], 0
+    for kind, member in events:
+        timestamp += rng.choice((0, 0, 0, 1))
+        records.append({"kind": kind, "member": member, "timestamp": timestamp})
+    return records
+
+
+def log_text(rng: random.Random, records: list[dict]) -> str:
+    """The records one per line, spelled as ``json.dumps`` writes them by
+    default or otherwise, with blank lines and mixed line ends."""
+    lines = []
+    for record in records:
+        if rng.random() < 0.1:
+            lines.append("")
+        separators = rng.choice([None, None, (",", ":")])
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.3, separators=separators))
+    return "".join(line + rng.choice(("\n", "\n", "\r\n")) for line in lines)
 
 
 def context_document(ctx: ContextSpec) -> str:

@@ -20,7 +20,6 @@ from valuetax import (
     POSITIVE_SELECTION,
     AlignmentScheme,
     ContextSpec,
-    EventKind,
     ValueTaxonomy,
     align,
     build_context_taxonomy,
@@ -37,7 +36,13 @@ from valuetax import io_formats
 from valuetax.cli import main
 from valuetax.errors import EmptySelectionWarning, TaxonomyError
 
-from conftest import random_taxonomy, relabelled, shuffle_equal_timestamps
+from conftest import (
+    log_text,
+    random_taxonomy,
+    relabelled,
+    scorable_records,
+    shuffle_equal_timestamps,
+)
 
 # 0.3 twice, so that ties between property importances are common
 TIED_IMPORTANCES = (-0.5, 0.0, 0.3, 0.3, 0.8)
@@ -112,37 +117,6 @@ def test_alignment_does_not_depend_on_node_names():
 
 
 # -- align under event reordering ----------------------------------------------
-
-ALIGN_MEMBERS = ("a", "m\u00e9", "b\u2028c", "d e")
-
-
-def scorable_records(rng: random.Random) -> list[dict]:
-    """Event records that ``align`` can score, in timestamp order, with many
-    equal timestamps: each member offers and volunteers, and tasks are assigned."""
-    members = ALIGN_MEMBERS[:rng.randint(1, len(ALIGN_MEMBERS))]
-    events = [(kind, member) for member in members for kind in ("offer", "volunteer_chosen")]
-    kinds = [kind.value for kind in EventKind]
-    events += [(rng.choice(kinds), rng.choice(members)) for _ in range(rng.randint(0, 30))]
-    events.append(("task_assigned", rng.choice(members)))
-    rng.shuffle(events)
-    records, timestamp = [], 0
-    for kind, member in events:
-        timestamp += rng.choice((0, 0, 0, 1))
-        records.append({"kind": kind, "member": member, "timestamp": timestamp})
-    return records
-
-
-def log_text(rng: random.Random, records: list[dict]) -> str:
-    """The records one per line, spelled as ``json.dumps`` writes them by
-    default or otherwise, with blank lines and mixed line ends."""
-    lines = []
-    for record in records:
-        if rng.random() < 0.1:
-            lines.append("")
-        separators = rng.choice([None, None, (",", ":")])
-        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.3, separators=separators))
-    return "".join(line + rng.choice(("\n", "\n", "\r\n")) for line in lines)
-
 
 def test_align_does_not_depend_on_event_order_or_read_size(tmp_path, capsys, monkeypatch):
     taxonomy = tmp_path / "taxonomy.json"
