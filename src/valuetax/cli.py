@@ -284,8 +284,8 @@ def _printable_counts(path: str, counts: dict[str, int]) -> None:
 
 
 def _cmd_export_dot(args) -> tuple[int, str]:
-    taxonomy = _load(args.input, parse_taxonomy)
-    return EXIT_OK, export_dot(taxonomy)
+    dot = export_dot(_load(args.input, parse_taxonomy))
+    return EXIT_OK, _machine({"dot": dot}) if args.format == "machine" else dot
 
 
 # -- demo -------------------------------------------------------------------

@@ -38,7 +38,9 @@ flagged node, so a run costs O(nodes + edges) whatever the depth. Only the
 defaults read the flags: they are built the first time a default has a
 candidate with an unvalued child, and kept up to date from then on, so a run
 whose first closure leaves no node with an unvalued child never walks for them.
-Pre-assigned values are never modified, only extended.
+Pre-assigned values are never modified, only extended. The result shares
+its input's nodes, edges and derived structure; its importance mapping is
+the run's own value table, so building it copies nothing.
 
 :func:`propagate` aggregates with :func:`~valuetax.aggregation.mean_aggregate`
 and solves for unknown children with :func:`~valuetax.aggregation.mean_invert`.
@@ -253,22 +255,6 @@ class _Run:
         return dict.fromkeys(n for node in self.fresh for n in (node, *self.parents[node]))
 
 
-def _resolve(taxonomy: ValueTaxonomy) -> tuple[dict[NodeId, float], dict[NodeId, float], int]:
-    """Run the rounds; returns all values, the assigned ones and the round
-    count. The worklist state is freed on return, before the caller builds
-    the result taxonomy, so the two never take memory at the same time."""
-    order = topological_order(taxonomy)
-    run = _Run(taxonomy, order)
-    run.settle()
-    rounds = 1
-    candidates: Iterable[NodeId] = order
-    while run.apply_defaults(candidates):
-        rounds += 1
-        run.settle()
-        candidates = run.candidates()
-    return run.values, run.assigned, rounds
-
-
 def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     """Extend the taxonomy's importance assignment to every node the
     mean-coherence constraint and the documented defaults determine,
@@ -279,10 +265,18 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     disagree, and RangeViolation when a propagated value leaves [-1, 1].
     Each exception carries the values assigned before detection.
     """
-    values, assigned, rounds = _resolve(taxonomy)
+    order = topological_order(taxonomy)
+    run = _Run(taxonomy, order)
+    run.settle()
+    rounds = 1
+    candidates: Iterable[NodeId] = order
+    while run.apply_defaults(candidates):
+        rounds += 1
+        run.settle()
+        candidates = run.candidates()
     return PropagationResult(
-        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, values, taxonomy.__dict__),
-        assigned=assigned,
+        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, run.values, taxonomy.__dict__),
+        assigned=run.assigned,
         iterations=rounds,
     )
 

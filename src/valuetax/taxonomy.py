@@ -14,8 +14,9 @@ again. A value is checked once, by the record that holds it, at its field.
 One pass over the edges derives both adjacency maps, which :func:`validate`
 reads for its rules, going back to the edge set only for an edge with an
 unknown endpoint; one cached Kahn pass gives both the acyclicity test and the
-parents-first order. An upward-closed
-subgraph of a valid taxonomy inherits that structure without being validated again.
+parents-first order. The constructor is the one path that checks: a
+propagation result, which re-annotates a valid taxonomy, and an upward-closed
+subgraph of one inherit that structure without being validated again.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ class ValueTaxonomy(Record):
         checked: set[tuple[NodeId, NodeId]] = set()
         children, parents = {n: [] for n in nodes}, {n: [] for n in nodes}
         for i, edge in enumerate(edges):  # located at its index in the order given
+            if not isinstance(edge, tuple) or len(edge) != 2:
+                raise ParseError(f"edges[{i}]", f"edge must be a (parent, child) pair, got {edge!r}")
             parent, child = edge
             if not isinstance(parent, str) or not isinstance(child, str):
                 raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
@@ -149,7 +152,12 @@ class ValueTaxonomy(Record):
             for node, ids in adjacency.items():  # most lists hold one id or none
                 adjacency[node] = tuple(sorted(ids)) if len(ids) > 1 else tuple(ids)
         self.__dict__.update(_children=children, _parents=parents)
-        setfield(self, "importance", MappingProxyType(_checked_importance(nodes, importance)))
+        values = {}
+        for node_id, value in dict(importance).items():
+            if node_id not in nodes:
+                raise UnknownNode(node_id)
+            values[node_id] = importance_at(f"importance.{node_id}", value)
+        setfield(self, "importance", MappingProxyType(values))
         violations = validate(self)
         if violations:
             raise InvalidTaxonomy(violations)
@@ -166,11 +174,6 @@ class ValueTaxonomy(Record):
                 raise _repeat(RULE_DUPLICATE_ID, f"nodes[{i}].id", f"duplicate node id: {node.id!r}")
             node_map[node.id] = node
         return cls(node_map, edges, importance or EMPTY_MAPPING)
-
-    def with_importance(self, importance: Mapping[NodeId, Importance]) -> "ValueTaxonomy":
-        """Copy with ``importance`` checked in place of this one's, sharing nodes, edges and structure."""
-        checked = _checked_importance(self.nodes, importance)
-        return self._inherit(self.nodes, self.edges, checked, self.__dict__)
 
     @classmethod
     def _inherit(cls, nodes, edges, importance: dict, structure: Mapping) -> "ValueTaxonomy":
@@ -210,19 +213,9 @@ def _repeat(rule: str, location: str, message: str) -> InvalidTaxonomy:
     return InvalidTaxonomy((Violation(rule, location, message),), location)
 
 
-def _checked_importance(nodes: Mapping[NodeId, Node],
-                        importance: Mapping[NodeId, Importance]) -> dict[NodeId, Importance]:
-    checked = {}
-    for node_id, value in dict(importance).items():
-        if node_id not in nodes:
-            raise UnknownNode(node_id)
-        checked[node_id] = importance_at(f"importance.{node_id}", value)
-    return checked
-
-
-def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
-    """Return one directed cycle as a node list ending where it starts, or None.
-    Depth-first from each unvisited node in id order, children in id order."""
+def _find_cycle(taxonomy: ValueTaxonomy) -> list[NodeId]:
+    """One directed cycle as a node list ending where it starts, for a taxonomy
+    that has one. Depth-first from each unvisited node in id order, children in id order."""
     children = taxonomy._children
     on_path: dict[NodeId, bool] = {}  # False once a node's subtree is done
     for start in sorted(taxonomy.nodes):
@@ -241,7 +234,6 @@ def _find_cycle(taxonomy: ValueTaxonomy) -> Optional[list[NodeId]]:
                 on_path[nxt] = True
                 path.append(nxt)
                 stack.append(iter(children[nxt]))
-    return None
 
 
 def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:

@@ -20,6 +20,7 @@ from valuetax import (
     DomainConfig,
     SelectionKind,
     SelectionStrategy,
+    ValueTaxonomy,
     align,
     build_context_taxonomy,
     check_coherence,
@@ -91,8 +92,8 @@ def test_criterion_02_context_construction(fairness):
             "equal_treatment", "workload_split", TASK_BALANCE,
         }
         assert abs(built.importance["fairness"] - 0.75) <= 1e-9
-        oracle = subtree_mean_oracle(built.with_importance(
-            {OFFER_RATIO: 0.8, TASK_BALANCE: 0.7}))
+        oracle = subtree_mean_oracle(ValueTaxonomy(
+            built.nodes, built.edges, {OFFER_RATIO: 0.8, TASK_BALANCE: 0.7}))
         for node in built.nodes:
             assert abs(built.importance[node] - oracle[node]) <= 1e-9
         assert time.perf_counter() - started < 1.0
@@ -144,7 +145,7 @@ def test_criterion_05_coherence_detection():
             new = old - delta if old + delta > 1.0 else old + delta
             skewed = dict(full.importance)
             skewed[target] = new
-            report = check_coherence(full.with_importance(skewed))
+            report = check_coherence(ValueTaxonomy(full.nodes, full.edges, skewed))
 
             flagged = {v.parent for v in report.violations}
             # the perturbed node's own equation breaks, and - unavoidably -

@@ -54,6 +54,11 @@ class TestMean:
         with pytest.raises(EmptyInput):
             mean_aggregate(())
 
+    def test_invert_needs_an_unknown_child(self):
+        with pytest.raises(ValueError) as excinfo:
+            mean_invert(0.5, [0.5], unknown_count=0)
+        assert str(excinfo.value) == "unknown_count must be >= 1"
+
     @given(importance_tuples)
     def test_result_between_min_and_max(self, values):
         result = mean_aggregate(values)

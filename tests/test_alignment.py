@@ -331,7 +331,8 @@ def test_mean_scores_are_the_exact_mean_rounded_once(pairs):
 class TestContextImportance:
     def test_detested_properties_pull_the_score_down(self, fairness, context_c_prime):
         sd = {"offer_ratio": 1.0, "volunteer_ratio": 1.0, "task_balance": 1.0}
-        report = align("e", fairness.with_importance(context_c_prime.property_importance), sd)
+        annotated = ValueTaxonomy(fairness.nodes, fairness.edges, context_c_prime.property_importance)
+        report = align("e", annotated, sd)
         assert report.score == pytest.approx((-0.5 - 0.5 + 0.9) / 3, abs=1e-12)
         assert sorted(p.node for p in report.per_property) == [
             "offer_ratio", "task_balance", "volunteer_ratio"]

@@ -654,6 +654,11 @@ class TestOtherCommands:
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("digraph")
 
+    def test_unwritable_output_is_io_failure(self, capsys, fairness_file, tmp_path):
+        code, out, err = run(capsys, "paths", "--input", fairness_file, "--output", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"cannot write {tmp_path}: ")
+
 
 def golden_cases():
     """The rows of ``golden/cases.txt``, each named by its arguments."""
@@ -744,5 +749,5 @@ def test_no_command_ends_in_a_traceback(fuzz_dir, seed, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
-    if fmt == "machine" and out.getvalue() and command != "export-dot":  # DOT in either format
+    if fmt == "machine" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=refuse_constant)

@@ -144,8 +144,8 @@ class TestBuildContextTaxonomy:
         assert "volunteer_ratio" not in built.nodes
         assert "equal_pay" not in built.nodes
         assert built.importance["fairness"] == pytest.approx(0.75, abs=1e-9)
-        oracle = subtree_mean_oracle(built.with_importance(
-            {"offer_ratio": 0.8, "task_balance": 0.7}))
+        oracle = subtree_mean_oracle(ValueTaxonomy(
+            built.nodes, built.edges, {"offer_ratio": 0.8, "task_balance": 0.7}))
         for node, value in built.importance.items():
             assert value == pytest.approx(oracle[node], abs=1e-9)
 
@@ -181,8 +181,8 @@ class TestBuildContextTaxonomy:
 
     def test_result_ignores_general_importances(self, fairness, context_c):
         rng = random.Random(1)
-        annotated = fairness.with_importance(
-            {n: rng.uniform(-1, 1) for n in fairness.nodes})
+        annotated = ValueTaxonomy(
+            fairness.nodes, fairness.edges, {n: rng.uniform(-1, 1) for n in fairness.nodes})
         plain = build_context_taxonomy(fairness, context_c)
         noisy = build_context_taxonomy(annotated, context_c)
         assert plain == noisy

@@ -144,6 +144,14 @@ class TestPropagateErrors:
         t = taxonomy([("p", "a"), ("p", "b")], {"p": 1.0, "a": 1.0})
         assert propagate(t).taxonomy.importance["b"] == 1.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_a_one_ulp_overshoot_is_assigned_the_bound(self, sign):
+        # the solved child is 1.0000000000000004 times the sign: float noise, not a violation
+        given = dict(zip("abcd", (1.0, 0.6126870066593011, 1.0, 0.722834258171192)))
+        values = {"p": sign * 0.8671042529660987, **{n: sign * v for n, v in given.items()}}
+        t = taxonomy([("p", n) for n in "abcde"], values)
+        assert propagate(t).assigned == {"e": sign}
+
     def test_error_carries_prior_assignments(self):
         # a_root solves its child first; the mismatch under b_root then halts the run
         t = taxonomy(
@@ -164,6 +172,25 @@ class TestPropagateProperties:
         for node, expected in oracle.items():
             assert result.taxonomy.importance[node] == pytest.approx(expected, abs=1e-9)
         assert check_coherence(result.taxonomy).coherent
+
+    def test_result_shares_the_input_structure(self):
+        # the result re-annotates its input: nodes, edges and each structure
+        # validation derived are the input's own objects
+        rng = random.Random(29)
+        shared = 0
+        for _ in range(300):
+            t = random_taxonomy(rng, all_property_importance=True)
+            try:
+                result = propagate(t).taxonomy
+            except PropagationError:
+                continue
+            shared += 1
+            assert result == ValueTaxonomy.build(t.nodes.values(), t.edges, result.importance)
+            assert result.nodes is t.nodes and result.edges is t.edges
+            for name in ("_children", "_parents", "_order"):
+                assert name in vars(t)
+                assert getattr(result, name) is getattr(t, name)
+        assert shared > 200
 
     def test_deep_chain_does_not_recurse(self):
         # 500 levels; propagation must stay iterative
@@ -194,7 +221,7 @@ class TestPropagateProperties:
             tree = random_tree(rng, max_nodes=25)
             full = propagate(tree).taxonomy
             keep = {n: v for n, v in full.importance.items() if rng.random() < 0.5}
-            partial = tree.with_importance(keep)
+            partial = ValueTaxonomy(tree.nodes, tree.edges, keep)
             try:
                 result = propagate(partial)
             except PropagationError:
@@ -212,7 +239,7 @@ class TestPropagateProperties:
             interior = [n for n in full.nodes if any(p == n for p, _ in full.edges)]
             victim = rng.choice(interior)
             erased = {n: v for n, v in full.importance.items() if n != victim}
-            restored = propagate(full.with_importance(erased)).taxonomy
+            restored = propagate(ValueTaxonomy(full.nodes, full.edges, erased)).taxonomy
             assert restored.importance[victim] == pytest.approx(
                 full.importance[victim], abs=1e-9)
 
@@ -396,7 +423,7 @@ class TestCheckCoherence:
         full = propagate(context_c_fragment()).taxonomy
         skewed = dict(full.importance)
         skewed["fairness"] = 0.9
-        report = check_coherence(full.with_importance(skewed))
+        report = check_coherence(ValueTaxonomy(full.nodes, full.edges, skewed))
         assert not report.coherent
         assert [v.parent for v in report.violations] == ["fairness"]
         assert report.violations[0].expected == pytest.approx(0.75)

@@ -92,6 +92,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ValueTaxonomy.build([label_node("a")], importance={"a": 1.5})
 
+    def test_int_importance_is_stored_as_a_float(self):
+        t = ValueTaxonomy.build([label_node("a")], importance={"a": 1})
+        assert type(t.importance["a"]) is float and t.importance["a"] == 1.0
+
     @pytest.mark.parametrize("value, shown", [(10 ** 400, "inf"), (-10 ** 400, "-inf")],
                              ids=["positive", "negative"])
     def test_importance_past_the_float_range_rejected(self, value, shown):
@@ -112,6 +116,21 @@ class TestConstruction:
             ValueTaxonomy.build(nodes, [edge, ("a", "b")])
         assert str(excinfo.value) == "edges[0]: edge endpoints must be node id strings"
 
+    # A two-character string would unpack into two string endpoints.
+    @pytest.mark.parametrize("edge", ["ab", ("a", "b", "c"), ("a",), 5, ["a", "b"], None],
+                             ids=["str", "3-tuple", "1-tuple", "int", "list", "None"])
+    def test_an_edge_must_be_a_pair(self, edge):
+        nodes = [label_node("a"), label_node("b")]
+        with pytest.raises(ParseError) as excinfo:
+            ValueTaxonomy.build(nodes, [("a", "b"), edge])
+        assert excinfo.value.location == "edges[1]"
+        assert str(excinfo.value) == f"edges[1]: edge must be a (parent, child) pair, got {edge!r}"
+
+    def test_node_mapping_keys_must_be_the_node_ids(self):
+        with pytest.raises(ValueError) as excinfo:
+            ValueTaxonomy({"a": label_node("b")})
+        assert str(excinfo.value) == "node mapping key 'a' does not match node id 'b'"
+
     def test_constructor_refuses_a_repeated_edge_at_its_index(self):
         nodes = {"a": label_node("a"), "b": label_node("b")}
         with pytest.raises(InvalidTaxonomy) as excinfo:
@@ -127,8 +146,6 @@ class TestConstruction:
 IMPORTANCE_TAKERS = {
     "build": ("importance.a",
               lambda v: ValueTaxonomy.build([label_node("a")], [], {"a": v})),
-    "with_importance": ("importance.a",
-                        lambda v: ValueTaxonomy.build([label_node("a")]).with_importance({"a": v})),
     "ContextSpec": ("property_importance.p",
                     lambda v: ContextSpec("c", property_importance={"p": v})),
     "SelectionStrategy": ("threshold", lambda v: SelectionStrategy(threshold=v)),
@@ -143,39 +160,6 @@ def test_importance_must_be_an_int_or_a_float(taker, value):
         take(value)
     assert excinfo.value.location == location
     assert str(excinfo.value) == f"{location}: importance must be a number, got {value!r}"
-
-
-STRUCTURE_CACHES = ("_children", "_parents", "_order")
-
-
-class TestWithImportance:
-    def test_equals_a_fresh_build_and_shares_the_structure(self):
-        rng = random.Random(29)
-        for _ in range(300):
-            t = random_taxonomy(rng)
-            values = {n: rng.uniform(-1.0, 1.0) for n in t.nodes if rng.random() < 0.5}
-            copy = t.with_importance(values)
-            assert copy == ValueTaxonomy.build(t.nodes.values(), t.edges, values)
-            assert dict(copy.importance) == values
-            assert copy.nodes is t.nodes and copy.edges is t.edges
-            for name in STRUCTURE_CACHES:  # validation derived each one at construction
-                assert name in vars(t)
-                assert getattr(copy, name) is getattr(t, name)
-
-    def test_checks_the_new_mapping(self):
-        t = ValueTaxonomy.build([label_node("a"), label_node("b")], [("a", "b")], {"a": 0.5})
-        with pytest.raises(UnknownNode):
-            t.with_importance({"ghost": 0.1})
-        with pytest.raises(ValueError):
-            t.with_importance({"b": -1.5})
-        assert dict(t.with_importance({"b": 1}).importance) == {"b": 1.0}
-        assert dict(t.importance) == {"a": 0.5}
-
-    def test_importance_past_the_float_range_rejected(self):
-        t = ValueTaxonomy.build([label_node("a")])
-        with pytest.raises(ValueError) as excinfo:
-            t.with_importance({"a": -10 ** 400})
-        assert str(excinfo.value) == "importance.a: importance -inf outside [-1, 1]"
 
 
 def refusal(nodes, edges) -> InvalidTaxonomy:
