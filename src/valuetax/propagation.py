@@ -24,7 +24,8 @@ module's documented choices, not consequences of the model:
 
 Propagation runs in rounds. A round first applies the forced rules to
 closure from a FIFO worklist seeded in :func:`topological_order`; a node is
-revisited only when it or one of its children gains a value. Only then do
+revisited when one of its children gains a value, or when it gains one by a
+rule other than up-mean, whose mean could only be verified again. Only then do
 the defaults apply, all at once: every node eligible in the state left by
 the closure proposes its values from that state, proposals that disagree
 on a node raise :class:`ConflictingAssignment`, and the rest are committed
@@ -168,7 +169,6 @@ class _Run:
         self.values[node] = value
         self.assigned[node] = value
         self.fresh.append(node)
-        self.enqueue(node)
         blocked = self.blocked
         flagged = blocked is not None and node in blocked
         for parent in self.parents[node]:
@@ -192,12 +192,14 @@ class _Run:
             value = values.get(node)
             if value is None:
                 if not left:
+                    # Not queued: verify would recompute the very mean it holds.
                     self.assign(node, mean_aggregate([values[c] for c in kids]))
             elif not left:
                 self.verify(node, value, kids)
             elif left == 1:
                 known = [values[c] for c in kids if c in values]
                 child = next(c for c in kids if c not in values)
+                self.enqueue(child)
                 self.assign(child, mean_invert(value, known, 1))
 
     def verify(self, node: NodeId, value: float, kids: tuple[NodeId, ...]) -> None:
@@ -247,6 +249,7 @@ class _Run:
                     node, f"default values {low} and {high} disagree", self.assigned)
         self.fresh = []
         for node, shares in proposals.items():
+            self.enqueue(node)
             self.assign(node, min(shares))
         return bool(proposals)
 

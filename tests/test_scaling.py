@@ -5,12 +5,14 @@ The 16k-node guard takes about 0.35 s on a 2-vCPU machine, and took about
 every cut from scratch. Its 5 s bound catches a return to quadratic work,
 not machine-speed noise, as does the same bound on writing that tree back.
 
-The propagation guards take about 3-5 ms on the chain and 9-10 ms on the
-caterpillar (medians of 9, same machine, Python 3.11.7), and took about 1.7 s
+The propagation guards take about 1.5-3 ms on the chain and 9-10 ms on the
+caterpillar (medians of 41, same machine, Python 3.11.7), and took about 1.7 s
 and 2.3 s while propagation swept every node once per pass until nothing
 changed; the 1 s bounds catch a return to one full sweep per level. The
 chain needs no default, so it never walks up for the default rules' flags,
 which took about a quarter of its time when every run walked for them.
+Each of its values is an up-mean, which is not verified again; verifying
+each took it to about 2.5-5 ms.
 
 The diamond ladder of 1,100 layers has 2 ** 1100 paths to each property
 node. ``paths`` prints those counts and ``align --scheme path`` refuses the
@@ -144,6 +146,24 @@ def test_flags_for_the_defaults_are_walked_only_when_a_default_can_fire(monkeypa
     taxonomy = build()
     propagate(taxonomy)
     assert len(calls) == walks <= len(taxonomy)
+
+
+@pytest.mark.parametrize("build, checks", [(chain, 0), (caterpillar, 999)],
+                         ids=["chain", "caterpillar"])
+def test_a_mean_just_taken_is_not_verified_again(monkeypatch, build, checks):
+    # Every value on the chain is an up-mean, so nothing is left to verify;
+    # verifying each again took 999 checks. The caterpillar's 999 spine nodes
+    # above the given one are valued by the partial-mean default, together
+    # with their leaves, and each is verified once in the closure that follows.
+    calls = []
+    original = _Run.verify
+
+    def counted(run, node, value, kids):
+        calls.append(node)
+        return original(run, node, value, kids)
+    monkeypatch.setattr(_Run, "verify", counted)
+    propagate(build())
+    assert len(calls) == checks
 
 
 @pytest.fixture(scope="module")
