@@ -1,11 +1,11 @@
 """The base of the package's immutable records.
 
 A record is a plain class whose ``__slots__`` name its fields in
-constructor order (plus ``__dict__`` where it caches derived values), with
-an explicit ``__init__`` that checks its arguments and stores each field
-with :data:`setfield`. :class:`Record` derives equality, hashing, a
-``Name(field=value, ...)`` repr, immutability, and copy and pickle support
-from the declared fields, never from cached entries. Nothing is generated
+constructor order, then any private ``_`` slots holding what the constructor
+derives from them, with an explicit ``__init__`` that checks its arguments
+and stores each slot with :data:`setfield`. :class:`Record` derives equality,
+hashing, a ``Name(field=value, ...)`` repr, immutability, and copy and pickle
+support from the fields alone, never the private slots. Nothing is generated
 at import: a record class costs what any class costs.
 
 A field is stored only when no other field determines it. A verdict, such
@@ -30,7 +30,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -149,8 +149,8 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
     importances; interior importances are filled by propagation and owe
     nothing to the general taxonomy's own annotations.
 
-    The kept nodes are closed upwards, so the subgraph is valid: it inherits
-    its structure from ``general``, filtered to them, without being validated again.
+    The kept nodes are closed upwards, so the subgraph is valid: it takes
+    ``general``'s structure, filtered to them, without being validated again.
 
     An empty selection is reported as an EmptySelectionWarning and yields
     an empty taxonomy.
@@ -169,13 +169,7 @@ def build_context_taxonomy(general: ValueTaxonomy, ctx: ContextSpec) -> ValueTax
         return ValueTaxonomy()
 
     keep = selected | ancestors(general, selected)
-    order = [n for n in general._order if n in keep]  # every kept node keeps all its parents
-    seeded = ValueTaxonomy._inherit(
-        MappingProxyType({n: general.nodes[n] for n in order}),
-        frozenset(edge for edge in general.edges if edge[1] in keep),
-        {p: importances[p] for p in selected},
-        {"_children": {n: tuple([c for c in general._children[n] if c in keep]) for n in order},
-         "_parents": {n: general._parents[n] for n in order}, "_order": order})
+    seeded = general._upward_closed(keep, {p: importances[p] for p in selected})
     return propagate(seeded).taxonomy
 
 

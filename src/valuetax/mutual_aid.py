@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -55,8 +54,7 @@ class EventKind(Enum):
 class CommunityState(Record):
     """Counted behavioural facts for one community."""
 
-    # __dict__ holds the cached members.
-    __slots__ = ("requests", "offers", "volunteering", "task_distribution", "__dict__")
+    __slots__ = ("requests", "offers", "volunteering", "task_distribution", "_members")
 
     def __init__(self, requests: Mapping[str, int] = EMPTY_MAPPING,
                  offers: Mapping[str, int] = EMPTY_MAPPING,
@@ -65,15 +63,14 @@ class CommunityState(Record):
         for name, counts in zip(self._fields, (requests, offers, volunteering, task_distribution)):
             counts = dict(counts)
             for member, count in counts.items():
-                if not isinstance(count, int) or count < 0:
+                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
             setfield(self, name, MappingProxyType(counts))
+        setfield(self, "_members", tuple(sorted(set().union(*self._values()))))
 
-    @cached_property  # stored in __dict__ directly, past Record.__setattr__
+    @property
     def members(self) -> tuple[str, ...]:
-        seen = set(self.requests) | set(self.offers) | set(self.volunteering) \
-            | set(self.task_distribution)
-        return tuple(sorted(seen))
+        return self._members
 
 
 def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:

@@ -40,8 +40,9 @@ defaults read the flags: they are built the first time a default has a
 candidate with an unvalued child, and kept up to date from then on, so a run
 whose first closure leaves no node with an unvalued child never walks for them.
 Pre-assigned values are never modified, only extended. The result shares
-its input's nodes, edges and derived structure; its importance mapping is
-the run's own value table, so building it copies nothing.
+its input's nodes, edges, adjacency maps and parents-first order, which the
+input's constructor derived, and is not validated again; its importance
+mapping is the run's own value table, so building it copies nothing.
 
 :func:`propagate` aggregates with :func:`~valuetax.aggregation.mean_aggregate`
 and solves for unknown children with :func:`~valuetax.aggregation.mean_invert`.
@@ -278,7 +279,8 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
         run.settle()
         candidates = run.candidates()
     return PropagationResult(
-        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, run.values, taxonomy.__dict__),
+        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, run.values, taxonomy._children,
+                                        taxonomy._parents, taxonomy._order),
         assigned=run.assigned,
         iterations=rounds,
     )

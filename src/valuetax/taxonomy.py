@@ -11,19 +11,18 @@ they are safe to share across threads. Construction checks every invariant,
 the graph-level rules of :func:`validate` included, and raises on any
 violation, so no taxonomy a caller holds is invalid and no query checks
 again. A value is checked once, by the record that holds it, at its field.
-One pass over the edges derives both adjacency maps, which :func:`validate`
-reads for its rules, going back to the edge set only for an edge with an
-unknown endpoint; one cached Kahn pass gives both the acyclicity test and the
-parents-first order. The constructor is the one path that checks: a
-propagation result, which re-annotates a valid taxonomy, and an upward-closed
-subgraph of one inherit that structure without being validated again.
+The constructor derives all structure once, and only this module builds it:
+one pass over the edges gives both adjacency maps, and one Kahn pass the
+parents-first order, which decides acyclicity. :func:`validate` reads them,
+and the edge set only for an edge with an unknown endpoint. The constructor is
+the one path that checks: a propagation result takes the structure of the valid
+taxonomy it re-annotates, and an upward-closed subgraph that structure filtered.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -121,9 +120,8 @@ class ValueTaxonomy(Record):
     id to a value in [-1, 1]. Equality is structural over all three.
     """
 
-    # __dict__ holds the derived structure: the adjacency maps, built in the constructor's
-    # one pass over the edges, and the cached order, which validation fills.
-    __slots__ = ("nodes", "edges", "importance", "__dict__")
+    # The private slots hold what the constructor derives: adjacency maps and parents-first order.
+    __slots__ = ("nodes", "edges", "importance", "_children", "_parents", "_order")
 
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
                  edges: Iterable[tuple[NodeId, NodeId]] = frozenset(),
@@ -151,13 +149,15 @@ class ValueTaxonomy(Record):
         for adjacency in (children, parents):  # id order, which propagation sums in
             for node, ids in adjacency.items():  # most lists hold one id or none
                 adjacency[node] = tuple(sorted(ids)) if len(ids) > 1 else tuple(ids)
-        self.__dict__.update(_children=children, _parents=parents)
+        setfield(self, "_children", children)
+        setfield(self, "_parents", parents)
         values = {}
         for node_id, value in dict(importance).items():
             if node_id not in nodes:
                 raise UnknownNode(node_id)
             values[node_id] = importance_at(f"importance.{node_id}", value)
         setfield(self, "importance", MappingProxyType(values))
+        setfield(self, "_order", _kahn_order(children, parents))
         violations = validate(self)
         if violations:
             raise InvalidTaxonomy(violations)
@@ -176,31 +176,23 @@ class ValueTaxonomy(Record):
         return cls(node_map, edges, importance or EMPTY_MAPPING)
 
     @classmethod
-    def _inherit(cls, nodes, edges, importance: dict, structure: Mapping) -> "ValueTaxonomy":
-        """A taxonomy given its derived structure and importance, the one path that checks neither: only
-        for a valid taxonomy's structure or an upward-closed subgraph's, and floats checked on entry."""
+    def _inherit(cls, nodes, edges, importance: dict, children, parents, order) -> "ValueTaxonomy":
+        """A taxonomy given its adjacency maps, order and importance, the one path that checks neither:
+        only for a valid taxonomy's structure or an upward-closed subgraph's, floats checked on entry."""
         taxonomy = object.__new__(cls)
-        setfield(taxonomy, "nodes", nodes)
-        setfield(taxonomy, "edges", edges)
-        setfield(taxonomy, "importance", MappingProxyType(importance))
-        taxonomy.__dict__.update(structure)
+        for name, value in zip(cls.__slots__, (nodes, edges, MappingProxyType(importance),
+                                               children, parents, order)):
+            setfield(taxonomy, name, value)
         return taxonomy
 
-    @cached_property
-    def _order(self) -> list[NodeId]:
-        # Kahn's algorithm, smallest ready id first; leaves out the nodes on or below a cycle.
-        children_map = self._children
-        pending = {n: len(ps) for n, ps in self._parents.items()}
-        frontier = sorted(n for n, deg in pending.items() if deg == 0)
-        order: list[NodeId] = []
-        while frontier:
-            node = heapq.heappop(frontier)
-            order.append(node)
-            for child in children_map[node]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    heapq.heappush(frontier, child)
-        return order
+    def _upward_closed(self, keep: set[NodeId], importance: dict) -> "ValueTaxonomy":
+        """The subgraph on ``keep``, a node set closed under parents, with ``importance``; unvalidated."""
+        order = [n for n in self._order if n in keep]  # every kept node keeps all its parents
+        return self._inherit(
+            MappingProxyType({n: self.nodes[n] for n in order}),
+            frozenset(edge for edge in self.edges if edge[1] in keep), importance,
+            {n: tuple([c for c in self._children[n] if c in keep]) for n in order},
+            {n: self._parents[n] for n in order}, order)
 
     def property_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.PROPERTY))
@@ -211,6 +203,21 @@ class ValueTaxonomy(Record):
 
 def _repeat(rule: str, location: str, message: str) -> InvalidTaxonomy:
     return InvalidTaxonomy((Violation(rule, location, message),), location)
+
+
+def _kahn_order(children: dict[NodeId, tuple], parents: dict[NodeId, tuple]) -> list[NodeId]:
+    """Kahn's algorithm, smallest ready id first; leaves out the nodes on or below a cycle."""
+    pending = {n: len(ps) for n, ps in parents.items()}
+    frontier = sorted(n for n, deg in pending.items() if deg == 0)
+    order: list[NodeId] = []
+    while frontier:
+        node = heapq.heappop(frontier)
+        order.append(node)
+        for child in children[node]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                heapq.heappush(frontier, child)
+    return order
 
 
 def _find_cycle(taxonomy: ValueTaxonomy) -> list[NodeId]:
@@ -240,7 +247,7 @@ def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
     """The violations of the graph-level invariants, rule by rule: known edge
     endpoints, property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
     constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with any it
-    finds; the cached Kahn order that decides acyclicity gives :func:`topological_order`.
+    finds; the constructor's Kahn order that decides acyclicity gives :func:`topological_order`.
 
     The rules read the constructor's adjacency maps, which hold every edge
     between known nodes; the edge set is scanned only when the maps hold
@@ -278,7 +285,7 @@ def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     """Nodes ordered parents-first; ties broken by node id for reproducibility.
 
     A fresh copy of the lexicographically smallest parents-first order, from
-    the cached Kahn pass that also decides acyclicity in :func:`validate`.
+    the constructor's Kahn pass that also decides acyclicity in :func:`validate`.
     """
     return list(taxonomy._order)
 

@@ -6,7 +6,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,7 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
@@ -152,6 +155,14 @@ class TestDemo:
         assert doc["contexts"]["community-c"]["coherent"] is True
         assert doc["context_holds"] is True
         assert doc["validation_ok"] is True
+
+    def test_module_entry_point_matches_the_golden_file(self):
+        # the README's second entry point, in a process of its own as a user runs it
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run([sys.executable, "-m", "valuetax.cli", "demo"], env=env,
+                                capture_output=True, encoding="utf-8")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (GOLDEN / "demo.txt").read_text(encoding="utf-8")
 
     def test_event_log_fixture_is_well_formed(self):
         from valuetax import parse_event_log

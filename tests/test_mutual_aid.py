@@ -98,6 +98,12 @@ class TestIngest:
         with pytest.raises(ValueError):
             state_with(requests={"m": -1})
 
+    @pytest.mark.parametrize("count", [True, False, 1.0, "1"])
+    def test_counter_must_be_an_int_not_a_bool(self, count):
+        # as check_importance and the event reader, which refuse a bool as a number
+        with pytest.raises(ValueError, match=r"^requests\['m'\] must be a non-negative integer$"):
+            CommunityState({"m": count})
+
 
 class TestRatioSatisfaction:
     def test_balanced_ratio_is_neutral(self):

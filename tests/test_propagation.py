@@ -174,8 +174,8 @@ class TestPropagateProperties:
         assert check_coherence(result.taxonomy).coherent
 
     def test_result_shares_the_input_structure(self):
-        # the result re-annotates its input: nodes, edges and each structure
-        # validation derived are the input's own objects
+        # the result re-annotates its input: nodes, edges and the structure
+        # its constructor derived are the input's own objects
         rng = random.Random(29)
         shared = 0
         for _ in range(300):
@@ -185,11 +185,12 @@ class TestPropagateProperties:
             except PropagationError:
                 continue
             shared += 1
-            assert result == ValueTaxonomy.build(t.nodes.values(), t.edges, result.importance)
+            fresh = ValueTaxonomy.build(t.nodes.values(), t.edges, result.importance)
+            assert result == fresh
             assert result.nodes is t.nodes and result.edges is t.edges
             for name in ("_children", "_parents", "_order"):
-                assert name in vars(t)
                 assert getattr(result, name) is getattr(t, name)
+                assert getattr(result, name) == getattr(fresh, name)
         assert shared > 200
 
     def test_deep_chain_does_not_recurse(self):

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
+from valuetax._record import setfield
 from valuetax.alignment import AlignmentReport, AlignmentScheme, PropertyContribution
 from valuetax.context import KMEANS_SELECTION, POSITIVE_SELECTION, ContextSpec, SelectionKind, SelectionStrategy
 from valuetax.mutual_aid import CommunityState, DomainConfig, Measure
@@ -196,20 +197,28 @@ def test_verdicts_are_read_only_properties_of_the_fields(record, verdict, holds)
 
 def test_taxonomy_equality_ignores_derived_structure():
     case = next(case for case in CASES if case.cls is ValueTaxonomy)
-    cached = build(case)  # validation derives the structure at construction
-    fresh = build(case)
-    vars(fresh).clear()
-    assert cached == fresh and fresh == cached
-    assert "_children" in vars(cached) and "_children" not in vars(fresh)
-    assert repr(cached) == repr(fresh) == TAXONOMY_REPR
-    assert copy.copy(cached) == fresh
+    built = build(case)  # the constructor derives the structure
+    assert (built._children, built._parents, built._order) == ({"a": ("b",), "b": ()},
+                                                              {"a": (), "b": ("a",)}, ["a", "b"])
+    bare = ValueTaxonomy._inherit(built.nodes, built.edges, dict(built.importance), {}, {}, [])
+    assert built == bare and bare == built
+    assert ValueTaxonomy._fields == case.fields
+    assert repr(built) == repr(bare) == TAXONOMY_REPR
+    for duplicate in (copy.copy(bare), pickle.loads(pickle.dumps(bare))):  # rebuilt, so derived again
+        assert duplicate == built
+        assert (duplicate._children, duplicate._parents, duplicate._order) == (
+            built._children, built._parents, built._order)
 
 
 def test_state_equality_ignores_the_cached_members():
-    cached = CommunityState({"m": 1})
-    cached.members
-    assert cached == CommunityState({"m": 1})
-    assert repr(cached) == repr(CommunityState({"m": 1}))
+    state = CommunityState({"m": 1})
+    odd = CommunityState({"m": 1})
+    setfield(odd, "_members", ())  # what the constructor derives is not a field
+    assert state.members == ("m",) and odd.members == ()
+    assert state == odd and odd == state
+    assert CommunityState._fields == ("requests", "offers", "volunteering", "task_distribution")
+    assert repr(state) == repr(odd)
+    assert copy.copy(odd).members == pickle.loads(pickle.dumps(odd)).members == ("m",)
 
 
 @pytest.mark.parametrize("make, names", [

@@ -25,6 +25,13 @@ while lines were read a few hundred at a time), against about 0.46 s for
 ``parse_event_log`` plus ``ingest`` over the whole file read into one string,
 which keeps every record.
 
+The work budgets count calls instead of timing them, so they hold on any
+host: the Kahn pass runs once per checked construction, and never for a
+propagation result or a context subgraph, which take their input's structure;
+a canonical log folds in whole reads of 8,192 characters, with no line
+decoded on its own; and each member's ratio degree is evaluated once per
+ratio property.
+
 The 16 MB record-line guard folds a line that spans about 2,000 reads in about
 0.13-0.19 s: the reads' pieces are joined once, when the newline arrives. A
 carry that copies itself on each read, such as ``rest = "".join((rest,
@@ -36,27 +43,43 @@ else holds ``rest``, which keeps it about as fast as the joined pieces, so the
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from valuetax import (
     KMEANS_SELECTION,
+    OFFER_RATIO,
+    TASK_BALANCE,
+    VOLUNTEER_RATIO,
+    CommunityState,
+    DomainConfig,
     EventKind,
     ValueTaxonomy,
+    build_context_taxonomy,
     ingest_event_log,
     label_node,
+    parse_context,
     parse_taxonomy,
     propagate,
+    satisfaction_degrees,
     select_nodes,
     serialize_taxonomy,
 )
+from valuetax import io_formats, mutual_aid
+from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import main
 from valuetax.propagation import _Run
 
 from conftest import diamond_ladder, saturating_log
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def tree_document(internal: int, rng: random.Random) -> str:
@@ -164,6 +187,93 @@ def test_a_mean_just_taken_is_not_verified_again(monkeypatch, build, checks):
     monkeypatch.setattr(_Run, "verify", counted)
     propagate(build())
     assert len(calls) == checks
+
+
+@pytest.fixture
+def kahn_passes(monkeypatch) -> list[int]:
+    """The node count of each Kahn pass run from now on."""
+    passes = []
+    original = taxonomy_module._kahn_order
+
+    def counted(children, parents):
+        passes.append(len(parents))
+        return original(children, parents)
+    monkeypatch.setattr(taxonomy_module, "_kahn_order", counted)
+    return passes
+
+
+def test_structure_is_derived_once_per_checked_construction(kahn_passes):
+    taxonomy = caterpillar()
+    assert kahn_passes == [1999]
+    result = propagate(taxonomy).taxonomy
+    assert len(result.importance) == len(result) and kahn_passes == [1999]
+    general = parse_taxonomy((GOLDEN / "context-wide-general-taxonomy.json").read_text(encoding="utf-8"))
+    ctx = parse_context((GOLDEN / "context-wide-spec.json").read_text(encoding="utf-8"))
+    built = build_context_taxonomy(general, ctx.with_selection(KMEANS_SELECTION))
+    assert 1 < len(built) < len(general)
+    assert kahn_passes == [1999, len(general)]
+
+
+@pytest.mark.parametrize("command, document, options", [
+    ("propagate", "propagate-deep-taxonomy.json", ()),
+    ("context", "context-wide-general-taxonomy.json", ("--context", "context-wide-spec.json",
+                                                        "--strategy", "kmeans2")),
+], ids=["propagate", "context"])
+def test_a_command_derives_structure_once(capsys, monkeypatch, kahn_passes, command, document, options):
+    # the one pass is over the input document; the command's result takes its structure
+    monkeypatch.chdir(GOLDEN)
+    assert main([command, "--format", "machine", "--input", document, *options]) == 0
+    assert capsys.readouterr().out
+    nodes = json.loads((GOLDEN / document).read_text(encoding="utf-8"))["nodes"]
+    assert kahn_passes == [len(nodes)]
+
+
+class CountedReads(io.StringIO):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+@pytest.mark.parametrize("events", [3_000, 30_000])
+def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, events):
+    decoded = []
+    original = io_formats._line_records
+
+    def counted(lines, first_lineno, last_timestamp):
+        lines = list(lines)
+        decoded.extend(lines)
+        return (yield from original(lines, first_lineno, last_timestamp))
+    monkeypatch.setattr(io_formats, "_line_records", counted)
+    rng = random.Random(events)
+    kinds = [kind.value for kind in EventKind]
+    text = "".join(json.dumps({"kind": rng.choice(kinds), "member": f"m{rng.randrange(500)}",
+                               "timestamp": i // 3}) + "\n" for i in range(events))
+    stream = CountedReads(text)
+    state = ingest_event_log(stream)
+    counters = (state.requests, state.offers, state.volunteering, state.task_distribution)
+    assert sum(sum(counter.values()) for counter in counters) == events
+    assert decoded == []
+    assert stream.reads == math.ceil(len(text) / 8192) + 1
+
+
+@pytest.mark.parametrize("members", [40, 400])
+def test_each_member_is_scored_once_per_ratio_property(monkeypatch, members):
+    calls = Counter()
+    for name in ("sd_offer_ratio", "sd_volunteer_ratio"):
+        def counted(state, member, cfg, original=getattr(mutual_aid, name), name=name):
+            calls[name] += 1
+            return original(state, member, cfg)
+        monkeypatch.setattr(mutual_aid, name, counted)
+    names = [f"m{i}" for i in range(members)]
+    state = CommunityState({m: i % 5 for i, m in enumerate(names)}, {m: 2 for m in names},
+                           {m: 1 + i % 3 for i, m in enumerate(names)}, {m: 1 for m in names[::3]})
+    degrees = satisfaction_degrees(state, DomainConfig(), [OFFER_RATIO, VOLUNTEER_RATIO, TASK_BALANCE])
+    assert set(degrees) == {OFFER_RATIO, VOLUNTEER_RATIO, TASK_BALANCE}
+    assert calls == {"sd_offer_ratio": members, "sd_volunteer_ratio": members}
 
 
 @pytest.fixture(scope="module")
