@@ -212,6 +212,7 @@ def _cmd_context(args) -> tuple[int, str]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         built = _blamed(args.context, build_context_taxonomy, general, ctx)
+    del general  # not held while the subgraph is rendered
     for warning in caught:
         if issubclass(warning.category, EmptySelectionWarning):
             print(f"warning: {warning.message}", file=sys.stderr)

@@ -7,6 +7,9 @@ serialize(parse(serialize(t))) is byte-identical and round-trips preserve
 node, edge, and importance content exactly. A parser reads the shape of a
 document; the records check its values and locate a refusal at their field, to
 which the parser adds the entry (``nodes[2].``). Malformed JSON is located by line.
+A taxonomy parser drops the decoded document's node entries once it has read
+them, and its edge entries before the taxonomy is built, so the document and the
+taxonomy built from it are not both held whole.
 
 A taxonomy is written byte for byte as ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` writes it: each node and edge entry fills a fixed template
@@ -14,6 +17,7 @@ of that layout, with strings encoded by ``json.encoder.encode_basestring`` and
 importances (finite floats in [-1, 1]) by ``float.__repr__``, the two functions
 ``json`` itself calls for them. Nodes come in id order, and edges from the
 adjacency map in that order, each child tuple being in id order: sorted pairs.
+The document is assembled once, by one join over all of its pieces.
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
 the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
@@ -93,6 +97,8 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
     nodes: list[Node] = []
     importance: dict[str, float] = {}
     raw_nodes = _require(doc, "nodes", "document")
+    raw_edges = doc.get("edges", [])
+    del doc  # each entry list is dropped once it is read
     if not isinstance(raw_nodes, list):
         raise ParseError("document.nodes", "must be a list")
     for i, raw in enumerate(raw_nodes):  # locations are built only to raise
@@ -109,8 +115,8 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
             raise ParseError(f"nodes[{i}].{field}", exc.detail) from None
         if (value := raw.get("importance")) is not None:
             importance[node_id] = value
+    del raw_nodes
     edges: list[tuple[Any, Any]] = []
-    raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
     for i, raw in enumerate(raw_edges):
@@ -119,6 +125,7 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
             for key in ("parent", "child"):
                 _require(raw, key, f"edges[{i}]")
         edges.append(edge)
+    del raw_edges
     try:
         return ValueTaxonomy.build(nodes, edges, importance)
     except ParseError as exc:  # an importance is located at its node's entry
@@ -128,8 +135,14 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
         raise
 
 
-def _entry_list(entries: list[str]) -> str:
-    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+def _entry_list(entries: Iterable[str]) -> Iterator[str]:
+    """The pieces of a document list of ``entries``, in the layout ``json.dumps`` writes."""
+    separator = "[\n"
+    for entry in entries:
+        yield separator
+        yield entry
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n  ]"
 
 
 def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
@@ -146,8 +159,8 @@ def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
         nodes.append(entry + "\n    }")
         edges.extend(f'    {{\n      "parent": {quoted},\n      "child": {_quote(c)}\n    }}'
                      for c in children[node_id])  # each child tuple is in id order
-    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": {_entry_list(nodes)},'
-            f'\n  "edges": {_entry_list(edges)}\n}}\n')
+    return "".join(chain((f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": ',), _entry_list(nodes),
+                         (',\n  "edges": ',), _entry_list(edges), ("\n}\n",)))
 
 
 def parse_context(text: str) -> ContextSpec:

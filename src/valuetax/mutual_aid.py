@@ -63,6 +63,8 @@ class CommunityState(Record):
         for name, counts in zip(self._fields, (requests, offers, volunteering, task_distribution)):
             counts = dict(counts)
             for member, count in counts.items():
+                if not isinstance(member, str) or not member:
+                    raise ValueError(f"{name}[{member!r}] member name must be a non-empty string")
                 if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
             setfield(self, name, MappingProxyType(counts))

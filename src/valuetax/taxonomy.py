@@ -13,10 +13,14 @@ violation, so no taxonomy a caller holds is invalid and no query checks
 again. A value is checked once, by the record that holds it, at its field.
 The constructor derives all structure once, and only this module builds it:
 one pass over the edges gives both adjacency maps, and one Kahn pass the
-parents-first order, which decides acyclicity. :func:`validate` reads them,
-and the edge set only for an edge with an unknown endpoint. The constructor is
-the one path that checks: a propagation result takes the structure of the valid
-taxonomy it re-annotates, and an upward-closed subgraph that structure filtered.
+parents-first order, which decides acyclicity. The structure holds one string
+per node id, the node's own ``id``: every edge endpoint, adjacency entry and
+order entry between known nodes is that object, not an equal copy, while an
+edge with an unknown endpoint keeps its own strings. :func:`validate` reads the
+structure, and the edge set only for an edge with an unknown endpoint. The
+constructor is the one path that checks: a propagation result takes the
+structure of the valid taxonomy it re-annotates, and an upward-closed subgraph
+that structure filtered.
 """
 
 from __future__ import annotations
@@ -126,10 +130,12 @@ class ValueTaxonomy(Record):
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
                  edges: Iterable[tuple[NodeId, NodeId]] = frozenset(),
                  importance: Mapping[NodeId, Importance] = EMPTY_MAPPING):
-        nodes = dict(nodes)
+        own: dict[NodeId, Node] = {}  # keyed by each node's own id string
         for node_id, node in nodes.items():
             if node_id != node.id:
                 raise ValueError(f"node mapping key {node_id!r} does not match node id {node.id!r}")
+            own[node.id] = node
+        nodes = own
         setfield(self, "nodes", MappingProxyType(nodes))
         checked: set[tuple[NodeId, NodeId]] = set()
         children, parents = {n: [] for n in nodes}, {n: [] for n in nodes}
@@ -141,10 +147,12 @@ class ValueTaxonomy(Record):
                 raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
             if edge in checked:
                 raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
-            checked.add(edge)
-            if parent in children and child in parents:  # validate reports the others
+            head, tail = nodes.get(parent), nodes.get(child)
+            if head is not None and tail is not None:  # validate reports the others, as given
+                edge = parent, child = head.id, tail.id
                 children[parent].append(child)
                 parents[child].append(parent)
+            checked.add(edge)
         setfield(self, "edges", frozenset(checked))
         for adjacency in (children, parents):  # id order, which propagation sums in
             for node, ids in adjacency.items():  # most lists hold one id or none

@@ -104,6 +104,13 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"^requests\['m'\] must be a non-negative integer$"):
             CommunityState({"m": count})
 
+    @pytest.mark.parametrize("member, location", [(2, r"offers\[2\]"), (None, r"offers\[None\]"),
+                                                  ("", r"offers\[''\]")], ids=["int", "None", "empty"])
+    def test_member_name_must_be_a_non_empty_string(self, member, location):
+        # a name of another type once failed unworded, in sorting the members
+        with pytest.raises(ValueError, match=rf"^{location} member name must be a non-empty string$"):
+            CommunityState({"a": 1}, {member: 1})
+
 
 class TestRatioSatisfaction:
     def test_balanced_ratio_is_neutral(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,11 @@ from valuetax import (
     ValueTaxonomy,
     all_paths_counts,
     ancestors,
+    build_context_taxonomy,
     label_node,
+    parse_context,
     parse_taxonomy,
+    propagate,
     property_node,
     topological_order,
 )
@@ -140,6 +144,50 @@ class TestConstruction:
     def test_two_nodes_may_share_label_text(self):
         t = ValueTaxonomy.build([label_node("a", "same"), label_node("b", "same")])
         assert validate(t) == ()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def fresh(text: str) -> str:
+    """An equal string that is not ``text``'s object."""
+    return "".join(list(text))
+
+
+def built_from_fresh_strings() -> ValueTaxonomy:
+    # every id is spelled anew where it is a mapping key, a node id and an edge endpoint
+    ids = [f"n{i:02d}" for i in range(7)]
+    edges = [(fresh(ids[p]), fresh(ids[c])) for p, c in ((0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6))]
+    return ValueTaxonomy({fresh(n): label_node(fresh(n)) for n in ids}, edges,
+                         {fresh("n03"): 0.25, fresh("n05"): -0.5, fresh("n06"): 0.0})
+
+
+def golden_general() -> ValueTaxonomy:
+    return parse_taxonomy((GOLDEN / "context-general-taxonomy.json").read_text(encoding="utf-8"))
+
+
+ONE_STRING_PER_ID = {
+    "parsed": golden_general,
+    "constructed": built_from_fresh_strings,
+    "propagated": lambda: propagate(built_from_fresh_strings()).taxonomy,
+    "context": lambda: build_context_taxonomy(
+        golden_general(), parse_context((GOLDEN / "context-spec.json").read_text(encoding="utf-8"))),
+}
+
+
+@pytest.mark.parametrize("make", ONE_STRING_PER_ID.values(), ids=ONE_STRING_PER_ID.keys())
+def test_the_structure_holds_each_node_id_as_one_string(make):
+    # an edge endpoint of its own took about a quarter of a wide taxonomy's memory
+    t = make()
+    assert len(t.edges) > 1
+
+    def own(node_id: str) -> bool:
+        return t.nodes[node_id].id is node_id
+    assert all(own(node_id) for node_id in t.nodes)
+    assert all(own(p) and own(c) for p, c in t.edges)
+    for adjacency in (t._children, t._parents):
+        assert all(own(node_id) and all(map(own, ids)) for node_id, ids in adjacency.items())
+    assert all(map(own, t._order)) and len(t._order) == len(t)
 
 
 # Every place that takes an importance, and the field it locates a refusal at.
