@@ -31,6 +31,8 @@ free of escapes and control characters (its text is its value), T an unsigned
 integer of at most 18 digits with no leading zero - and no timestamp decreases.
 Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, by the decoder that words every error.
+Records come in one batch per read, which the fold takes through
+``itertools.chain.from_iterable``, with no generator step per record.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import json
 import re
 from itertools import chain
 from operator import le
-from typing import Any, Generator, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
@@ -190,12 +192,13 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
     return SelectionStrategy(kind, threshold)
 
 
-def _event_records(stream: TextIO) -> Iterator[tuple[str, str, int]]:
-    """Yield ``(kind, member, timestamp)`` for each non-blank line of an event
-    log's text stream, ``kind`` being an :class:`~valuetax.mutual_aid.EventKind`
-    value. A bad record, or a timestamp below the one before, raises
-    :class:`MalformedEvent` with its 1-based line number, blank lines counted;
-    the lines of earlier reads are checked before a read error is raised.
+def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int]]]:
+    """The ``(kind, member, timestamp)`` records of each read of an event log's
+    text stream, one batch per read, for each non-blank line; ``kind`` is an
+    :class:`~valuetax.mutual_aid.EventKind` value. A bad record, or a timestamp
+    below the one before, raises :class:`MalformedEvent` with its 1-based line
+    number, blank lines counted; the lines of earlier reads are checked before a
+    read error is raised.
 
     Reads of canonical records are scanned whole; any other read goes to
     :func:`_line_records`, which alone words errors."""
@@ -213,19 +216,20 @@ def _event_records(stream: TextIO) -> Iterator[tuple[str, str, int]]:
             names, members, digits = zip(*found)
             stamps = list(map(int, digits))
             if all(map(le, chain((last_timestamp,), stamps), stamps)):
-                yield from zip(names, members, stamps)
+                yield zip(names, members, stamps)
                 lineno, last_timestamp = lineno + lines, stamps[-1]
                 continue
-        last_timestamp = yield from _line_records(text.split("\n"), lineno, last_timestamp)
-        lineno += lines
+        records = list(_line_records(text.split("\n"), lineno, last_timestamp))
+        yield records
+        lineno, last_timestamp = lineno + lines, records[-1][2] if records else last_timestamp
     if last := "".join(tail):  # an unterminated last line
-        yield from _line_records((last,), lineno, last_timestamp)
+        yield _line_records((last,), lineno, last_timestamp)
 
 
 def _line_records(lines: Iterable[str], first_lineno: int,
-                  last_timestamp: int) -> Generator[tuple[str, str, int], None, int]:
-    """:func:`_event_records` over ``lines``, numbered from ``first_lineno``, one
-    JSON decode per line; returns the last timestamp read."""
+                  last_timestamp: int) -> Iterator[tuple[str, str, int]]:
+    """The records of :func:`_event_batches` over ``lines``, numbered from
+    ``first_lineno``, one JSON decode per line."""
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
         if not line:
@@ -256,15 +260,14 @@ def _line_records(lines: Iterable[str], first_lineno: int,
             raise MalformedEvent(lineno, f"timestamp {timestamp} decreases from {last_timestamp}")
         last_timestamp = timestamp
         yield kind, member, timestamp
-    return last_timestamp
 
 
 def parse_event_log(text: str) -> list[tuple[str, str, int]]:
-    """The records of a line-delimited event log, as :func:`_event_records`
-    yields them; blank lines are skipped. Lines end at newlines only, as in a
+    """The records of a line-delimited event log, as :func:`_event_batches`
+    reads them; blank lines are skipped. Lines end at newlines only, as in a
     text file, so JSON strings may hold U+2028 and the like raw. Timestamps
     must be non-decreasing in file order."""
-    return list(_event_records(io.StringIO(text, newline=None)))
+    return list(chain.from_iterable(_event_batches(io.StringIO(text, newline=None))))
 
 
 def ingest_event_log(stream: TextIO) -> CommunityState:
@@ -272,7 +275,7 @@ def ingest_event_log(stream: TextIO) -> CommunityState:
     or an :class:`io.StringIO`, into a :class:`CommunityState` with
     :func:`~valuetax.mutual_aid.ingest`, checking it as :func:`parse_event_log`
     does but keeping no records."""
-    return ingest(_event_records(stream))
+    return ingest(chain.from_iterable(_event_batches(stream)))
 
 
 def _dot_quote(text: str) -> str:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import EMPTY_MAPPING, Record, setfield
 from .aggregation import mean_aggregate
@@ -52,7 +53,8 @@ class EventKind(Enum):
 
 
 class CommunityState(Record):
-    """Counted behavioural facts for one community."""
+    """Counted behavioural facts for one community. The constructor copies the
+    counters it is given; :func:`ingest` hands over its own without a copy."""
 
     __slots__ = ("requests", "offers", "volunteering", "task_distribution", "_members")
 
@@ -60,15 +62,19 @@ class CommunityState(Record):
                  offers: Mapping[str, int] = EMPTY_MAPPING,
                  volunteering: Mapping[str, int] = EMPTY_MAPPING,
                  task_distribution: Mapping[str, int] = EMPTY_MAPPING):
-        for name, counts in zip(self._fields, (requests, offers, volunteering, task_distribution)):
-            counts = dict(counts)
+        self._hold(*map(dict, (requests, offers, volunteering, task_distribution)))
+
+    def _hold(self, *counters: dict[str, int]) -> None:
+        """Check and store ``counters``, dicts that no caller holds any more."""
+        for name, counts in zip(self._fields, counters):
             for member, count in counts.items():
                 if not isinstance(member, str) or not member:
                     raise ValueError(f"{name}[{member!r}] member name must be a non-empty string")
                 if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
             setfield(self, name, MappingProxyType(counts))
-        setfield(self, "_members", tuple(sorted(set().union(*self._values()))))
+        # a dict grows to the distinct names; a set union is sized for every counter's entries
+        setfield(self, "_members", tuple(sorted(dict.fromkeys(chain.from_iterable(counters)))))
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -79,12 +85,21 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     """Fold event records into counters; counting is order-insensitive. A
     record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
     value, taken as the event-log reader yields it, already checked (see
-    :func:`~valuetax.io_formats.parse_event_log`)."""
+    :func:`~valuetax.io_formats.parse_event_log`). The counters hold one string
+    per member name, the first one read, and become the state's own, uncopied."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
+    names: dict[str, str] = {}
     for kind, member, _ in records:
         bucket = buckets[kind]
-        bucket[member] = bucket.get(member, 0) + 1
-    return CommunityState(*buckets.values())
+        count = bucket.get(member)
+        if count is None:
+            bucket[names.setdefault(member, member)] = 1
+        else:
+            bucket[member] = count + 1  # the key already stored is kept
+    del names
+    state = CommunityState.__new__(CommunityState)
+    state._hold(*buckets.values())
+    return state
 
 
 class Measure(Enum):
@@ -202,25 +217,28 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
     return degrees
 
 
-def _normalize(dist: Sequence[float], name: str) -> tuple[float, ...]:
-    """Probabilities from counts or weights."""
-    weights = [float(v) for v in dist]
-    if any(w < 0 for w in weights):
-        raise ValueError(f"{name} has negative mass")
+def _normalize(dist: Sequence[float], name: str) -> Iterator[float]:
+    """Probabilities from counts or weights: the mass is checked and summed in one
+    pass, and the probabilities are divided out lazily, in a second pass."""
     # The builtin sum is exact on what task_imbalance passes: integer counts as
     # floats, whose sums are exact below 2**53 in any order and on any Python.
-    total = sum(weights)
-    if not weights or total <= 0:
+    total = sum(map(_mass, dist, repeat(name)))
+    if total <= 0:  # an empty sum is 0
         raise EmptyDistribution(f"{name} has no mass to normalize")
-    return tuple(w / total for w in weights)
+    return (float(v) / total for v in dist)
 
 
-def _normalize_pair(d: Sequence[float], u: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-    probs_d = _normalize(d, "first distribution")
-    probs_u = _normalize(u, "second distribution")
-    if len(probs_d) != len(probs_u):
-        raise SupportMismatch(f"supports differ: {len(probs_d)} vs {len(probs_u)} points")
-    return probs_d, probs_u
+def _mass(value: float, name: str) -> float:
+    if (weight := float(value)) < 0:
+        raise ValueError(f"{name} has negative mass")
+    return weight
+
+
+def _normalize_pair(d: Sequence[float], u: Sequence[float]) -> tuple[Iterator[float], Iterator[float]]:
+    probs = _normalize(d, "first distribution"), _normalize(u, "second distribution")
+    if len(d) != len(u):
+        raise SupportMismatch(f"supports differ: {len(d)} vs {len(u)} points")
+    return probs
 
 
 def kl_divergence(d: Sequence[float], u: Sequence[float]) -> float:

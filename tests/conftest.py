@@ -9,8 +9,10 @@ average formula.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -26,9 +28,18 @@ from valuetax import (
     property_node,
 )
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 OFFER_RATIO = "offer_ratio"
 VOLUNTEER_RATIO = "volunteer_ratio"
 TASK_BALANCE = "task_balance"
+
+
+def bench_workloads():
+    """The benchmark's input generators, ``bench/workloads.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -34,6 +33,7 @@ from conftest import (
     OFFER_RATIO,
     TASK_BALANCE,
     VOLUNTEER_RATIO,
+    bench_workloads,
     context_document,
     diamond_ladder,
     log_text,
@@ -45,15 +45,12 @@ from conftest import (
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 @pytest.fixture(scope="module")
 def workload_inputs(tmp_path_factory):
     """The benchmark's full-size inputs of a workload at seed 4242, by name."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
 
     def generate(name: str) -> Path:
         out = tmp_path_factory.mktemp(name)

@@ -57,6 +57,45 @@ def state_with(requests=None, offers=None, volunteering=None, tasks=None):
     return CommunityState(requests or {}, offers or {}, volunteering or {}, tasks or {})
 
 
+def reference_normalize(dist, name):
+    """Probabilities as lists and tuples, the reference for the lazy ones."""
+    weights = [float(v) for v in dist]
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{name} has negative mass")
+    total = sum(weights)
+    if not weights or total <= 0:
+        raise EmptyDistribution(f"{name} has no mass to normalize")
+    return tuple(w / total for w in weights)
+
+
+def reference_pair(d, u):
+    probs_d = reference_normalize(d, "first distribution")
+    probs_u = reference_normalize(u, "second distribution")
+    if len(probs_d) != len(probs_u):
+        raise SupportMismatch(f"supports differ: {len(probs_d)} vs {len(probs_u)} points")
+    return probs_d, probs_u
+
+
+def reference_kl(d, u):
+    total = 0.0
+    for p, q in zip(*reference_pair(d, u)):
+        if p == 0.0:
+            continue
+        if q == 0.0:
+            raise ValueError("divergence undefined: reference has zero mass where the first does not")
+        total += p * math.log(p / q)
+    return total
+
+
+def reference_emd(d, u):
+    total = cdf_d = cdf_u = 0.0
+    for p, q in zip(*reference_pair(d, u)):
+        cdf_d += p
+        cdf_u += q
+        total += abs(cdf_d - cdf_u)
+    return total
+
+
 class TestIngest:
     def test_counts_requests_and_offers(self):
         log = events_for("m", EventKind.REQUEST, 3) + events_for("m", EventKind.OFFER, 2, 10)
@@ -110,6 +149,19 @@ class TestIngest:
         # a name of another type once failed unworded, in sorting the members
         with pytest.raises(ValueError, match=rf"^{location} member name must be a non-empty string$"):
             CommunityState({"a": 1}, {member: 1})
+
+    def test_ingest_checks_the_counters_it_hands_over_uncopied(self):
+        with pytest.raises(ValueError, match=r"^requests\[''\] member name must be a non-empty string$"):
+            ingest([("request", "", 0)])
+
+    def test_the_constructor_copies_the_counters_it_is_given(self):
+        counters = [{"a": 1}, {"a": 2}, {"b": 1}, {"a": 3}]
+        state = CommunityState(*counters)
+        for counter in counters:
+            counter["a"] = 9
+            counter["z"] = 1
+        assert state == CommunityState({"a": 1}, {"a": 2}, {"b": 1}, {"a": 3})
+        assert state.members == ("a", "b")
 
 
 class TestRatioSatisfaction:
@@ -278,6 +330,41 @@ class TestDistributionMeasures:
     @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
     def test_lists_and_tuples_measure_alike(self, measure):
         assert measure([3, 1, 0], [1, 1, 1]) == measure((3, 1, 0), (1, 1, 1))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 5000])
+    def test_measures_equal_the_list_and_tuple_formula_bit_for_bit(self, size):
+        rng = random.Random(size)
+        for _ in range(20):
+            counts = [rng.choice((0, 0, 1, rng.randrange(1, 10**6))) for _ in range(size)]
+            counts[rng.randrange(size)] += 1
+            reference = [rng.randrange(1, 1000) for _ in range(size)]
+            for u in ([1] * size, reference):
+                assert kl_divergence(counts, u).hex() == reference_kl(counts, u).hex()
+                assert emd_1d(counts, u).hex() == reference_emd(counts, u).hex()
+                assert emd_1d(u, counts).hex() == reference_emd(u, counts).hex()
+            distribution = {f"v{i}": count for i, count in enumerate(counts)}
+            state = state_with(tasks=distribution)
+            for measure in Measure:
+                cfg = DomainConfig(difference_measure=measure)
+                ordered = [distribution[v] for v in sorted(distribution)]
+                expected = (reference_kl if measure is Measure.KL_DIVERGENCE else reference_emd)(
+                    ordered, [1] * size)
+                assert task_imbalance(state, cfg).hex() == expected.hex()
+
+    @pytest.mark.parametrize("d, u", [
+        ((-1, 0), (1, 1, 1)), ((0, 0), (-1, 1, 1)), ((), (1,)), ((0, 0), (1,)), ((1, 2), (-1, 0, 0)),
+        ((1, 2), (0, 0, 0)), ((1, 2), ()), ((1, 2), (1, 1, 1)), ((0,), (1, 1)),
+    ])
+    @pytest.mark.parametrize("measure, reference", [(kl_divergence, reference_kl), (emd_1d, reference_emd)],
+                             ids=["kl", "emd"])
+    def test_refusals_come_in_the_formula_order(self, measure, reference, d, u):
+        # negative mass, then no mass, in the first distribution and then the
+        # second, and only then a support mismatch
+        with pytest.raises(ValueError) as expected:
+            reference(d, u)
+        with pytest.raises(ValueError) as refused:
+            measure(d, u)
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
 
 
 class TestTaskBalance:

@@ -30,8 +30,11 @@ any host: the Kahn pass and ``validate`` run once per checked construction and
 once per command, and never for a propagation result or a context subgraph,
 which take their input's structure; a canonical log folds in whole reads of
 8,192 characters, with no line decoded on its own; each member's ratio degree
-is evaluated once per ratio property; and a ``context`` command's traced peak
-stays within 1.5 times that of decoding its taxonomy document.
+is evaluated once per ratio property; propagation pops its worklist at most
+twice per node and edge; a ``context`` command's traced peak stays within 1.5
+times that of decoding its taxonomy document; and an ``align`` command's within
+1.45 times the traced size of the state it builds, which holds one string per
+member name.
 
 The 16 MB record-line guard folds a line that spans about 2,000 reads in about
 0.13-0.19 s: the reads' pieces are joined once, when the newline arrives. A
@@ -49,6 +52,7 @@ import io
 import json
 import math
 import random
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
@@ -66,6 +70,7 @@ from valuetax import (
     EventKind,
     ValueTaxonomy,
     build_context_taxonomy,
+    fairness_taxonomy,
     ingest_event_log,
     label_node,
     parse_context,
@@ -80,7 +85,7 @@ from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import main
 from valuetax.propagation import _Run
 
-from conftest import diamond_ladder, saturating_log
+from conftest import bench_workloads, diamond_ladder, saturating_log
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -192,6 +197,34 @@ def test_a_mean_just_taken_is_not_verified_again(monkeypatch, build, checks):
     assert len(calls) == checks
 
 
+def propagate_deep(scale: str) -> ValueTaxonomy:
+    """The benchmark's ``propagate-deep`` taxonomy at ``scale``, seed 4242."""
+    with tempfile.TemporaryDirectory() as out:
+        bench_workloads().generate("propagate-deep", 4242, scale, out)
+        return parse_taxonomy((Path(out) / "taxonomy.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("build", [chain, caterpillar, lambda: propagate_deep("tiny"),
+                                   lambda: propagate_deep("quarter")],
+                         ids=["chain", "caterpillar", "propagate-deep-tiny", "propagate-deep-quarter"])
+def test_worklist_pops_stay_within_twice_the_nodes_and_edges(monkeypatch, build):
+    # Each node is popped once from the seeded order and once more per enqueue:
+    # an assignment enqueues each parent, a down-single or default its node, and
+    # each node is assigned at most once, so the pops stay within nodes + edges
+    # beyond the seed. A round that re-seeds every node breaks the budget on the
+    # caterpillar's 1,000 rounds.
+    taxonomy = build()
+    enqueued = []
+    original = _Run.enqueue
+
+    def counted(run, node):
+        enqueued.append(node)
+        return original(run, node)
+    monkeypatch.setattr(_Run, "enqueue", counted)
+    propagate(taxonomy)
+    assert len(taxonomy) + len(enqueued) <= 2 * (len(taxonomy) + len(taxonomy.edges))
+
+
 @pytest.fixture
 def kahn_passes(monkeypatch) -> list[int]:
     """The node count of each Kahn pass run from now on."""
@@ -279,6 +312,17 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def traced_size(build) -> int:
+    """The memory that what ``build()`` returns holds, as tracemalloc counts it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()  # noqa: F841  (held while the size is read)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_context_command_peaks_near_the_decoded_document(monkeypatch, tmp_path):
     # The command holds each input once, and only while it needs it: its peak is
     # about 1.2-1.3 times that of decoding its taxonomy on Python 3.10-3.13, and was
@@ -310,6 +354,60 @@ def test_context_command_peaks_near_the_decoded_document(monkeypatch, tmp_path):
     command = traced_peak(lambda: main(argv))
     decoded = traced_peak(lambda: json.loads(general))
     assert command <= 1.5 * decoded, f"peak {command} bytes against {decoded} decoding the document"
+
+
+def align_log(events: int, members: int, rng: random.Random) -> str:
+    """An event log shaped like the benchmark's ``align-log`` input: every member
+    offers and volunteers once, and the other events are drawn by kind and member."""
+    names = [f"m{rng.getrandbits(40):010x}" for _ in range(members)]
+    stream = [("offer", m) for m in names] + [("volunteer_chosen", m) for m in names]
+    stream += zip(rng.choices([kind.value for kind in EventKind], [0.4, 0.2, 0.2, 0.2],
+                              k=events - len(stream)), rng.choices(names, k=events - len(stream)))
+    rng.shuffle(stream)
+    return "".join(json.dumps({"kind": kind, "member": member, "timestamp": i // 4}) + "\n"
+                   for i, (kind, member) in enumerate(stream))
+
+
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["canonical", "compact"])
+def test_a_folded_log_holds_one_string_per_member_name(separators):
+    # Each line's name is a string of its own, from the scan or the decoder; the
+    # four counters once kept one each, four per name.
+    names = [f"m{i}" for i in range(300)]
+    records = [(kind.value, name) for name in names for kind in EventKind] * 2
+    random.Random(300).shuffle(records)
+    text = "".join(json.dumps({"kind": kind, "member": member, "timestamp": 0}, separators=separators)
+                   + "\n" for kind, member in records)
+    state = ingest_event_log(io.StringIO(text))
+    counters = (state.requests, state.offers, state.volunteering, state.task_distribution)
+    assert all(len(counter) == len(names) for counter in counters)
+    assert state.members == tuple(sorted(names))
+    assert len({id(m) for m in (*state.members, *(m for counter in counters for m in counter))}) == len(names)
+
+
+def test_align_command_peaks_near_the_state_it_builds(tmp_path):
+    # The fold hands its counters over uncopied, the member tuple comes from a
+    # dict that grows to the distinct names, and the task measure divides its
+    # probabilities out lazily: one command's peak is 1.25-1.32 times the traced
+    # size of the state it builds on Python 3.10-3.13. It was 1.65-1.75 times
+    # while each counter kept its own strings, the state copied them and the
+    # members came from a set union sized for every counter's entries. Copying
+    # alone reads 1.73-1.84, the set union alone 1.82-2.11 and lists of
+    # probabilities alone 1.54-1.75. Strings of their own alone read 1.11-1.15,
+    # as the state grows with them; the test above catches those.
+    log, built = tmp_path / "events.jsonl", tmp_path / "built.json"
+    log.write_text(align_log(60_000, 5_000, random.Random(60)), encoding="utf-8")
+    taxonomy = build_context_taxonomy(fairness_taxonomy(), cli.demo_contexts()["alignment-example"])
+    built.write_text(serialize_taxonomy(taxonomy), encoding="utf-8")
+    argv = ["align", "--format", "machine", "--input", str(built), "--log", str(log),
+            "--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0  # first-call costs, such as building the parser, are not traced
+    command = traced_peak(lambda: main(argv))
+
+    def state():
+        with open(log, encoding="utf-8") as handle:
+            return ingest_event_log(handle)
+    held = traced_size(state)
+    assert command <= 1.45 * held, f"peak {command} bytes against a state of {held}"
 
 
 class CountedReads(io.StringIO):
