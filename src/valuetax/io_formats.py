@@ -17,6 +17,7 @@ of that layout, with strings encoded by ``json.encoder.encode_basestring`` and
 importances (finite floats in [-1, 1]) by ``float.__repr__``, the two functions
 ``json`` itself calls for them. Nodes come in id order, and edges from the
 adjacency map in that order, each child tuple being in id order: sorted pairs.
+DOT export lists its edges the same way, from the adjacency map.
 The document is assembled once, by one join over all of its pieces.
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
@@ -289,16 +290,14 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
     importance, when assigned, is printed under its name. Output is
     byte-deterministic for equal inputs.
     """
-    lines = ["digraph value_taxonomy {"]
+    lines, edges = ["digraph value_taxonomy {"], []
     for node_id in sorted(taxonomy.nodes):
-        node = taxonomy.nodes[node_id]
+        node, quoted = taxonomy.nodes[node_id], _dot_quote(node_id)
         shape = "circle" if node.kind is NodeKind.LABEL else "square"
         label = _dot_quote(node.text)[1:-1]
         if node_id in taxonomy.importance:
             # \n is DOT's in-label line break, kept out of _dot_quote's escaping
             label = f"{label}\\n{taxonomy.importance[node_id]:.6f}"
-        lines.append(f'  {_dot_quote(node_id)} [shape={shape}, label="{label}"];')
-    for parent, child in sorted(taxonomy.edges):
-        lines.append(f"  {_dot_quote(parent)} -> {_dot_quote(child)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f'  {quoted} [shape={shape}, label="{label}"];')
+        edges.extend(f"  {quoted} -> {_dot_quote(c)};" for c in taxonomy._children[node_id])
+    return "\n".join(chain(lines, edges, ("}",))) + "\n"

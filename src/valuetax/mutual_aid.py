@@ -86,16 +86,24 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
     value, taken as the event-log reader yields it, already checked (see
     :func:`~valuetax.io_formats.parse_event_log`). The counters hold one string
-    per member name, the first one read, and become the state's own, uncopied."""
+    per member name, the first one read, and become the state's own, uncopied.
+    A kind that is no :class:`EventKind` value raises a ValueError, worded as the
+    reader words it."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
-    for kind, member, _ in records:
-        bucket = buckets[kind]
-        count = bucket.get(member)
-        if count is None:
-            bucket[names.setdefault(member, member)] = 1
-        else:
-            bucket[member] = count + 1  # the key already stored is kept
+    kind = None  # until a record is read
+    try:  # outside the loop, so a record costs no check of its kind
+        for kind, member, _ in records:
+            bucket = buckets[kind]
+            count = bucket.get(member)
+            if count is None:
+                bucket[names.setdefault(member, member)] = 1
+            else:
+                bucket[member] = count + 1  # the key already stored is kept
+    except KeyError as exc:
+        if kind in buckets or exc.args != (kind,):  # raised by the records, not by the lookup
+            raise
+        raise ValueError(f"unknown event kind: {kind!r}") from None
     del names
     state = CommunityState.__new__(CommunityState)
     state._hold(*buckets.values())

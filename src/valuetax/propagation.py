@@ -23,7 +23,7 @@ module's documented choices, not consequences of the model:
   children and hands that value down to the unvalued ones as well.
 
 Propagation runs in rounds. A round first applies the forced rules to
-closure from a FIFO worklist seeded in :func:`topological_order`; a node is
+closure from a FIFO worklist seeded in parents-first order; a node is
 revisited when one of its children gains a value, or when it gains one by a
 rule other than up-mean, whose mean could only be verified again. Only then do
 the defaults apply, all at once: every node eligible in the state left by
@@ -59,13 +59,7 @@ from typing import Iterable
 from ._record import Record, setfield
 from .aggregation import mean_aggregate, mean_invert
 from .errors import ConflictingAssignment, IncoherentInput, RangeViolation
-from .taxonomy import (
-    IMPORTANCE_MAX,
-    IMPORTANCE_MIN,
-    NodeId,
-    ValueTaxonomy,
-    topological_order,
-)
+from .taxonomy import IMPORTANCE_MAX, IMPORTANCE_MIN, NodeId, ValueTaxonomy
 
 # Equality of importance values is checked to relative 1e-9 with an absolute
 # floor of 1e-12; exact comparison would be meaningless in floating point.
@@ -269,7 +263,7 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
     disagree, and RangeViolation when a propagated value leaves [-1, 1].
     Each exception carries the values assigned before detection.
     """
-    order = topological_order(taxonomy)
+    order = taxonomy._order  # the constructor's list, which the run reads and never changes
     run = _Run(taxonomy, order)
     run.settle()
     rounds = 1

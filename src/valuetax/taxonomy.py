@@ -292,8 +292,9 @@ def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
 def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     """Nodes ordered parents-first; ties broken by node id for reproducibility.
 
-    A fresh copy of the lexicographically smallest parents-first order, from
-    the constructor's Kahn pass that also decides acyclicity in :func:`validate`.
+    A fresh copy, the caller's to change, of the lexicographically smallest
+    parents-first order from the constructor's Kahn pass, which propagation and
+    path counts read uncopied.
     """
     return list(taxonomy._order)
 
@@ -317,10 +318,9 @@ def all_paths_counts(taxonomy: ValueTaxonomy) -> dict[NodeId, int]:
     """Number of distinct directed paths from any root down to each node,
     computed in one topological sweep: a root counts one path to itself, any
     other node the sum over its parents."""
-    order = topological_order(taxonomy)
     parents_map = taxonomy._parents
     counts: dict[NodeId, int] = {}
-    for node in order:
+    for node in taxonomy._order:
         ps = parents_map[node]
         counts[node] = 1 if not ps else sum(counts[p] for p in ps)
     return counts

@@ -51,9 +51,12 @@ STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
 
 
 def test_cli_starts_without_code_generation_or_exact_arithmetic_modules():
+    # A fresh interpreter imports the package this module imported: the source
+    # tree under the tier-1 command, the installed package where CI runs this
+    # test from outside the checkout.
     check = ("import sys, valuetax.cli; "
              f"print(' '.join(m for m in {STARTUP_FREE!r} if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env = {**os.environ, "PYTHONPATH": str(Path(valuetax.__file__).resolve().parent.parent)}
     result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.split() == []

@@ -154,6 +154,20 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"^requests\[''\] member name must be a non-empty string$"):
             ingest([("request", "", 0)])
 
+    @pytest.mark.parametrize("records", [[("bogus", "a", 0)], [("offer", "a", 0), ("bogus", "a", 1)]],
+                             ids=["first", "later"])
+    def test_an_unknown_kind_is_refused_in_the_readers_wording(self, records):
+        # once a bare KeyError: 'bogus'
+        with pytest.raises(ValueError, match=r"^unknown event kind: 'bogus'$"):
+            ingest(records)
+
+    def test_a_key_error_of_the_records_themselves_is_not_reworded(self):
+        def records():
+            yield ("offer", "a", 0)
+            raise KeyError("own")
+        with pytest.raises(KeyError, match="own"):
+            ingest(records())
+
     def test_the_constructor_copies_the_counters_it_is_given(self):
         counters = [{"a": 1}, {"a": 2}, {"b": 1}, {"a": 3}]
         state = CommunityState(*counters)

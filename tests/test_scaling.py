@@ -34,7 +34,9 @@ is evaluated once per ratio property; propagation pops its worklist at most
 twice per node and edge; a ``context`` command's traced peak stays within 1.5
 times that of decoding its taxonomy document; and an ``align`` command's within
 1.45 times the traced size of the state it builds, which holds one string per
-member name.
+member name. Writing, propagating, counting paths and checking coherence
+iterate no edge set and copy no order: they read the adjacency maps and the
+parents-first order the constructor keeps.
 
 The 16 MB record-line guard folds a line that spans about 2,000 reads in about
 0.13-0.19 s: the reads' pieces are joined once, when the newline arrives. A
@@ -52,6 +54,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -69,7 +72,10 @@ from valuetax import (
     DomainConfig,
     EventKind,
     ValueTaxonomy,
+    all_paths_counts,
     build_context_taxonomy,
+    check_coherence,
+    export_dot,
     fairness_taxonomy,
     ingest_event_log,
     label_node,
@@ -82,6 +88,7 @@ from valuetax import (
 )
 from valuetax import cli, io_formats, mutual_aid
 from valuetax import taxonomy as taxonomy_module
+from valuetax._record import setfield
 from valuetax.cli import main
 from valuetax.propagation import _Run
 
@@ -278,6 +285,50 @@ def test_a_command_derives_and_validates_structure_once(capsys, monkeypatch, kah
     if "--input" in argv:
         document = GOLDEN / argv[argv.index("--input") + 1]
         assert validations == [len(json.loads(document.read_text(encoding="utf-8"))["nodes"])]
+
+
+class CountedEdges(frozenset):
+    """An edge set that counts the iterations over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def valued_fairness() -> ValueTaxonomy:
+    general = fairness_taxonomy()
+    return ValueTaxonomy(general.nodes, general.edges,
+                         {OFFER_RATIO: 0.5, VOLUNTEER_RATIO: -0.25, TASK_BALANCE: 0.75})
+
+
+@pytest.mark.parametrize("build", [valued_fairness, lambda: propagate_deep("tiny")],
+                         ids=["fairness", "propagate-deep-tiny"])
+def test_structure_readers_take_the_adjacency_and_order_the_constructor_keeps(monkeypatch, build):
+    # Writing, propagating, counting paths and checking coherence read the
+    # adjacency maps and the parents-first order; none iterates the edge set
+    # or takes the copy topological_order makes for outside callers.
+    # _upward_closed alone reads the set, which it restricts to a subgraph.
+    taxonomy = build()
+    edges = CountedEdges(taxonomy.edges)
+    setfield(taxonomy, "edges", edges)
+    copies = []
+    original = taxonomy_module.topological_order
+
+    def counted(t):
+        copies.append(len(t))
+        return original(t)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("valuetax") and getattr(module, "topological_order", None) is original:
+            monkeypatch.setattr(module, "topological_order", counted)
+    serialize_taxonomy(taxonomy)
+    export_dot(taxonomy)
+    result = propagate(taxonomy).taxonomy
+    all_paths_counts(taxonomy)
+    check_coherence(result)
+    assert result.edges is edges
+    assert (edges.iterations, copies) == (0, [])
 
 
 def wide_documents(internal: int, rng: random.Random) -> tuple[str, str]:
