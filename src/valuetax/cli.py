@@ -427,69 +427,76 @@ def _indent(text: str) -> str:
 # -- parser -----------------------------------------------------------------
 
 
+# the options every command takes, then each command's handler, help text and own options
+_SHARED = {"--format": {"choices": ("text", "machine"), "default": "text",
+                        "help": "output format (default: text)"},
+           "--output": {"metavar": "PATH", "help": "write output to PATH instead of stdout"}}
+_INPUT = {"required": True, "help": "taxonomy document"}
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a taxonomy document's structural invariants", {"--input": _INPUT}),
+    "propagate": (_cmd_propagate, "propagate importance values to a fixpoint", {"--input": _INPUT}),
+    "coherence": (_cmd_coherence, "verify parent/children importance coherence", {"--input": _INPUT}),
+    "context": (_cmd_context, "build a context-based taxonomy", {
+        "--input": {**_INPUT, "help": "general taxonomy document"},
+        "--context": {"required": True, "help": "context document"},
+        "--strategy": {"choices": ("positive", "kmeans2"),
+                       "help": "override the context's selection strategy"},
+        "--threshold": {"type": float, "help": "override the positive-selection threshold"}}),
+    "align": (_cmd_align, "score behaviour from an event log against a taxonomy", {
+        "--input": {**_INPUT, "help": "taxonomy document (context-based)"},
+        "--log": {"required": True, "help": "event log (one JSON record per line)"},
+        "--entity": {"default": "community",
+                     "help": "name of the report; the score is the mean over all members"},
+        "--scheme": {"choices": ("mean", "path"), "default": "mean"},
+        "--max-r": {"type": float, "default": 5.0, "dest": "max_r",
+                    "help": "ratio mapped to full satisfaction (default 5)"},
+        "--epsilon": {"type": float, "default": 0.1,
+                      "help": "distribution imbalance tolerated before dissatisfaction (default 0.1)"},
+        "--max-delta": {"type": float, "default": 1.0, "dest": "max_delta",
+                        "help": "imbalance mapped to full dissatisfaction (default 1)"},
+        "--measure": {"choices": ("kl", "emd"), "default": "emd",
+                      "help": "distribution difference measure (default emd)"}}),
+    "paths": (_cmd_paths, "count root-to-node paths", {
+        "--input": _INPUT, "--node": {"help": "single node to count (default: all property nodes)"}}),
+    "export-dot": (_cmd_export_dot, "render a taxonomy as a DOT digraph", {"--input": _INPUT}),
+    "demo": (_cmd_demo, "run the embedded mutual-aid community example", {}),
+}
+
+
+def _command(cmd: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``cmd`` with the options every command shares and those of the command ``name``."""
+    handler, _, options = _COMMANDS[name]
+    for flag, settings in {**_SHARED, **options}.items():
+        cmd.add_argument(flag, **settings)
+    cmd.set_defaults(command=name, handler=handler)
+    return cmd
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valuetax",
         description="Value taxonomies: validation, importance propagation, "
                     "context building, and behaviour alignment scoring.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("text", "machine"), default="text",
-                        help="output format (default: text)")
-    shared.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text, **extra):
-        cmd = sub.add_parser(name, parents=[shared], help=help_text, **extra)
-        cmd.set_defaults(handler=handler)
-        return cmd
-
-    cmd = command("validate", _cmd_validate, "check a taxonomy document's structural invariants")
-    cmd.add_argument("--input", required=True, help="taxonomy document")
-
-    cmd = command("propagate", _cmd_propagate, "propagate importance values to a fixpoint")
-    cmd.add_argument("--input", required=True, help="taxonomy document")
-
-    cmd = command("coherence", _cmd_coherence, "verify parent/children importance coherence")
-    cmd.add_argument("--input", required=True, help="taxonomy document")
-
-    cmd = command("context", _cmd_context, "build a context-based taxonomy")
-    cmd.add_argument("--input", required=True, help="general taxonomy document")
-    cmd.add_argument("--context", required=True, help="context document")
-    cmd.add_argument("--strategy", choices=("positive", "kmeans2"),
-                     help="override the context's selection strategy")
-    cmd.add_argument("--threshold", type=float, help="override the positive-selection threshold")
-
-    cmd = command("align", _cmd_align, "score behaviour from an event log against a taxonomy")
-    cmd.add_argument("--input", required=True, help="taxonomy document (context-based)")
-    cmd.add_argument("--log", required=True, help="event log (one JSON record per line)")
-    cmd.add_argument("--entity", default="community",
-                     help="name of the report; the score is the mean over all members")
-    cmd.add_argument("--scheme", choices=("mean", "path"), default="mean")
-    cmd.add_argument("--max-r", type=float, default=5.0, dest="max_r",
-                     help="ratio mapped to full satisfaction (default 5)")
-    cmd.add_argument("--epsilon", type=float, default=0.1,
-                     help="distribution imbalance tolerated before dissatisfaction (default 0.1)")
-    cmd.add_argument("--max-delta", type=float, default=1.0, dest="max_delta",
-                     help="imbalance mapped to full dissatisfaction (default 1)")
-    cmd.add_argument("--measure", choices=("kl", "emd"), default="emd",
-                     help="distribution difference measure (default emd)")
-
-    cmd = command("paths", _cmd_paths, "count root-to-node paths")
-    cmd.add_argument("--input", required=True, help="taxonomy document")
-    cmd.add_argument("--node", help="single node to count (default: all property nodes)")
-
-    cmd = command("export-dot", _cmd_export_dot, "render a taxonomy as a DOT digraph")
-    cmd.add_argument("--input", required=True, help="taxonomy document")
-
-    command("demo", _cmd_demo, "run the embedded mutual-aid community example")
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _arguments(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command it names alone. The full parser,
+    which words every refusal, parses it if it names no command or leaves arguments over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _command(argparse.ArgumentParser(prog=f"valuetax {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     try:
         code, text = args.handler(args)
     except _Fail as fail:

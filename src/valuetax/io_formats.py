@@ -9,7 +9,8 @@ document; the records check its values and locate a refusal at their field, to
 which the parser adds the entry (``nodes[2].``). Malformed JSON is located by line.
 A taxonomy parser drops the decoded document's node entries once it has read
 them, and its edge entries before the taxonomy is built, so the document and the
-taxonomy built from it are not both held whole.
+taxonomy built from it are not both held whole. Edge entries are read by one ``map``
+of ``operator.itemgetter``; only a malformed one is looked for entry by entry, to word it.
 
 A taxonomy is written byte for byte as ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` writes it: each node and edge entry fills a fixed template
@@ -17,8 +18,8 @@ of that layout, with strings encoded by ``json.encoder.encode_basestring`` and
 importances (finite floats in [-1, 1]) by ``float.__repr__``, the two functions
 ``json`` itself calls for them. Nodes come in id order, and edges from the
 adjacency map in that order, each child tuple being in id order: sorted pairs.
-DOT export lists its edges the same way, from the adjacency map.
-The document is assembled once, by one join over all of its pieces.
+Each entry goes, after its separator, into one list joined once. DOT export lists
+its edges the same way, from the adjacency map, in one list of lines joined once.
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
 the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
@@ -42,7 +43,7 @@ import io
 import json
 import re
 from itertools import chain
-from operator import le
+from operator import itemgetter, le
 from typing import Any, Iterable, Iterator, TextIO
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
@@ -53,6 +54,9 @@ from .taxonomy import Node, NodeKind, ValueTaxonomy
 SCHEMA_VERSION = 1
 # a node document's kind, as the node kind and the key of the node's text
 _NODE_KINDS = {"label": (NodeKind.LABEL, "label_text"), "property": (NodeKind.PROPERTY, "property_id")}
+# a node's kind and text key as written, up to its text
+_KIND_FIELDS = {kind: f'\n      "kind": "{spelling}",\n      "{key}": '
+                for spelling, (kind, key) in _NODE_KINDS.items()}
 # where a context record's field sits in the document; any other is located there already
 _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.defining_properties",
                    "kind": "selection.kind", "threshold": "selection.threshold"}
@@ -119,15 +123,14 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
         if (value := raw.get("importance")) is not None:
             importance[node_id] = value
     del raw_nodes
-    edges: list[tuple[Any, Any]] = []
     if not isinstance(raw_edges, list):
         raise ParseError("document.edges", "must be a list")
-    for i, raw in enumerate(raw_edges):
-        edge = (raw.get("parent"), raw.get("child")) if isinstance(raw, dict) else (None, None)
-        if None in edge:
+    try:
+        edges = list(map(itemgetter("parent", "child"), raw_edges))
+    except (KeyError, TypeError):  # an entry that is no object, or lacks an end
+        for i, raw in enumerate(raw_edges):  # worded at the first such entry
             for key in ("parent", "child"):
                 _require(raw, key, f"edges[{i}]")
-        edges.append(edge)
     del raw_edges
     try:
         return ValueTaxonomy.build(nodes, edges, importance)
@@ -138,32 +141,33 @@ def parse_taxonomy(text: str) -> ValueTaxonomy:
         raise
 
 
-def _entry_list(entries: Iterable[str]) -> Iterator[str]:
-    """The pieces of a document list of ``entries``, in the layout ``json.dumps`` writes."""
-    separator = "[\n"
-    for entry in entries:
-        yield separator
-        yield entry
-        separator = ",\n"
-    yield "[]" if separator == "[\n" else "\n  ]"
+def _close_list(pieces: list[str]) -> None:
+    """End the document list of ``pieces[1:]``, each entry after its separator ``",\n"``."""
+    if len(pieces) > 1:
+        pieces[1] = "[" + pieces[1][1:]
+        pieces.append("\n  ]")
+    else:
+        pieces.append("[]")
 
 
 def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
     """Render a taxonomy document; output is deterministic for equal inputs."""
-    importance, children = taxonomy.importance, taxonomy._children
-    nodes, edges = [], []
-    for node_id in sorted(taxonomy.nodes):
-        node, quoted = taxonomy.nodes[node_id], _quote(node_id)
-        kind = node.kind.value
-        entry = (f'    {{\n      "id": {quoted},\n      "kind": "{kind}",'
-                 f'\n      "{_NODE_KINDS[kind][1]}": {_quote(node.text)}')
+    nodes, importance, children = taxonomy.nodes, taxonomy.importance, taxonomy._children
+    pieces = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": ']
+    edges = [',\n  "edges": ']
+    for node_id in sorted(nodes):
+        node, quoted = nodes[node_id], _quote(node_id)
+        entry = f',\n    {{\n      "id": {quoted},{_KIND_FIELDS[node.kind]}{_quote(node.text)}'
         if node_id in importance:  # a finite float, written as json writes one
             entry += f',\n      "importance": {importance[node_id]!r}'
-        nodes.append(entry + "\n    }")
-        edges.extend(f'    {{\n      "parent": {quoted},\n      "child": {_quote(c)}\n    }}'
-                     for c in children[node_id])  # each child tuple is in id order
-    return "".join(chain((f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "nodes": ',), _entry_list(nodes),
-                         (',\n  "edges": ',), _entry_list(edges), ("\n}\n",)))
+        pieces.append(entry + "\n    }")
+        for child in children[node_id]:  # each child tuple is in id order
+            edges.append(f',\n    {{\n      "parent": {quoted},\n      "child": {_quote(child)}\n    }}')
+    _close_list(pieces)
+    _close_list(edges)
+    pieces += edges
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def parse_context(text: str) -> ContextSpec:
@@ -299,5 +303,8 @@ def export_dot(taxonomy: ValueTaxonomy) -> str:
             # \n is DOT's in-label line break, kept out of _dot_quote's escaping
             label = f"{label}\\n{taxonomy.importance[node_id]:.6f}"
         lines.append(f'  {quoted} [shape={shape}, label="{label}"];')
-        edges.extend(f"  {quoted} -> {_dot_quote(c)};" for c in taxonomy._children[node_id])
-    return "\n".join(chain(lines, edges, ("}",))) + "\n"
+        for child in taxonomy._children[node_id]:
+            edges.append(f"  {quoted} -> {_dot_quote(child)};")
+    lines += edges
+    lines.append("}\n")
+    return "\n".join(lines)

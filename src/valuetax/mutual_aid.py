@@ -81,18 +81,23 @@ class CommunityState(Record):
         return self._members
 
 
+# how Python words a failure to unpack a record into (kind, member, timestamp)
+_UNPACKING = ("not enough values to unpack", "too many values to unpack", "cannot unpack non-iterable")
+
+
 def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     """Fold event records into counters; counting is order-insensitive. A
     record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
     value, taken as the event-log reader yields it, already checked (see
     :func:`~valuetax.io_formats.parse_event_log`). The counters hold one string
     per member name, the first one read, and become the state's own, uncopied.
-    A kind that is no :class:`EventKind` value raises a ValueError, worded as the
-    reader words it."""
+    A record that is no triple, a kind that is no :class:`EventKind` value and an
+    unhashable member raise a ValueError, worded as the reader words them; an
+    error raised in the records' own code passes through unchanged."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
-    kind = None  # until a record is read
-    try:  # outside the loop, so a record costs no check of its kind
+    kind = member = None  # until a record is read
+    try:  # outside the loop, so a record costs no check
         for kind, member, _ in records:
             bucket = buckets[kind]
             count = bucket.get(member)
@@ -100,10 +105,16 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
                 bucket[names.setdefault(member, member)] = 1
             else:
                 bucket[member] = count + 1  # the key already stored is kept
-    except KeyError as exc:
-        if kind in buckets or exc.args != (kind,):  # raised by the records, not by the lookup
+    except (KeyError, TypeError, ValueError) as exc:
+        if exc.__traceback__.tb_next is not None:  # raised inside the records' own code
             raise
-        raise ValueError(f"unknown event kind: {kind!r}") from None
+        if type(kind).__hash__ is None or isinstance(exc, KeyError) and exc.args == (kind,):
+            raise ValueError(f"unknown event kind: {kind!r}") from None  # each lookup fails at once
+        if type(member).__hash__ is None:
+            raise ValueError(f"event member must be a non-empty string, got {member!r}") from None
+        if not str(exc).startswith(_UNPACKING):  # raised by records written in C
+            raise
+        raise ValueError("event record must be a (kind, member, timestamp) triple") from None
     del names
     state = CommunityState.__new__(CommunityState)
     state._hold(*buckets.values())

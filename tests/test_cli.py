@@ -25,7 +25,7 @@ from valuetax import (
     label_node,
     serialize_taxonomy,
 )
-from valuetax import io_formats
+from valuetax import cli, io_formats
 from valuetax import taxonomy as taxonomy_module
 from valuetax.cli import demo_event_log, main
 
@@ -126,7 +126,12 @@ def refuse_constant(constant):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, stdout and stderr; arguments argparse refuses exit with
+    its code, as the console script does."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -683,6 +688,7 @@ def golden_text(name: str) -> str:
 @pytest.mark.parametrize("code, out, err, argv", golden_cases())
 def test_golden_case(capsys, monkeypatch, code, out, err, argv):
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the width of a terminal, 80 without one
     assert run(capsys, *argv) == (code, golden_text(out), golden_text(err))
 
 
@@ -694,9 +700,42 @@ def test_every_golden_file_is_named_by_a_case():
     assert {path.name for path in GOLDEN.iterdir()} <= named
 
 
-# -- no command ends in a traceback --------------------------------------------
+# -- the command's own parser parses as the full parser -----------------------
 
 COMMANDS = ("validate", "propagate", "coherence", "context", "align", "paths", "export-dot", "demo")
+PARSED_ROWS = [
+    (), ("-h",), ("--help",), ("--version",), ("bogus", "--input", "x"),
+    *((command, "--help") for command in COMMANDS),
+    *((command,) for command in COMMANDS),  # every one but demo misses --input
+    ("context", "--input", "a"), ("align", "--input", "a"),
+    ("propagate", "--input", "x", "extra"), ("propagate", "--input", "x", "--bogus"), ("propagate", "--bogus"),
+    ("propagate", "--format", "xml", "--input", "x"),
+    ("context", "--input", "a", "--context", "b", "--threshold", "abc"),
+    ("align", "--input", "a", "--log", "b", "--max-r=-inf"),
+    ("propagate", "--inp", "x"), ("propagate", "--", "--input", "x"), ("propagate", "--input", "x", "--output"),
+    ("paths", "--format", "machine", "--output", "o", "--input", "x", "--node", "n"),
+]
+
+
+def parsed(capsys, parse, argv) -> tuple:
+    """The namespace ``parse(argv)`` gives, or the code it exits with, and what it writes."""
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSED_ROWS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_named_commands_parser_parses_as_the_full_parser(capsys, argv):
+    # main builds the full parser only for what the command's own leaves over,
+    # so every namespace, usage, help and error text is the full parser's
+    assert parsed(capsys, cli._arguments, argv) == parsed(capsys, lambda a: cli._parser().parse_args(a), argv)
+
+
+# -- no command ends in a traceback --------------------------------------------
+
 FLOAT_OPTIONS = {"context": ("--threshold",), "align": ("--max-r", "--epsilon", "--max-delta")}
 # at the ends of the float range and near each option's bounds
 EDGE_FLOATS = ("inf", "-inf", "nan", "1e-320", "-1e-320", "1e308", "-1e308", "-0.0", "0.1", "1", "5")

@@ -40,6 +40,7 @@ from valuetax import (
 from valuetax.errors import (
     EmptyDistribution,
     EmptyInput,
+    MalformedEvent,
     MissingSatisfaction,
     SupportMismatch,
     UndefinedRatio,
@@ -166,6 +167,40 @@ class TestIngest:
             yield ("offer", "a", 0)
             raise KeyError("own")
         with pytest.raises(KeyError, match="own"):
+            ingest(records())
+
+    @pytest.mark.parametrize("records, message", [
+        ([(["x"], "a", 0)], r"unknown event kind: \['x'\]"),
+        ([("offer", "a", 0), (["x"], "a", 1)], r"unknown event kind: \['x'\]"),
+        ([("offer", ["a"], 0)], r"event member must be a non-empty string, got \['a'\]"),
+        ([("offer", "a")], r"event record must be a \(kind, member, timestamp\) triple"),
+        ([5], r"event record must be a \(kind, member, timestamp\) triple"),
+        ([("offer", "a", 0), ("offer", "a", 1, 2)], r"event record must be a \(kind, member, timestamp\) triple"),
+    ], ids=["list-kind", "later-list-kind", "list-member", "pair", "int", "later-quadruple"])
+    def test_a_malformed_record_is_refused_in_the_readers_wording(self, records, message):
+        # once a bare TypeError (unhashable type, or an int that cannot be
+        # unpacked) or Python's own unpacking ValueError
+        with pytest.raises(ValueError, match=rf"^{message}$") as caught:
+            ingest(records)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("error", [ValueError("own"), TypeError("own"), MalformedEvent(2, "own")],
+                             ids=["ValueError", "TypeError", "MalformedEvent"])
+    def test_an_error_of_the_records_themselves_passes_through(self, error):
+        def records():
+            yield ("offer", "a", 0)
+            raise error
+        with pytest.raises(type(error)) as caught:
+            ingest(records())
+        assert caught.value is error
+
+    @pytest.mark.parametrize("records, error, message", [
+        (lambda: zip(["offer", "offer"], ["a", "b"], [0], strict=True), ValueError, "zip()"),
+        (lambda: map({"r": ("offer", "a", 0)}.__getitem__, ["r", "missing"]), KeyError, "missing"),
+    ], ids=["zip-strict", "map-lookup"])
+    def test_an_error_of_records_written_in_c_passes_through(self, records, error, message):
+        # raised with no frame of the records' own, as the fold's lookups and unpacking are
+        with pytest.raises(error, match=message):
             ingest(records())
 
     def test_the_constructor_copies_the_counters_it_is_given(self):
