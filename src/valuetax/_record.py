@@ -11,6 +11,10 @@ at import: a record class costs what any class costs.
 A field is stored only when no other field determines it. A verdict, such
 as a coherence report's ``coherent``, is a read-only property computed from
 the fields, so no record can hold a verdict that its own fields contradict.
+A constructor argument that the derived structure determines, such as a
+taxonomy's ``edges``, is read, not stored: a read-only property. Its class
+then names its fields in its own ``_fields``, in place of its public slots,
+so the property still counts in equality, hashing, repr, copy and pickle.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in vars(cls):  # named by a class that reads a field from the others
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

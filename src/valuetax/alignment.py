@@ -65,8 +65,12 @@ def align(entity: str, taxonomy: ValueTaxonomy, sd: Mapping[NodeId, float],
     [-1, 1]) against a taxonomy's property nodes; ``entity`` names the report.
 
     Every property node must carry an importance and have a satisfaction
-    degree in ``sd``; missing data is an error, never assumed zero.
+    degree in ``sd``; missing data is an error, never assumed zero. A
+    ``scheme`` that is not an :class:`AlignmentScheme` member, such as its
+    spelling ``"path"``, is refused with a ValueError.
     """
+    if not isinstance(scheme, AlignmentScheme):
+        raise ValueError(f"scheme must be an AlignmentScheme member, got {scheme!r}")
     paths = all_paths_counts(taxonomy)
     props = taxonomy.property_nodes()
     if not props:

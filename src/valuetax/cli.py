@@ -11,11 +11,17 @@ propagation (or an incoherent taxonomy under ``coherence``), 3 a file that
 cannot be read or written. A refusal is one stderr line naming the file it
 came from; ``_blamed`` maps a library call's refusal onto this table. The
 golden cases of this contract are listed once, in ``tests/golden/cases.txt``.
+
+A command runs with the cyclic garbage collector paused, argument parsing
+included, and :func:`main` restores the caller's setting on every way out. Its
+passes freed next to nothing and cost 5 to 8 % of a ``context`` command on the
+benchmark's input; :func:`main` gives the numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import random
@@ -496,7 +502,30 @@ def _arguments(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _arguments(sys.argv[1:] if argv is None else argv)
+    """Run the command ``argv`` names (by default the process's arguments); returns its exit code.
+
+    The cyclic garbage collector is paused for the whole command, argument
+    parsing included, and the caller's setting is restored on every way out.
+    A command builds many containers and holds them until it ends, which
+    starts collector passes that free next to nothing: with the edge set still
+    stored, a ``context`` command on the benchmark's 4,001-node input ran 43
+    young and 3 middle passes (Python 3.10 and 3.11; 30 on 3.12, 12 on 3.13) that
+    freed 47 objects, and pausing them saved 2.3 to 3.9 ms, 5 to 8 % of the
+    command, on 3.10 to 3.13. Reference counting frees everything else as
+    before; after any golden command ``gc.collect()`` finds at most 133 objects
+    in cycles, which the caller's next collection frees.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
+    args = _arguments(argv)
     try:
         code, text = args.handler(args)
     except _Fail as fail:

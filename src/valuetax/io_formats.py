@@ -54,9 +54,9 @@ from .taxonomy import Node, NodeKind, ValueTaxonomy
 SCHEMA_VERSION = 1
 # a node document's kind, as the node kind and the key of the node's text
 _NODE_KINDS = {"label": (NodeKind.LABEL, "label_text"), "property": (NodeKind.PROPERTY, "property_id")}
-# a node's kind and text key as written, up to its text
-_KIND_FIELDS = {kind: f'\n      "kind": "{spelling}",\n      "{key}": '
-                for spelling, (kind, key) in _NODE_KINDS.items()}
+# a label's and a property's kind and text key as written, up to the node's text
+_LABEL_FIELDS, _PROPERTY_FIELDS = (f'\n      "kind": "{spelling}",\n      "{key}": '
+                                   for spelling, (_, key) in _NODE_KINDS.items())
 # where a context record's field sits in the document; any other is located there already
 _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.defining_properties",
                    "kind": "selection.kind", "threshold": "selection.threshold"}
@@ -157,7 +157,8 @@ def serialize_taxonomy(taxonomy: ValueTaxonomy) -> str:
     edges = [',\n  "edges": ']
     for node_id in sorted(nodes):
         node, quoted = nodes[node_id], _quote(node_id)
-        entry = f',\n    {{\n      "id": {quoted},{_KIND_FIELDS[node.kind]}{_quote(node.text)}'
+        fields = _LABEL_FIELDS if node.kind is NodeKind.LABEL else _PROPERTY_FIELDS  # no Enum.__hash__ call
+        entry = f',\n    {{\n      "id": {quoted},{fields}{_quote(node.text)}'
         if node_id in importance:  # a finite float, written as json writes one
             entry += f',\n      "importance": {importance[node_id]!r}'
         pieces.append(entry + "\n    }")

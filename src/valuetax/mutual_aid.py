@@ -34,6 +34,7 @@ from .aggregation import mean_aggregate
 from .errors import (
     EmptyDistribution,
     EmptyInput,
+    ParseError,
     SupportMismatch,
     UndefinedRatio,
 )
@@ -132,13 +133,20 @@ class DomainConfig(Record):
     ``max_ratio`` caps the requests-to-offers ratio (must exceed 1);
     ``epsilon`` is the imbalance tolerated before task distribution starts
     to dissatisfy, and ``max_delta`` the imbalance mapped to full
-    dissatisfaction.
+    dissatisfaction. Each is an int or a float, not a bool, and
+    ``difference_measure`` a :class:`Measure` member; another value is
+    refused with a ParseError located at its field.
     """
 
     __slots__ = ("max_ratio", "epsilon", "max_delta", "difference_measure")
 
     def __init__(self, max_ratio: float = 5.0, epsilon: float = 0.1, max_delta: float = 1.0,
                  difference_measure: Measure = Measure.EARTH_MOVERS_1D):
+        for field, value in (("max_ratio", max_ratio), ("epsilon", epsilon), ("max_delta", max_delta)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParseError(field, f"must be a number, got {value!r}")
+        if not isinstance(difference_measure, Measure):
+            raise ParseError("difference_measure", f"unknown difference measure: {difference_measure!r}")
         if not max_ratio > 1:
             raise ValueError("max_ratio must be greater than 1")
         if not epsilon > 0:

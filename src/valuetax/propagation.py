@@ -273,7 +273,7 @@ def propagate(taxonomy: ValueTaxonomy) -> PropagationResult:
         run.settle()
         candidates = run.candidates()
     return PropagationResult(
-        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, taxonomy.edges, run.values, taxonomy._children,
+        taxonomy=ValueTaxonomy._inherit(taxonomy.nodes, run.values, taxonomy._children,
                                         taxonomy._parents, taxonomy._order),
         assigned=run.assigned,
         iterations=rounds,

@@ -13,14 +13,16 @@ violation, so no taxonomy a caller holds is invalid and no query checks
 again. A value is checked once, by the record that holds it, at its field.
 The constructor derives all structure once, and only this module builds it:
 one pass over the edges gives both adjacency maps, and one Kahn pass the
-parents-first order, which decides acyclicity. The structure holds one string
-per node id, the node's own ``id``: every edge endpoint, adjacency entry and
-order entry between known nodes is that object, not an equal copy, while an
-edge with an unknown endpoint keeps its own strings. :func:`validate` reads the
-structure, and the edge set only for an edge with an unknown endpoint. The
-constructor is the one path that checks: a propagation result takes the
-structure of the valid taxonomy it re-annotates, and an upward-closed subgraph
-that structure filtered.
+parents-first order, which decides acyclicity. Each edge is stored once, in the
+children map: ``edges`` is a read-only property that reads its pairs from
+there, and a repeated edge is found through a set of the given pairs that lives
+only while the constructor runs. The structure holds one string per node id,
+the node's own ``id``: every adjacency entry and order entry, and so every pair
+``edges`` reads, is that object, not an equal copy. :func:`validate` reads the
+structure and the list of edges given with an unknown endpoint, which the
+constructor hands it. The constructor is the one path that checks: a
+propagation result takes the structure of the valid taxonomy it re-annotates,
+and an upward-closed subgraph that structure filtered.
 """
 
 from __future__ import annotations
@@ -119,13 +121,15 @@ class Violation(Record):
 class ValueTaxonomy(Record):
     """An importance-annotated DAG of value concepts.
 
-    ``nodes`` maps node id to :class:`Node`, ``edges`` is a set of
+    ``nodes`` maps node id to :class:`Node`, ``edges`` is the frozenset of
     (parent, child) pairs, and ``importance`` is a partial mapping from node
     id to a value in [-1, 1]. Equality is structural over all three.
     """
 
     # The private slots hold what the constructor derives: adjacency maps and parents-first order.
-    __slots__ = ("nodes", "edges", "importance", "_children", "_parents", "_order")
+    # The edges are read from the children map, which determines them.
+    __slots__ = ("nodes", "importance", "_children", "_parents", "_order")
+    _fields = ("nodes", "edges", "importance")
 
     def __init__(self, nodes: Mapping[NodeId, Node] = EMPTY_MAPPING,
                  edges: Iterable[tuple[NodeId, NodeId]] = frozenset(),
@@ -137,7 +141,8 @@ class ValueTaxonomy(Record):
             own[node.id] = node
         nodes = own
         setfield(self, "nodes", MappingProxyType(nodes))
-        checked: set[tuple[NodeId, NodeId]] = set()
+        given: set[tuple[NodeId, NodeId]] = set()  # the pairs as given, to locate a repeat
+        stray: list[tuple[NodeId, NodeId]] = []  # an unknown endpoint's, which validate reports
         children, parents = {n: [] for n in nodes}, {n: [] for n in nodes}
         for i, edge in enumerate(edges):  # located at its index in the order given
             if not isinstance(edge, tuple) or len(edge) != 2:
@@ -145,15 +150,16 @@ class ValueTaxonomy(Record):
             parent, child = edge
             if not isinstance(parent, str) or not isinstance(child, str):
                 raise ParseError(f"edges[{i}]", "edge endpoints must be node id strings")
-            if edge in checked:
+            if edge in given:
                 raise _repeat(RULE_DUPLICATE_EDGE, f"edges[{i}]", f"duplicate edge {parent!r} -> {child!r}")
+            given.add(edge)
             head, tail = nodes.get(parent), nodes.get(child)
-            if head is not None and tail is not None:  # validate reports the others, as given
-                edge = parent, child = head.id, tail.id
-                children[parent].append(child)
-                parents[child].append(parent)
-            checked.add(edge)
-        setfield(self, "edges", frozenset(checked))
+            if head is not None and tail is not None:
+                children[head.id].append(tail.id)
+                parents[tail.id].append(head.id)
+            else:
+                stray.append(edge)
+        del given  # not held through the sorting and the Kahn pass
         for adjacency in (children, parents):  # id order, which propagation sums in
             for node, ids in adjacency.items():  # most lists hold one id or none
                 adjacency[node] = tuple(sorted(ids)) if len(ids) > 1 else tuple(ids)
@@ -166,7 +172,7 @@ class ValueTaxonomy(Record):
             values[node_id] = importance_at(f"importance.{node_id}", value)
         setfield(self, "importance", MappingProxyType(values))
         setfield(self, "_order", _kahn_order(children, parents))
-        violations = validate(self)
+        violations = validate(self, stray)
         if violations:
             raise InvalidTaxonomy(violations)
 
@@ -183,12 +189,18 @@ class ValueTaxonomy(Record):
             node_map[node.id] = node
         return cls(node_map, edges, importance or EMPTY_MAPPING)
 
+    @property
+    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The (parent, child) pairs, read from the children map: a held taxonomy
+        has no edge with an unknown endpoint, so the map holds each edge once."""
+        return frozenset([(parent, child) for parent, kids in self._children.items() for child in kids])
+
     @classmethod
-    def _inherit(cls, nodes, edges, importance: dict, children, parents, order) -> "ValueTaxonomy":
+    def _inherit(cls, nodes, importance: dict, children, parents, order) -> "ValueTaxonomy":
         """A taxonomy given its adjacency maps, order and importance, the one path that checks neither:
         only for a valid taxonomy's structure or an upward-closed subgraph's, floats checked on entry."""
         taxonomy = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (nodes, edges, MappingProxyType(importance),
+        for name, value in zip(cls.__slots__, (nodes, MappingProxyType(importance),
                                                children, parents, order)):
             setfield(taxonomy, name, value)
         return taxonomy
@@ -197,8 +209,7 @@ class ValueTaxonomy(Record):
         """The subgraph on ``keep``, a node set closed under parents, with ``importance``; unvalidated."""
         order = [n for n in self._order if n in keep]  # every kept node keeps all its parents
         return self._inherit(
-            MappingProxyType({n: self.nodes[n] for n in order}),
-            frozenset(edge for edge in self.edges if edge[1] in keep), importance,
+            MappingProxyType({n: self.nodes[n] for n in order}), importance,
             {n: tuple([c for c in self._children[n] if c in keep]) for n in order},
             {n: self._parents[n] for n in order}, order)
 
@@ -251,20 +262,19 @@ def _find_cycle(taxonomy: ValueTaxonomy) -> list[NodeId]:
                 stack.append(iter(children[nxt]))
 
 
-def validate(taxonomy: ValueTaxonomy) -> tuple[Violation, ...]:
+def validate(taxonomy: ValueTaxonomy,
+             stray: Iterable[tuple[NodeId, NodeId]] = ()) -> tuple[Violation, ...]:
     """The violations of the graph-level invariants, rule by rule: known edge
     endpoints, property nodes as leaves, and acyclicity. The :class:`ValueTaxonomy`
     constructor raises :class:`~valuetax.errors.InvalidTaxonomy` with any it
     finds; the constructor's Kahn order that decides acyclicity gives :func:`topological_order`.
 
     The rules read the constructor's adjacency maps, which hold every edge
-    between known nodes; the edge set is scanned only when the maps hold
-    fewer edges, that is when some edge has an unknown endpoint."""
+    between known nodes, and ``stray``, the edges the constructor was given
+    with an unknown endpoint, which a held taxonomy has none of."""
     violations: list[Violation] = []
     nodes, children = taxonomy.nodes, taxonomy._children
-    stray: list[tuple[NodeId, NodeId]] = []  # only what is found is sorted, to be worded in order
-    if sum(map(len, children.values())) < len(taxonomy.edges):
-        stray = sorted([(p, c) for p, c in taxonomy.edges if p not in nodes or c not in nodes])
+    stray = sorted(stray)  # to be worded in order
     for parent, child in stray:
         for endpoint in (parent, child):
             if endpoint not in nodes:

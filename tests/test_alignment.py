@@ -103,6 +103,21 @@ class TestAlignErrors:
         with pytest.raises(ValueError):
             align("e", golden_taxonomy, bad)
 
+    @pytest.mark.parametrize("scheme", ["path", "mean", None, 1], ids=repr)
+    def test_a_scheme_that_is_not_a_member_is_refused(self, scheme):
+        # "path" ran the mean scheme (0.75, bound 1) and reported "path" as the scheme
+        t = ValueTaxonomy.build(
+            [label_node("root"), label_node("a"), label_node("b"), property_node("p"), property_node("q")],
+            [("root", "a"), ("root", "b"), ("a", "p"), ("b", "p"), ("a", "q")],
+            {"p": 1.0, "q": 0.5},
+        )
+        sd = {"p": 1.0, "q": 1.0}
+        path = align("e", t, sd, AlignmentScheme.PATH_WEIGHTED)
+        assert (path.score, path.score_bound) == (1.25, 2.0)
+        with pytest.raises(ValueError) as excinfo:
+            align("e", t, sd, scheme)
+        assert str(excinfo.value) == f"scheme must be an AlignmentScheme member, got {scheme!r}"
+
 
 class TestSatisfactionMapping:
     def test_entity_only_names_the_report(self, golden_taxonomy):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -393,7 +394,7 @@ class TestContextCommand:
         # the kept subgraph inherits its structure from the validated general taxonomy
         calls = record_calls(monkeypatch, taxonomy_module.validate)
         assert run(capsys, *self.GOLDEN_ARGV, "--strategy", "kmeans2")[0] == 0
-        assert [len(taxonomy.nodes) for (taxonomy,) in calls] == [10]
+        assert [len(taxonomy.nodes) for taxonomy, *_ in calls] == [10]
 
     def test_each_context_importance_is_checked_once(self, capsys, monkeypatch):
         # counted where each check is located: the override copies the parsed context
@@ -698,6 +699,80 @@ def test_every_golden_file_is_named_by_a_case():
         _, out, err, argv = case.values
         named.update((out, err), argv)
     assert {path.name for path in GOLDEN.iterdir()} <= named
+
+
+# -- a command runs without collector passes ----------------------------------
+
+@pytest.fixture
+def collector():
+    """The collector's passes, by generation, from now on; its switch and
+    thresholds are restored after the test."""
+    passes = []
+
+    def counted(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(counted)
+    yield passes
+    gc.callbacks.remove(counted)
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def golden_argv(name: str) -> list[str]:
+    """The arguments of the golden row whose stdout file is ``name``."""
+    return next(case.values[3] for case in golden_cases() if case.values[1] == name)
+
+
+@pytest.mark.parametrize("out", ["context-wide-kmeans2.json", "propagate-deep.json", "demo.json"])
+def test_a_command_makes_no_collector_pass(capsys, monkeypatch, collector, out):
+    # With a threshold of 10 allocations a running collector would pass many
+    # times in any of these; the command pauses it, so none starts inside main.
+    inside = []
+    command = cli._run
+
+    def spied(argv):
+        start = len(collector)
+        try:
+            return command(argv)
+        finally:
+            inside.extend(collector[start:])
+    monkeypatch.setattr(cli, "_run", spied)
+    monkeypatch.chdir(GOLDEN)
+    gc.enable()
+    gc.set_threshold(10)
+    assert run(capsys, *golden_argv(out)) == (0, golden_text(out), "")
+    assert inside == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("paths", "--input", "node-text-taxonomy.json"), 0),
+    (("propagate", "--input", "invalid-taxonomy.json"), 1),
+    (("coherence", "--input", "incoherent-taxonomy.json"), 2),
+    (("propagate", "--input", "missing.json"), 3),
+    (("--help",), 0),
+    (("propagate", "--input", "x", "--bogus"), 2),
+], ids=["success", "refused", "incoherent", "unreadable", "help", "unknown-option"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_a_command_restores_the_callers_collector_setting(capsys, monkeypatch, collector, argv, code, enabled):
+    monkeypatch.chdir(GOLDEN)
+    (gc.enable if enabled else gc.disable)()
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() is enabled
+
+
+def test_a_paused_command_leaves_little_cyclic_garbage(capsys, monkeypatch, collector):
+    # Reference counting frees what a command drops; at most 133 objects in
+    # cycles are left after any golden row, which the caller's next collection frees.
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
+    left = {}
+    for case in golden_cases():
+        gc.collect()
+        run(capsys, *case.values[3])
+        left[case.id] = gc.collect()
+    assert max(left.values()) < 1000, left
 
 
 # -- the command's own parser parses as the full parser -----------------------

@@ -42,6 +42,7 @@ from valuetax.errors import (
     EmptyInput,
     MalformedEvent,
     MissingSatisfaction,
+    ParseError,
     SupportMismatch,
     UndefinedRatio,
 )
@@ -461,6 +462,26 @@ class TestDomainConfig:
     def test_max_delta_must_exceed_epsilon(self):
         with pytest.raises(ValueError):
             DomainConfig(epsilon=0.5, max_delta=0.5)
+
+    @pytest.mark.parametrize("field", ["max_ratio", "epsilon", "max_delta"])
+    @pytest.mark.parametrize("value", ["x", True, None, [2.0]], ids=repr)
+    def test_a_parameter_that_is_not_a_number_is_refused_at_its_field(self, field, value):
+        # "x" raised an unworded TypeError from the range comparison; True passed as 1
+        with pytest.raises(ParseError) as excinfo:
+            DomainConfig(**{field: value})
+        assert (excinfo.value.location, str(excinfo.value)) == (
+            field, f"{field}: must be a number, got {value!r}")
+
+    @pytest.mark.parametrize("value", ["kl", "emd", None], ids=repr)
+    def test_a_measure_that_is_not_a_member_is_refused_at_its_field(self, value):
+        # "kl" computed the EMD: 0.4 on {a: 9, b: 1}, where KL gives 0.368
+        with pytest.raises(ParseError) as excinfo:
+            DomainConfig(difference_measure=value)
+        assert (excinfo.value.location, str(excinfo.value)) == (
+            "difference_measure", f"difference_measure: unknown difference measure: {value!r}")
+
+    def test_ints_are_numbers(self):
+        assert DomainConfig(4, 1, 2) == DomainConfig(4.0, 1.0, 2.0)
 
 
 class TestSatisfactionDegrees:

@@ -174,8 +174,8 @@ class TestPropagateProperties:
         assert check_coherence(result.taxonomy).coherent
 
     def test_result_shares_the_input_structure(self):
-        # the result re-annotates its input: nodes, edges and the structure
-        # its constructor derived are the input's own objects
+        # the result re-annotates its input: nodes and the structure its
+        # constructor derived are the input's own objects, so its edges are equal
         rng = random.Random(29)
         shared = 0
         for _ in range(300):
@@ -187,7 +187,7 @@ class TestPropagateProperties:
             shared += 1
             fresh = ValueTaxonomy.build(t.nodes.values(), t.edges, result.importance)
             assert result == fresh
-            assert result.nodes is t.nodes and result.edges is t.edges
+            assert result.nodes is t.nodes and result.edges == t.edges
             for name in ("_children", "_parents", "_order"):
                 assert getattr(result, name) is getattr(t, name)
                 assert getattr(result, name) == getattr(fresh, name)

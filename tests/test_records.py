@@ -200,7 +200,8 @@ def test_taxonomy_equality_ignores_derived_structure():
     built = build(case)  # the constructor derives the structure
     assert (built._children, built._parents, built._order) == ({"a": ("b",), "b": ()},
                                                               {"a": (), "b": ("a",)}, ["a", "b"])
-    bare = ValueTaxonomy._inherit(built.nodes, built.edges, dict(built.importance), {}, {}, [])
+    # the children map is where the edges field is read; the parents map and the order are derived
+    bare = ValueTaxonomy._inherit(built.nodes, dict(built.importance), built._children, {}, [])
     assert built == bare and bare == built
     assert ValueTaxonomy._fields == case.fields
     assert repr(built) == repr(bare) == TAXONOMY_REPR

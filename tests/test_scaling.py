@@ -34,11 +34,14 @@ is evaluated once per ratio property; propagation pops its worklist at most
 twice per node and edge; a ``context`` command's traced peak stays within 1.5
 times that of decoding its taxonomy document; and an ``align`` command's within
 1.45 times the traced size of the state it builds, which holds one string per
-member name. Writing, propagating, counting paths and checking coherence
-iterate no edge set and copy no order: they read the adjacency maps and the
-parents-first order the constructor keeps. A well-formed command builds only
-its own argparse parser; building every command's took ten parsers, about 1 ms
-a command.
+member name. Writing, propagating, counting paths, checking coherence and
+taking an upward-closed subgraph read no edges and copy no order: they read the
+adjacency maps and the parents-first order the constructor keeps, and the
+edges are a property read from the children map, which no command reads. A
+``validate`` call also takes the list of edges given with an unknown endpoint,
+so the budget counts its calls, whatever their arguments. A well-formed
+command builds only its own argparse parser; building every command's took ten
+parsers, about 1 ms a command.
 
 The 16 MB record-line guard folds a line that spans about 2,000 reads in about
 0.13-0.19 s: the reads' pieces are joined once, when the newline arrives. A
@@ -91,7 +94,6 @@ from valuetax import (
 )
 from valuetax import cli, io_formats, mutual_aid
 from valuetax import taxonomy as taxonomy_module
-from valuetax._record import setfield
 from valuetax.cli import main
 from valuetax.propagation import _Run
 
@@ -260,7 +262,8 @@ def test_structure_is_derived_once_per_checked_construction(kahn_passes):
     assert kahn_passes == [1999, len(general)]
 
 
-@pytest.mark.parametrize("argv, code", [
+# each command once, run from tests/golden with its expected exit code
+EVERY_COMMAND = pytest.mark.parametrize("argv, code", [
     (("validate", "--input", "node-text-taxonomy.json"), 0),
     (("propagate", "--input", "propagate-deep-taxonomy.json"), 0),
     (("coherence", "--input", "incoherent-taxonomy.json"), 2),
@@ -271,15 +274,18 @@ def test_structure_is_derived_once_per_checked_construction(kahn_passes):
     (("export-dot", "--input", "node-text-taxonomy.json"), 0),
     (("demo",), 0),
 ], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+
+
+@EVERY_COMMAND
 def test_a_command_derives_and_validates_structure_once(capsys, monkeypatch, kahn_passes, argv, code):
     # the one pass and the one validation are over the command's input taxonomy, or
     # the demo's general one; a propagation result or a context subgraph takes its structure
     validations = []
     original = taxonomy_module.validate
 
-    def counted(taxonomy):
-        validations.append(len(taxonomy))
-        return original(taxonomy)
+    def counted(*args):
+        validations.append(len(args[0]))
+        return original(*args)
     monkeypatch.setattr(taxonomy_module, "validate", counted)
     monkeypatch.chdir(GOLDEN)
     assert main([argv[0], "--format", "machine", *argv[1:]]) == code
@@ -288,6 +294,15 @@ def test_a_command_derives_and_validates_structure_once(capsys, monkeypatch, kah
     if "--input" in argv:
         document = GOLDEN / argv[argv.index("--input") + 1]
         assert validations == [len(json.loads(document.read_text(encoding="utf-8"))["nodes"])]
+
+
+@EVERY_COMMAND
+def test_a_command_reads_no_edges(capsys, monkeypatch, edge_reads, argv, code):
+    # the edges are read from the children map, and no command path builds or filters them
+    monkeypatch.chdir(GOLDEN)
+    assert main([argv[0], "--format", "machine", *argv[1:]]) == code
+    assert capsys.readouterr().out
+    assert edge_reads == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,14 +327,17 @@ def test_a_well_formed_command_builds_only_its_own_parser(capsys, monkeypatch, a
     assert len(built) <= 2, f"{len(built)} parsers built: {built}"
 
 
-class CountedEdges(frozenset):
-    """An edge set that counts the iterations over it."""
+@pytest.fixture
+def edge_reads(monkeypatch) -> list[int]:
+    """The node count of each taxonomy whose edges are read from now on."""
+    reads = []
+    read = ValueTaxonomy.edges.fget
 
-    iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
+    def counted(taxonomy):
+        reads.append(len(taxonomy))
+        return read(taxonomy)
+    monkeypatch.setattr(ValueTaxonomy, "edges", property(counted))
+    return reads
 
 
 def valued_fairness() -> ValueTaxonomy:
@@ -330,14 +348,14 @@ def valued_fairness() -> ValueTaxonomy:
 
 @pytest.mark.parametrize("build", [valued_fairness, lambda: propagate_deep("tiny")],
                          ids=["fairness", "propagate-deep-tiny"])
-def test_structure_readers_take_the_adjacency_and_order_the_constructor_keeps(monkeypatch, build):
-    # Writing, propagating, counting paths and checking coherence read the
-    # adjacency maps and the parents-first order; none iterates the edge set
-    # or takes the copy topological_order makes for outside callers.
-    # _upward_closed alone reads the set, which it restricts to a subgraph.
+def test_structure_readers_take_the_adjacency_and_order_the_constructor_keeps(monkeypatch, edge_reads,
+                                                                             build):
+    # Writing, propagating, counting paths, checking coherence and taking an
+    # upward-closed subgraph read the adjacency maps and the parents-first
+    # order; none reads the edges, which the children map determines, or takes
+    # the copy topological_order makes for outside callers.
     taxonomy = build()
-    edges = CountedEdges(taxonomy.edges)
-    setfield(taxonomy, "edges", edges)
+    edge_reads.clear()  # re-annotating the fairness taxonomy reads its edges
     copies = []
     original = taxonomy_module.topological_order
 
@@ -352,8 +370,9 @@ def test_structure_readers_take_the_adjacency_and_order_the_constructor_keeps(mo
     result = propagate(taxonomy).taxonomy
     all_paths_counts(taxonomy)
     check_coherence(result)
-    assert result.edges is edges
-    assert (edges.iterations, copies) == (0, [])
+    subgraph = taxonomy._upward_closed(set(taxonomy.nodes), dict(taxonomy.importance))
+    assert (edge_reads, copies) == ([], [])
+    assert result.edges == subgraph.edges == taxonomy.edges
 
 
 def wide_documents(internal: int, rng: random.Random) -> tuple[str, str]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -188,6 +190,18 @@ def test_the_structure_holds_each_node_id_as_one_string(make):
     for adjacency in (t._children, t._parents):
         assert all(own(node_id) and all(map(own, ids)) for node_id, ids in adjacency.items())
     assert all(map(own, t._order)) and len(t._order) == len(t)
+
+
+@pytest.mark.parametrize("make", ONE_STRING_PER_ID.values(), ids=ONE_STRING_PER_ID.keys())
+def test_the_edges_are_read_from_the_children_map(make):
+    # stored once: the children map determines the edges, which are not a slot of their own
+    t = make()
+    pairs = [(parent, child) for parent, kids in t._children.items() for child in kids]
+    assert t.edges == frozenset(pairs) and len(t.edges) == len(pairs) > 1
+    assert "edges" not in ValueTaxonomy.__slots__ and "edges" in ValueTaxonomy._fields
+    assert ValueTaxonomy.build(t.nodes.values(), sorted(t.edges), t.importance) == t
+    for duplicate in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+        assert duplicate == t and duplicate.edges == t.edges
 
 
 # Every place that takes an importance, and the field it locates a refusal at.
