@@ -97,6 +97,7 @@ class ContextSpec(Record):
 # 0.7 * n * eps of the total squared error (measured for 2 to 100,000
 # values); ties are judged with a margin a few times wider than that.
 _TIE_EPS_PER_VALUE = 4 * sys.float_info.epsilon
+_NOT_NUMBERS = "importances must be finite numbers"
 
 
 def select_nodes(importances: Mapping[NodeId, float],
@@ -116,19 +117,34 @@ def select_nodes(importances: Mapping[NodeId, float],
     so on a tie the larger upper cluster is kept. The margin covers the
     rounding of the running sums, which grows with n; distinct errors that
     lie closer than it are treated as ties too.
+
+    A value that is no finite number raises a ValueError, judged once per
+    call: two-means selection refuses what the sum of the values refuses (a
+    non-number, inf - inf, an overflow) and a summed squared error that is not
+    finite, which a NaN, an infinity or a spread whose square overflows
+    makes; positive-threshold selection refuses a value that does not compare
+    with the threshold, and keeps no NaN, as a NaN is not greater.
     """
     if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
-        return {n for n, v in importances.items() if v > strategy.threshold}
+        try:
+            return {n for n, v in importances.items() if v > strategy.threshold}
+        except TypeError:  # a value that does not compare with a number
+            raise ValueError(_NOT_NUMBERS) from None
     if not importances:
         raise EmptyInput("k-means selection needs at least one importance value")
+    try:  # fsum refuses a non-number, inf - inf and an overflowing sum
+        mean = mean_aggregate(list(importances.values()))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(_NOT_NUMBERS) from None
     items = sorted(importances.items(), key=lambda kv: (kv[1], kv[0]))
+    centred = [v - mean for _, v in items]
+    total_sse = math.fsum(c * c for c in centred)
+    if not math.isfinite(total_sse):  # one check per call: a NaN or an infinity reaches the sum
+        raise ValueError(_NOT_NUMBERS)
     if items[0][1] == items[-1][1]:
         return set(importances)
     n = len(items)
-    mean = mean_aggregate([v for _, v in items])
-    centred = [v - mean for _, v in items]
     total = math.fsum(centred)
-    total_sse = math.fsum(c * c for c in centred)
     sses = []
     low = 0.0
     for cut in range(1, n):

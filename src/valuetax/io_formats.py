@@ -32,7 +32,9 @@ writes it by default, a space after each colon and comma and none elsewhere, M
 free of escapes and control characters (its text is its value), T an unsigned
 integer of at most 18 digits with no leading zero - and no timestamp decreases.
 Any other read (a blank line, other spacing, another key order, an escape, a
-BOM) is read exactly, line by line, by the decoder that words every error.
+BOM) is read exactly, line by line, by the decoder that words every error; a
+refused kind or member in the words of :func:`~valuetax.mutual_aid.event_refusal`,
+as the fold words it, with the line's number.
 Records come in one batch per read, which the fold takes through
 ``itertools.chain.from_iterable``, with no generator step per record.
 """
@@ -48,7 +50,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
 from .errors import MalformedEvent, ParseError, SchemaVersionUnsupported
-from .mutual_aid import CommunityState, EventKind, ingest
+from .mutual_aid import CommunityState, EventKind, event_refusal, ingest
 from .taxonomy import Node, NodeKind, ValueTaxonomy
 
 SCHEMA_VERSION = 1
@@ -62,7 +64,6 @@ _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.definin
                    "kind": "selection.kind", "threshold": "selection.threshold"}
 _quote = json.encoder.encode_basestring  # json.dumps' string encoder under ensure_ascii=False
 
-_EVENT_KINDS = frozenset(kind.value for kind in EventKind)
 _decode_record = json.JSONDecoder().raw_decode
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(
@@ -252,13 +253,9 @@ def _line_records(lines: Iterable[str], first_lineno: int,
             raise MalformedEvent(lineno, f"invalid record: {exc}") from exc
         if not isinstance(raw, dict):
             raise MalformedEvent(lineno, "record must be an object")
-        kind = raw.get("kind")
-        if not isinstance(kind, str) or kind not in _EVENT_KINDS:  # a list is unhashable
-            raise MalformedEvent(lineno, f"unknown event kind: {kind!r}")
-        member = raw.get("member")
-        if not isinstance(member, str) or not member:
-            raise MalformedEvent(lineno, f"event member must be a non-empty string, got {member!r}")
-        timestamp = raw.get("timestamp")
+        kind, member, timestamp = raw.get("kind"), raw.get("member"), raw.get("timestamp")
+        if refusal := event_refusal(kind, member):  # worded as ingest words it, at the line
+            raise MalformedEvent(lineno, refusal)
         if type(timestamp) is not int or timestamp < 0:  # bool is an int subclass
             raise MalformedEvent(
                 lineno, f"event timestamp must be a non-negative integer, got {timestamp!r}")

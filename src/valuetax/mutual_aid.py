@@ -4,7 +4,11 @@ A community produces a stream of events - members asking for help, offering
 help, being chosen to volunteer, and receiving task assignments. The module
 holds no events: :func:`ingest` folds the records of an event log, as
 :mod:`valuetax.io_formats` reads them, into a :class:`CommunityState` of
-per-member counters plus the distribution of tasks over volunteers.
+per-member counters plus the distribution of tasks over volunteers. The rules
+of an event's kind and member, and their words, have one home,
+:func:`event_refusal`, which the fold and the log's line decoder both call; the
+fold judges each record where it reads it, so the state it builds is checked
+as it is built.
 
 Three named properties give the community's fairness concepts computational
 meaning:
@@ -27,7 +31,7 @@ import math
 from enum import Enum
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import EMPTY_MAPPING, Record, setfield
 from .aggregation import mean_aggregate
@@ -38,7 +42,7 @@ from .errors import (
     SupportMismatch,
     UndefinedRatio,
 )
-from .taxonomy import ValueTaxonomy, label_node, property_node
+from .taxonomy import ValueTaxonomy, as_number, label_node, property_node
 
 OFFER_RATIO = "offer_ratio"
 VOLUNTEER_RATIO = "volunteer_ratio"
@@ -54,8 +58,9 @@ class EventKind(Enum):
 
 
 class CommunityState(Record):
-    """Counted behavioural facts for one community. The constructor copies the
-    counters it is given; :func:`ingest` hands over its own without a copy."""
+    """Counted behavioural facts for one community. The constructor checks and
+    copies the counters it is given; :func:`ingest` checks each record as it
+    reads it and hands over its own counters without a copy."""
 
     __slots__ = ("requests", "offers", "volunteering", "task_distribution", "_members")
 
@@ -63,62 +68,72 @@ class CommunityState(Record):
                  offers: Mapping[str, int] = EMPTY_MAPPING,
                  volunteering: Mapping[str, int] = EMPTY_MAPPING,
                  task_distribution: Mapping[str, int] = EMPTY_MAPPING):
-        self._hold(*map(dict, (requests, offers, volunteering, task_distribution)))
-
-    def _hold(self, *counters: dict[str, int]) -> None:
-        """Check and store ``counters``, dicts that no caller holds any more."""
+        counters = list(map(dict, (requests, offers, volunteering, task_distribution)))
         for name, counts in zip(self._fields, counters):
             for member, count in counts.items():
                 if not isinstance(member, str) or not member:
                     raise ValueError(f"{name}[{member!r}] member name must be a non-empty string")
                 if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name}[{member!r}] must be a non-negative integer")
-            setfield(self, name, MappingProxyType(counts))
         # a dict grows to the distinct names; a set union is sized for every counter's entries
-        setfield(self, "_members", tuple(sorted(dict.fromkeys(chain.from_iterable(counters)))))
+        self._hold(dict.fromkeys(chain.from_iterable(counters)), *counters)
+
+    def _hold(self, members: Iterable[str], *counters: dict[str, int]) -> None:
+        """Store ``counters``, checked dicts that no caller holds any more, and
+        their distinct ``members``."""
+        for name, counts in zip(self._fields, counters):
+            setfield(self, name, MappingProxyType(counts))
+        setfield(self, "_members", tuple(sorted(members)))
 
     @property
     def members(self) -> tuple[str, ...]:
         return self._members
 
 
-# how Python words a failure to unpack a record into (kind, member, timestamp)
-_UNPACKING = ("not enough values to unpack", "too many values to unpack", "cannot unpack non-iterable")
+_KINDS = frozenset(kind.value for kind in EventKind)
+
+
+def event_refusal(kind: object, member: object) -> Optional[str]:
+    """Why an event is refused, or None: its ``kind`` is no :class:`EventKind`
+    value, or its ``member`` no non-empty string. The rules, and their words, of
+    both the event-log reader and :func:`ingest`."""
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
+        return f"unknown event kind: {kind!r}"
+    if not isinstance(member, str) or not member:
+        return f"event member must be a non-empty string, got {member!r}"
+    return None
 
 
 def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     """Fold event records into counters; counting is order-insensitive. A
     record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
-    value, taken as the event-log reader yields it, already checked (see
-    :func:`~valuetax.io_formats.parse_event_log`). The counters hold one string
-    per member name, the first one read, and become the state's own, uncopied.
-    A record that is no triple, a kind that is no :class:`EventKind` value and an
-    unhashable member raise a ValueError, worded as the reader words them; an
-    error raised in the records' own code passes through unchanged."""
+    value, as :func:`~valuetax.io_formats.ingest_event_log` reads them from a
+    log. The counters hold one string per member name, the first one read, and
+    become the state's own, uncopied. Each record is judged where it is read: one
+    that is no triple raises a ValueError, and so does one that
+    :func:`event_refusal` refuses, a member name being checked the first time it
+    is seen. An error raised by ``records`` itself passes through unchanged."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
-    kind = member = None  # until a record is read
-    try:  # outside the loop, so a record costs no check
-        for kind, member, _ in records:
+    for record in records:
+        try:
+            kind, member, _ = record
+        except (TypeError, ValueError):
+            raise ValueError("event record must be a (kind, member, timestamp) triple") from None
+        del record  # so that zip reuses its tuple for the next record
+        try:
             bucket = buckets[kind]
             count = bucket.get(member)
-            if count is None:
-                bucket[names.setdefault(member, member)] = 1
-            else:
-                bucket[member] = count + 1  # the key already stored is kept
-    except (KeyError, TypeError, ValueError) as exc:
-        if exc.__traceback__.tb_next is not None:  # raised inside the records' own code
-            raise
-        if type(kind).__hash__ is None or isinstance(exc, KeyError) and exc.args == (kind,):
-            raise ValueError(f"unknown event kind: {kind!r}") from None  # each lookup fails at once
-        if type(member).__hash__ is None:
-            raise ValueError(f"event member must be a non-empty string, got {member!r}") from None
-        if not str(exc).startswith(_UNPACKING):  # raised by records written in C
-            raise
-        raise ValueError("event record must be a (kind, member, timestamp) triple") from None
-    del names
+        except (KeyError, TypeError):  # an unknown or unhashable kind, an unhashable member
+            raise ValueError(event_refusal(kind, member)) from None
+        if count is None:
+            if member not in names and (refusal := event_refusal(kind, member)):
+                raise ValueError(refusal)  # a name is checked the first time it is seen
+            bucket[names.setdefault(member, member)] = 1
+        else:
+            bucket[member] = count + 1  # the key already stored is kept
     state = CommunityState.__new__(CommunityState)
-    state._hold(*buckets.values())
+    state._hold(names, *buckets.values())
     return state
 
 
@@ -133,9 +148,10 @@ class DomainConfig(Record):
     ``max_ratio`` caps the requests-to-offers ratio (must exceed 1);
     ``epsilon`` is the imbalance tolerated before task distribution starts
     to dissatisfy, and ``max_delta`` the imbalance mapped to full
-    dissatisfaction. Each is an int or a float, not a bool, and
-    ``difference_measure`` a :class:`Measure` member; another value is
-    refused with a ParseError located at its field.
+    dissatisfaction. Each is a number, held as a float (see
+    :func:`~valuetax.taxonomy.as_number`), and ``difference_measure`` a
+    :class:`Measure` member; another value is refused with a ParseError
+    located at its field.
     """
 
     __slots__ = ("max_ratio", "epsilon", "max_delta", "difference_measure")
@@ -143,19 +159,18 @@ class DomainConfig(Record):
     def __init__(self, max_ratio: float = 5.0, epsilon: float = 0.1, max_delta: float = 1.0,
                  difference_measure: Measure = Measure.EARTH_MOVERS_1D):
         for field, value in (("max_ratio", max_ratio), ("epsilon", epsilon), ("max_delta", max_delta)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(field, f"must be a number, got {value!r}")
+            try:
+                setfield(self, field, as_number(value))
+            except ValueError as exc:
+                raise ParseError(field, str(exc)) from None
         if not isinstance(difference_measure, Measure):
             raise ParseError("difference_measure", f"unknown difference measure: {difference_measure!r}")
-        if not max_ratio > 1:
+        if not self.max_ratio > 1:
             raise ValueError("max_ratio must be greater than 1")
-        if not epsilon > 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not max_delta > epsilon:
+        if not self.max_delta > self.epsilon:
             raise ValueError("max_delta must exceed epsilon")
-        setfield(self, "max_ratio", max_ratio)
-        setfield(self, "epsilon", epsilon)
-        setfield(self, "max_delta", max_delta)
         setfield(self, "difference_measure", difference_measure)
 
 
@@ -229,7 +244,10 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
     """Satisfaction degree of each community property among ``nodes``,
     evaluated in their order; other nodes are left out. Per-member
     properties are lifted to the community level as the mean over all
-    members, and task balance is community-wide."""
+    members, and task balance is community-wide. A bare string is refused, as
+    it would be read as one-letter names."""
+    if isinstance(nodes, str):
+        raise ValueError(f"nodes must be node ids, not one string: {nodes!r}")
     degrees = {}
     for node in nodes:
         if node == TASK_BALANCE:
@@ -252,6 +270,8 @@ def _normalize(dist: Sequence[float], name: str) -> Iterator[float]:
     total = sum(map(_mass, dist, repeat(name)))
     if total <= 0:  # an empty sum is 0
         raise EmptyDistribution(f"{name} has no mass to normalize")
+    if not math.isfinite(total):  # a NaN or an infinite mass reaches the total
+        raise ValueError(f"{name} has non-finite mass")
     return (float(v) / total for v in dist)
 
 

@@ -85,17 +85,27 @@ def property_node(node_id: NodeId, property_id: Optional[str] = None) -> Node:
     return Node(node_id, NodeKind.PROPERTY, property_id if property_id is not None else node_id)
 
 
+def as_number(value: object) -> float:
+    """``value``, an int or a float but not a bool, as a float; an int past the
+    float range is taken as the infinity of its sign. Another value raises a
+    ValueError, "must be a number", that its caller locates."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def check_importance(value: float, what: str = "importance") -> float:
     """``value`` as a float in [-1, 1], or a ValueError worded with ``what``. It
-    must be an int or a float, not a bool; an int past the float range is taken
-    as the infinity of its sign, which the range check then rejects."""
+    must be a number (:func:`as_number`); an int past the float range is
+    infinite, which the range check then rejects."""
     if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{what} must be a number, got {value!r}")
         try:
-            value = float(value)
-        except OverflowError:
-            value = float("inf") if value > 0 else float("-inf")
+            value = as_number(value)
+        except ValueError as exc:
+            raise ValueError(f"{what} {exc}") from None
     if not (IMPORTANCE_MIN <= value <= IMPORTANCE_MAX):
         raise ValueError(f"{what} {value} outside [-1, 1]")
     return value

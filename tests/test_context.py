@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -123,6 +124,23 @@ class TestSelectNodes:
     def test_kmeans_empty_rejected(self):
         with pytest.raises(EmptyInput):
             select_nodes({}, KMEANS)
+
+    @pytest.mark.parametrize("values, strategy", [
+        ({"a": math.nan, "b": 0.5}, KMEANS),
+        ({"a": 1.0, "b": math.nan, "c": 1.0}, KMEANS),
+        ({"a": math.inf, "b": 0.5}, KMEANS),
+        ({"a": math.inf, "b": -math.inf}, KMEANS),
+        ({"a": "x"}, KMEANS),
+        ({"a": "x", "b": 0.5}, KMEANS),
+        ({"a": "x", "b": 0.5}, POSITIVE_SELECTION),
+        ({"a": None}, POSITIVE_SELECTION),
+    ], ids=["nan", "nan-among-equals", "inf", "both-infinities", "one-string", "string",
+            "string-positive", "None-positive"])
+    def test_a_value_that_is_no_finite_number_is_refused(self, values, strategy):
+        # once a bare StopIteration or TypeError, or {"a"} for the one string
+        with pytest.raises(ValueError, match=r"^importances must be finite numbers$") as caught:
+            select_nodes(values, strategy)
+        assert type(caught.value) is ValueError
 
     def test_raising_threshold_never_adds_nodes(self):
         rng = random.Random(3)

@@ -3,6 +3,7 @@ distribution measures."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -28,6 +29,7 @@ from valuetax import (
     fairness_taxonomy,
     ingest,
     kl_divergence,
+    parse_event_log,
     property_evaluators,
     property_node,
     ratio_satisfaction,
@@ -153,7 +155,7 @@ class TestIngest:
             CommunityState({"a": 1}, {member: 1})
 
     def test_ingest_checks_the_counters_it_hands_over_uncopied(self):
-        with pytest.raises(ValueError, match=r"^requests\[''\] member name must be a non-empty string$"):
+        with pytest.raises(ValueError, match=r"^event member must be a non-empty string, got ''$"):
             ingest([("request", "", 0)])
 
     @pytest.mark.parametrize("records", [[("bogus", "a", 0)], [("offer", "a", 0), ("bogus", "a", 1)]],
@@ -177,13 +179,41 @@ class TestIngest:
         ([("offer", "a")], r"event record must be a \(kind, member, timestamp\) triple"),
         ([5], r"event record must be a \(kind, member, timestamp\) triple"),
         ([("offer", "a", 0), ("offer", "a", 1, 2)], r"event record must be a \(kind, member, timestamp\) triple"),
-    ], ids=["list-kind", "later-list-kind", "list-member", "pair", "int", "later-quadruple"])
+        ([(("a", ["b"]), "m", 0)], r"unknown event kind: \('a', \['b'\]\)"),
+        ([("offer", ("a", ["b"]), 0)], r"event member must be a non-empty string, got \('a', \['b'\]\)"),
+        ([["bogus", "a", 0]], r"unknown event kind: 'bogus'"),
+        ([["offer", "a", 0], [("a", ["b"]), "a", 1]], r"unknown event kind: \('a', \['b'\]\)"),
+        ([("offer", "", 0)], r"event member must be a non-empty string, got ''"),
+        ([("offer", 5, 0)], r"event member must be a non-empty string, got 5"),
+        ([("offer", None, 0)], r"event member must be a non-empty string, got None"),
+        ([("offer", "a", 0), ("request", "a", 1), ("offer", "", 2)],
+         r"event member must be a non-empty string, got ''"),
+    ], ids=["list-kind", "later-list-kind", "list-member", "pair", "int", "later-quadruple",
+            "tuple-holding-a-list-kind", "tuple-holding-a-list-member", "list-record-unknown-kind",
+            "list-record-tuple-holding-a-list-kind", "empty-member", "int-member", "None-member",
+            "later-empty-member"])
     def test_a_malformed_record_is_refused_in_the_readers_wording(self, records, message):
         # once a bare TypeError (unhashable type, or an int that cannot be
-        # unpacked) or Python's own unpacking ValueError
+        # unpacked) or Python's own unpacking ValueError; a tuple that holds a
+        # list hashed as no probe of the failure foresaw, and "", 5 and None
+        # were refused by the counters' check, as offers[''] and the like
         with pytest.raises(ValueError, match=rf"^{message}$") as caught:
             ingest(records)
         assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("kind, member", [
+        ("party", "a"), (["request"], "a"), (None, "a"), ({"offer": 1}, "a"), (5, ""),
+        ("offer", ""), ("offer", 5), ("offer", None), ("offer", ["a"]), ("offer", {"a": 1}),
+    ], ids=repr)
+    def test_the_reader_and_ingest_word_a_refused_record_alike(self, kind, member):
+        line = json.dumps({"kind": kind, "member": member, "timestamp": 0}) + "\n"
+        with pytest.raises(MalformedEvent) as read:
+            parse_event_log(line)
+        with pytest.raises(ValueError) as folded:
+            ingest([(kind, member, 0)])
+        prefix = "malformed event at position 1: "
+        assert str(read.value).startswith(prefix)
+        assert str(read.value)[len(prefix):] == str(folded.value)
 
     @pytest.mark.parametrize("error", [ValueError("own"), TypeError("own"), MalformedEvent(2, "own")],
                              ids=["ValueError", "TypeError", "MalformedEvent"])
@@ -377,6 +407,16 @@ class TestDistributionMeasures:
         with pytest.raises(ValueError, match="negative mass"):
             measure((2, -1), (1, 1))
 
+    @pytest.mark.parametrize("d, u, name", [
+        ((math.nan, 1), (1, 1), "first"), ((math.inf, 1), (1, 1), "first"),
+        ((1, 1), (1, math.nan), "second"), ((1e308, 1e308), (1, 1), "first"),
+    ], ids=["nan", "inf", "nan-reference", "overflowing-sum"])
+    @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
+    def test_a_mass_that_is_not_finite_is_refused(self, measure, d, u, name):
+        # once a nan result
+        with pytest.raises(ValueError, match=rf"^{name} distribution has non-finite mass$"):
+            measure(d, u)
+
     @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
     def test_lists_and_tuples_measure_alike(self, measure):
         assert measure([3, 1, 0], [1, 1, 1]) == measure((3, 1, 0), (1, 1, 1))
@@ -483,6 +523,13 @@ class TestDomainConfig:
     def test_ints_are_numbers(self):
         assert DomainConfig(4, 1, 2) == DomainConfig(4.0, 1.0, 2.0)
 
+    def test_an_int_past_the_float_range_is_infinite(self):
+        # once held as the int, which satisfaction_degrees could not turn into a float
+        cfg = DomainConfig(max_ratio=10**400)
+        assert cfg == DomainConfig(max_ratio=math.inf)
+        state = state_with(requests={"a": 3}, offers={"a": 1})
+        assert satisfaction_degrees(state, cfg, [OFFER_RATIO]) == {OFFER_RATIO: 0.0}
+
 
 class TestSatisfactionDegrees:
     def golden_state(self):
@@ -527,6 +574,11 @@ class TestSatisfactionDegrees:
             satisfaction_degrees(state_with(), CFG, [TASK_BALANCE, OFFER_RATIO])
         with pytest.raises(EmptyInput):
             satisfaction_degrees(state_with(), CFG, [OFFER_RATIO, TASK_BALANCE])
+
+    def test_a_bare_string_is_refused(self):
+        # once read as the one-letter names o, f, ..., which gave no degrees
+        with pytest.raises(ValueError, match=r"^nodes must be node ids, not one string: 'offer_ratio'$"):
+            satisfaction_degrees(self.golden_state(), CFG, OFFER_RATIO)
 
     def test_no_nodes_give_no_degrees(self):
         assert satisfaction_degrees(state_with(), CFG, []) == {}
