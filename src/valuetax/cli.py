@@ -55,6 +55,7 @@ from .mutual_aid import (
     TASK_BALANCE,
     VOLUNTEER_RATIO,
     DomainConfig,
+    EventKind,
     Measure,
     fairness_taxonomy,
     property_evaluators,
@@ -193,14 +194,14 @@ def _cmd_coherence(args) -> tuple[int, str]:
     return EXIT_INCOHERENT, "\n".join(lines) + "\n"
 
 
+# --strategy's spellings, each with the kind it selects
+_STRATEGIES = {"positive": SelectionKind.POSITIVE_THRESHOLD, "kmeans2": SelectionKind.KMEANS_TWO}
+
+
 def _selection_override(args, default: SelectionStrategy) -> SelectionStrategy:
     if args.strategy is None and args.threshold is None:
         return default
-    kind = default.kind
-    if args.strategy == "positive":
-        kind = SelectionKind.POSITIVE_THRESHOLD
-    elif args.strategy == "kmeans2":
-        kind = SelectionKind.KMEANS_TWO
+    kind = default.kind if args.strategy is None else _STRATEGIES[args.strategy]
     if args.threshold is not None and kind is SelectionKind.KMEANS_TWO:
         raise _Fail(EXIT_INVALID, "bad selection override: "
                                   "--threshold applies only to positive selection, not kmeans2")
@@ -298,7 +299,7 @@ def _cmd_export_dot(args) -> tuple[int, str]:
 # -- demo -------------------------------------------------------------------
 
 DEMO_ENTITY = "community"
-# per member: (requests, offers, volunteer_chosen, tasks assigned)
+# per member: its count of each EventKind, in the enum's order
 DEMO_ACTIVITY = {
     "alice": (3, 1, 2, 51),
     "bruno": (3, 1, 2, 49),
@@ -313,15 +314,11 @@ def demo_event_log() -> str:
     """
     lines = []
     stamp = 0
-    for kind, slot in (("request", 0), ("offer", 1), ("volunteer_chosen", 2)):
+    for slot, kind in enumerate(EventKind):
         for member in sorted(DEMO_ACTIVITY):
             for _ in range(DEMO_ACTIVITY[member][slot]):
-                lines.append(json.dumps({"kind": kind, "member": member, "timestamp": stamp}))
+                lines.append(json.dumps({"kind": kind.value, "member": member, "timestamp": stamp}))
                 stamp += 1
-    for member in sorted(DEMO_ACTIVITY):
-        for _ in range(DEMO_ACTIVITY[member][3]):
-            lines.append(json.dumps({"kind": "task_assigned", "member": member, "timestamp": stamp}))
-            stamp += 1
     return "\n".join(lines) + "\n"
 
 
@@ -433,6 +430,7 @@ def _indent(text: str) -> str:
 # -- parser -----------------------------------------------------------------
 
 
+_DOMAIN = DomainConfig()  # the defaults of align's domain options
 # the options every command takes, then each command's handler, help text and own options
 _SHARED = {"--format": {"choices": ("text", "machine"), "default": "text",
                         "help": "output format (default: text)"},
@@ -445,7 +443,7 @@ _COMMANDS = {
     "context": (_cmd_context, "build a context-based taxonomy", {
         "--input": {**_INPUT, "help": "general taxonomy document"},
         "--context": {"required": True, "help": "context document"},
-        "--strategy": {"choices": ("positive", "kmeans2"),
+        "--strategy": {"choices": tuple(_STRATEGIES),
                        "help": "override the context's selection strategy"},
         "--threshold": {"type": float, "help": "override the positive-selection threshold"}}),
     "align": (_cmd_align, "score behaviour from an event log against a taxonomy", {
@@ -453,15 +451,18 @@ _COMMANDS = {
         "--log": {"required": True, "help": "event log (one JSON record per line)"},
         "--entity": {"default": "community",
                      "help": "name of the report; the score is the mean over all members"},
-        "--scheme": {"choices": ("mean", "path"), "default": "mean"},
-        "--max-r": {"type": float, "default": 5.0, "dest": "max_r",
-                    "help": "ratio mapped to full satisfaction (default 5)"},
-        "--epsilon": {"type": float, "default": 0.1,
-                      "help": "distribution imbalance tolerated before dissatisfaction (default 0.1)"},
-        "--max-delta": {"type": float, "default": 1.0, "dest": "max_delta",
-                        "help": "imbalance mapped to full dissatisfaction (default 1)"},
-        "--measure": {"choices": ("kl", "emd"), "default": "emd",
-                      "help": "distribution difference measure (default emd)"}}),
+        "--scheme": {"choices": tuple(s.value for s in AlignmentScheme),
+                     "default": AlignmentScheme.MEAN_WEIGHTED.value},
+        "--max-r": {"type": float, "default": _DOMAIN.max_ratio, "dest": "max_r",
+                    "help": "ratio mapped to full satisfaction (default %(default)g)"},
+        "--epsilon": {"type": float, "default": _DOMAIN.epsilon,
+                      "help": "distribution imbalance tolerated before dissatisfaction "
+                              "(default %(default)g)"},
+        "--max-delta": {"type": float, "default": _DOMAIN.max_delta, "dest": "max_delta",
+                        "help": "imbalance mapped to full dissatisfaction (default %(default)g)"},
+        "--measure": {"choices": tuple(m.value for m in Measure),
+                      "default": _DOMAIN.difference_measure.value,
+                      "help": "distribution difference measure (default %(default)s)"}}),
     "paths": (_cmd_paths, "count root-to-node paths", {
         "--input": _INPUT, "--node": {"help": "single node to count (default: all property nodes)"}}),
     "export-dot": (_cmd_export_dot, "render a taxonomy as a DOT digraph", {"--input": _INPUT}),

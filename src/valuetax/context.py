@@ -119,27 +119,29 @@ def select_nodes(importances: Mapping[NodeId, float],
     lie closer than it are treated as ties too.
 
     A value that is no finite number raises a ValueError, judged once per
-    call: two-means selection refuses what the sum of the values refuses (a
-    non-number, inf - inf, an overflow) and a summed squared error that is not
-    finite, which a NaN, an infinity or a spread whose square overflows
-    makes; positive-threshold selection refuses a value that does not compare
-    with the threshold, and keeps no NaN, as a NaN is not greater.
+    call by one rule under both strategies: the mean of the values must be a
+    finite number, which a non-number, a NaN, an infinity or an overflowing
+    sum prevents. Two-means selection also refuses a summed squared error
+    that is not finite, which a spread whose square overflows makes. An empty
+    mapping selects nothing under positive-threshold selection and raises
+    EmptyInput under two-means.
     """
-    if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
-        try:
-            return {n for n, v in importances.items() if v > strategy.threshold}
-        except TypeError:  # a value that does not compare with a number
-            raise ValueError(_NOT_NUMBERS) from None
     if not importances:
+        if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
+            return set()
         raise EmptyInput("k-means selection needs at least one importance value")
     try:  # fsum refuses a non-number, inf - inf and an overflowing sum
         mean = mean_aggregate(list(importances.values()))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(_NOT_NUMBERS) from None
+    if not math.isfinite(mean):  # a NaN or an infinity reaches the sum
+        raise ValueError(_NOT_NUMBERS)
+    if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
+        return {n for n, v in importances.items() if v > strategy.threshold}
     items = sorted(importances.items(), key=lambda kv: (kv[1], kv[0]))
     centred = [v - mean for _, v in items]
     total_sse = math.fsum(c * c for c in centred)
-    if not math.isfinite(total_sse):  # one check per call: a NaN or an infinity reaches the sum
+    if not math.isfinite(total_sse):  # a spread whose square overflows
         raise ValueError(_NOT_NUMBERS)
     if items[0][1] == items[-1][1]:
         return set(importances)

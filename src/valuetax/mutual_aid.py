@@ -112,7 +112,9 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     become the state's own, uncopied. Each record is judged where it is read: one
     that is no triple raises a ValueError, and so does one that
     :func:`event_refusal` refuses, a member name being checked the first time it
-    is seen. An error raised by ``records`` itself passes through unchanged."""
+    is seen. The timestamp is not read, since counting does not depend on order;
+    its rules (a non-negative integer, non-decreasing in file order) are the log
+    reader's. An error raised by ``records`` itself passes through unchanged."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
     for record in records:

@@ -171,8 +171,9 @@ class ValueTaxonomy(Record):
                 stray.append(edge)
         del given  # not held through the sorting and the Kahn pass
         for adjacency in (children, parents):  # id order, which propagation sums in
-            for node, ids in adjacency.items():  # most lists hold one id or none
-                adjacency[node] = tuple(sorted(ids)) if len(ids) > 1 else tuple(ids)
+            for node, ids in adjacency.items():
+                ids.sort()
+                adjacency[node] = tuple(ids)
         setfield(self, "_children", children)
         setfield(self, "_parents", parents)
         values = {}

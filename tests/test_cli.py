@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -19,8 +20,13 @@ from hypothesis import strategies as st
 from valuetax import (
     KMEANS_SELECTION,
     POSITIVE_SELECTION,
+    AlignmentScheme,
     ContextSpec,
+    DomainConfig,
+    Measure,
+    SelectionKind,
     ValueTaxonomy,
+    align,
     build_context_taxonomy,
     fairness_taxonomy,
     label_node,
@@ -807,6 +813,28 @@ def test_the_named_commands_parser_parses_as_the_full_parser(capsys, argv):
     # main builds the full parser only for what the command's own leaves over,
     # so every namespace, usage, help and error text is the full parser's
     assert parsed(capsys, cli._arguments, argv) == parsed(capsys, lambda a: cli._parser().parse_args(a), argv)
+
+
+# -- the CLI takes each library decision from its owner -----------------------
+
+def test_the_options_take_the_librarys_defaults_and_spellings():
+    # align and demo score one log under one configuration, and no spelling drifts from its enum
+    args = cli._arguments(["align", "--input", "a", "--log", "b"])
+    assert DomainConfig(args.max_r, args.epsilon, args.max_delta, Measure(args.measure)) == DomainConfig()
+    assert AlignmentScheme(args.scheme) is inspect.signature(align).parameters["scheme"].default
+    align_options, context_options = cli._COMMANDS["align"][2], cli._COMMANDS["context"][2]
+    assert list(align_options["--scheme"]["choices"]) == [scheme.value for scheme in AlignmentScheme]
+    assert list(align_options["--measure"]["choices"]) == [measure.value for measure in Measure]
+    assert list(context_options["--strategy"]["choices"]) == list(cli._STRATEGIES)
+    assert set(cli._STRATEGIES.values()) == set(SelectionKind)
+
+
+def test_align_help_words_each_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, "align", "--help")
+    assert code == 0
+    for default in ("(default 5)", "(default 0.1)", "(default 1)", "(default emd)"):
+        assert default in out
 
 
 # -- no command ends in a traceback --------------------------------------------

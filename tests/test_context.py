@@ -134,10 +134,14 @@ class TestSelectNodes:
         ({"a": "x", "b": 0.5}, KMEANS),
         ({"a": "x", "b": 0.5}, POSITIVE_SELECTION),
         ({"a": None}, POSITIVE_SELECTION),
+        ({"a": math.nan, "b": 0.5}, POSITIVE_SELECTION),
+        ({"a": math.inf}, POSITIVE_SELECTION),
+        ({"a": -math.inf, "b": 0.5}, POSITIVE_SELECTION),
     ], ids=["nan", "nan-among-equals", "inf", "both-infinities", "one-string", "string",
-            "string-positive", "None-positive"])
+            "string-positive", "None-positive", "nan-positive", "inf-positive", "minus-inf-positive"])
     def test_a_value_that_is_no_finite_number_is_refused(self, values, strategy):
-        # once a bare StopIteration or TypeError, or {"a"} for the one string
+        # once a bare StopIteration or TypeError, or {"a"} for the one string;
+        # positive selection once dropped a NaN and kept an infinity
         with pytest.raises(ValueError, match=r"^importances must be finite numbers$") as caught:
             select_nodes(values, strategy)
         assert type(caught.value) is ValueError
