@@ -31,6 +31,10 @@ regular-expression scan when each line holds a canonical record - ``{"kind": K,
 writes it by default, a space after each colon and comma and none elsewhere, M
 free of escapes and control characters (its text is its value), T an unsigned
 integer of at most 18 digits with no leading zero - and no timestamp decreases.
+Such a read's batch is the scan's own list of tuples, its timestamps the lines'
+digit strings, which are checked on their widths and digits; a read that check
+cannot pass (a width that grows, as from 9 to 10, or a decrease) is checked
+again on its ints.
 Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, by the decoder that words every error; a
 refused kind or member in the words of :func:`~valuetax.mutual_aid.event_refusal`,
@@ -199,7 +203,7 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
     return SelectionStrategy(kind, threshold)
 
 
-def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int]]]:
+def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | str]]]:
     """The ``(kind, member, timestamp)`` records of each read of an event log's
     text stream, one batch per read, for each non-blank line; ``kind`` is an
     :class:`~valuetax.mutual_aid.EventKind` value. A bad record, or a timestamp
@@ -207,8 +211,10 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int]]]:
     number, blank lines counted; the lines of earlier reads are checked before a
     read error is raised.
 
-    Reads of canonical records are scanned whole; any other read goes to
-    :func:`_line_records`, which alone words errors."""
+    Reads of canonical records are scanned whole, and their batch is the scan's
+    own list of tuples, each timestamp the line's digit string; any other read
+    goes to :func:`_line_records`, which alone words errors and gives int
+    timestamps."""
     lineno, last_timestamp, tail = 1, 0, []
     while chunk := stream.read(_BLOCK_CHARS):
         end = chunk.rfind("\n") + 1
@@ -220,17 +226,31 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int]]]:
         lines = text.count("\n")
         found = _find_canonical(text)
         if len(found) == lines:  # a match lies within one line, so each line matched
-            names, members, digits = zip(*found)
-            stamps = list(map(int, digits))
-            if all(map(le, chain((last_timestamp,), stamps), stamps)):
-                yield zip(names, members, stamps)
-                lineno, last_timestamp = lineno + lines, stamps[-1]
+            digits = list(map(itemgetter(2), found))
+            if _non_decreasing(digits, last_timestamp):
+                yield found
+                lineno, last_timestamp = lineno + lines, int(digits[-1])
                 continue
         records = list(_line_records(text.split("\n"), lineno, last_timestamp))
         yield records
         lineno, last_timestamp = lineno + lines, records[-1][2] if records else last_timestamp
     if last := "".join(tail):  # an unterminated last line
         yield _line_records((last,), lineno, last_timestamp)
+
+
+def _non_decreasing(digits: list[str], last_timestamp: int) -> bool:
+    """Whether a read's canonical timestamps ``digits`` are non-decreasing from
+    ``last_timestamp``. With no leading zero a wider number is larger, and numbers
+    of one width order as their digit strings, so widths that never narrow and
+    strings that never fall suffice; a read that fails this (a width that grows
+    between two timestamps, or a decrease) is judged again on its ints."""
+    first = str(last_timestamp)
+    widths = list(map(len, digits))
+    if all(map(le, chain((len(first),), widths), widths)):
+        if all(map(le, chain((first,), digits), digits)):
+            return True
+    stamps = list(map(int, digits))
+    return all(map(le, chain((last_timestamp,), stamps), stamps))
 
 
 def _line_records(lines: Iterable[str], first_lineno: int,
@@ -267,10 +287,11 @@ def _line_records(lines: Iterable[str], first_lineno: int,
 
 def parse_event_log(text: str) -> list[tuple[str, str, int]]:
     """The records of a line-delimited event log, as :func:`_event_batches`
-    reads them; blank lines are skipped. Lines end at newlines only, as in a
-    text file, so JSON strings may hold U+2028 and the like raw. Timestamps
-    must be non-decreasing in file order."""
-    return list(chain.from_iterable(_event_batches(io.StringIO(text, newline=None))))
+    reads them, with int timestamps; blank lines are skipped. Lines end at
+    newlines only, as in a text file, so JSON strings may hold U+2028 and the
+    like raw. Timestamps must be non-decreasing in file order."""
+    batches = _event_batches(io.StringIO(text, newline=None))
+    return [(kind, member, int(timestamp)) for kind, member, timestamp in chain.from_iterable(batches)]
 
 
 def ingest_event_log(stream: TextIO) -> CommunityState:

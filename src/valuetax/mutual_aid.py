@@ -122,7 +122,6 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
             kind, member, _ = record
         except (TypeError, ValueError):
             raise ValueError("event record must be a (kind, member, timestamp) triple") from None
-        del record  # so that zip reuses its tuple for the next record
         try:
             bucket = buckets[kind]
             count = bucket.get(member)

@@ -535,7 +535,9 @@ class TestEventLogFold:
         text = json.dumps({"kind": "offer", "member": member, "timestamp": 0},
                           ensure_ascii=False) + "\n"
         assert separator in text
-        assert parse_event_log(text) == [("offer", member, 0)]
+        events = parse_event_log(text)
+        assert events == [("offer", member, 0)]
+        assert [type(timestamp) for _, _, timestamp in events] == [int]
         assert dict(fold_file(tmp_path, text).offers) == {member: 1}
 
     GOOD = '{"kind": "request", "member": "a", "timestamp": 5}'
@@ -659,8 +661,15 @@ class TestCanonicalBlocks:
         (["\n", offer(7) + "\n", offer(7) + "\n", offer(6) + "\n"],
          error(7, "timestamp 6 decreases from 7")),
         (["\n", offer(5) + "\n", "\n"] + CANONICAL, [{}, {"a": 7}, {}, {}]),
+        ([offer(9) + "\n", offer(10) + "\n", offer(99) + "\n", offer(100) + "\n"],
+         [{}, {"a": 7}, {}, {}]),
+        ([offer(10) + "\n", offer(9) + "\n"], error(5, "timestamp 9 decreases from 10")),
+        ([offer(100) + "\n", offer(99) + "\n"], error(5, "timestamp 99 decreases from 100")),
+        ([offer(21) + "\n", offer(12) + "\n"], error(5, "timestamp 12 decreases from 21")),
     ], ids=["bad-record", "decrease-at-boundary", "decrease-inside-block",
-            "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks"])
+            "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks",
+            "widths-grow", "width-narrows-to-one-digit", "width-narrows-to-two-digits",
+            "decrease-of-equal-width"])
     def test_block_boundaries_keep_positions_and_order(self, block_chars, tmp_path, tail,
                                                        expected):
         lines = self.CANONICAL + tail

@@ -515,8 +515,13 @@ class CountedReads(io.StringIO):
         return super().read(size)
 
 
-@pytest.mark.parametrize("events", [3_000, 30_000])
-def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, events):
+@pytest.mark.parametrize("events, first", [
+    pytest.param(3_000, 0, id="3000"),
+    pytest.param(30_000, 0, id="30000"),
+    # timestamps cross from 17 digits to 18 inside a read
+    pytest.param(3_000, 10 ** 17 - 500, id="3000-from-17-digits-to-18"),
+])
+def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, events, first):
     decoded = []
     original = io_formats._line_records
 
@@ -528,7 +533,7 @@ def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, 
     rng = random.Random(events)
     kinds = [kind.value for kind in EventKind]
     text = "".join(json.dumps({"kind": rng.choice(kinds), "member": f"m{rng.randrange(500)}",
-                               "timestamp": i // 3}) + "\n" for i in range(events))
+                               "timestamp": first + i // 3}) + "\n" for i in range(events))
     stream = CountedReads(text)
     state = ingest_event_log(stream)
     counters = (state.requests, state.offers, state.volunteering, state.task_distribution)
