@@ -32,9 +32,9 @@ writes it by default, a space after each colon and comma and none elsewhere, M
 free of escapes and control characters (its text is its value), T an unsigned
 integer of at most 18 digits with no leading zero - and no timestamp decreases.
 Such a read's batch is the scan's own list of tuples, its timestamps the lines'
-digit strings, which are checked on their widths and digits; a read that check
-cannot pass (a width that grows, as from 9 to 10, or a decrease) is checked
-again on its ints.
+digit strings. Zero-padded to 18 digits they order as their numbers, so the
+first is checked against the timestamp before the read and the read against
+its sorted list: one exact comparison.
 Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, by the decoder that words every error; a
 refused kind or member in the words of :func:`~valuetax.mutual_aid.event_refusal`,
@@ -48,8 +48,8 @@ from __future__ import annotations
 import io
 import json
 import re
-from itertools import chain
-from operator import itemgetter, le
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
 from .context import ContextSpec, SelectionKind, SelectionStrategy
@@ -69,10 +69,12 @@ _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.definin
 _quote = json.encoder.encode_basestring  # json.dumps' string encoder under ensure_ascii=False
 
 _decode_record = json.JSONDecoder().raw_decode
+_STAMP_DIGITS = 18  # a canonical timestamp's most digits, and the width it is padded to
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(
     r'^\{"kind": "(' + "|".join(re.escape(k.value) for k in EventKind)
-    + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,17})\}$', re.M).findall
+    + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,%d})\}$'
+    % (_STAMP_DIGITS - 1), re.M).findall
 _BLOCK_CHARS = 8192  # io's text chunk: a larger read fails on a bad byte, lines before it unread
 _BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
@@ -212,9 +214,9 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | st
     read error is raised.
 
     Reads of canonical records are scanned whole, and their batch is the scan's
-    own list of tuples, each timestamp the line's digit string; any other read
-    goes to :func:`_line_records`, which alone words errors and gives int
-    timestamps."""
+    own list of tuples, each timestamp the line's digit string, judged zero-padded
+    to ``_STAMP_DIGITS``; any other read goes to :func:`_line_records`, which
+    alone words errors and gives int timestamps."""
     lineno, last_timestamp, tail = 1, 0, []
     while chunk := stream.read(_BLOCK_CHARS):
         end = chunk.rfind("\n") + 1
@@ -226,31 +228,17 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | st
         lines = text.count("\n")
         found = _find_canonical(text)
         if len(found) == lines:  # a match lies within one line, so each line matched
-            digits = list(map(itemgetter(2), found))
-            if _non_decreasing(digits, last_timestamp):
+            # padded to one width, digit strings order as their numbers
+            padded = list(map(str.zfill, map(itemgetter(2), found), repeat(_STAMP_DIGITS)))
+            if last_timestamp <= int(padded[0]) and padded == sorted(padded):
                 yield found
-                lineno, last_timestamp = lineno + lines, int(digits[-1])
+                lineno, last_timestamp = lineno + lines, int(padded[-1])
                 continue
         records = list(_line_records(text.split("\n"), lineno, last_timestamp))
         yield records
         lineno, last_timestamp = lineno + lines, records[-1][2] if records else last_timestamp
     if last := "".join(tail):  # an unterminated last line
         yield _line_records((last,), lineno, last_timestamp)
-
-
-def _non_decreasing(digits: list[str], last_timestamp: int) -> bool:
-    """Whether a read's canonical timestamps ``digits`` are non-decreasing from
-    ``last_timestamp``. With no leading zero a wider number is larger, and numbers
-    of one width order as their digit strings, so widths that never narrow and
-    strings that never fall suffice; a read that fails this (a width that grows
-    between two timestamps, or a decrease) is judged again on its ints."""
-    first = str(last_timestamp)
-    widths = list(map(len, digits))
-    if all(map(le, chain((len(first),), widths), widths)):
-        if all(map(le, chain((first,), digits), digits)):
-            return True
-    stamps = list(map(int, digits))
-    return all(map(le, chain((last_timestamp,), stamps), stamps))
 
 
 def _line_records(lines: Iterable[str], first_lineno: int,

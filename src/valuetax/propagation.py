@@ -40,9 +40,10 @@ defaults read the flags: they are built the first time a default has a
 candidate with an unvalued child, and kept up to date from then on, so a run
 whose first closure leaves no node with an unvalued child never walks for them.
 Pre-assigned values are never modified, only extended. The result shares
-its input's nodes, edges, adjacency maps and parents-first order, which the
-input's constructor derived, and is not validated again; its importance
-mapping is the run's own value table, so building it copies nothing.
+its input's nodes, adjacency maps and parents-first order, which the input's
+constructor derived (a taxonomy stores no edge set; its edges are read from
+the children map), and is not validated again; its importance mapping is the
+run's own value table, so building it copies nothing.
 
 :func:`propagate` aggregates with :func:`~valuetax.aggregation.mean_aggregate`
 and solves for unknown children with :func:`~valuetax.aggregation.mean_invert`.

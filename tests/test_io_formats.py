@@ -666,16 +666,36 @@ class TestCanonicalBlocks:
         ([offer(10) + "\n", offer(9) + "\n"], error(5, "timestamp 9 decreases from 10")),
         ([offer(100) + "\n", offer(99) + "\n"], error(5, "timestamp 99 decreases from 100")),
         ([offer(21) + "\n", offer(12) + "\n"], error(5, "timestamp 12 decreases from 21")),
+        # a decoded timestamp may be wider than the scan's padding
+        ([offer(10 ** 19) + "\n", offer(10 ** 18 - 1) + "\n"],
+         error(5, "timestamp 999999999999999999 decreases from 10000000000000000000")),
     ], ids=["bad-record", "decrease-at-boundary", "decrease-inside-block",
             "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks",
             "widths-grow", "width-narrows-to-one-digit", "width-narrows-to-two-digits",
-            "decrease-of-equal-width"])
+            "decrease-of-equal-width", "decrease-from-a-decoded-20-digit-timestamp"])
     def test_block_boundaries_keep_positions_and_order(self, block_chars, tmp_path, tail,
                                                        expected):
         lines = self.CANONICAL + tail
         assert outcome(lambda: read_fold(lines)) == expected
         assert outcome(lambda: fold_file(tmp_path, "".join(lines))) == expected
         assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
+
+    def test_the_scan_takes_timestamps_of_at_most_the_padded_width(self, monkeypatch):
+        widest = 10 ** io_formats._STAMP_DIGITS - 1
+        assert io_formats._find_canonical(offer(widest) + "\n") == [("offer", "a", str(widest))]
+        assert io_formats._find_canonical(offer(widest + 1) + "\n") == []
+        decoded = []
+        line_records = io_formats._line_records
+
+        def spy(lines, first_lineno, last_timestamp):
+            lines = list(lines)
+            decoded.extend(line.strip() for line in lines if line.strip())
+            return line_records(lines, first_lineno, last_timestamp)
+        lines = [offer(widest) + "\n", offer(widest + 1) + "\n"]
+        monkeypatch.setattr(io_formats, "_line_records", spy)
+        monkeypatch.setattr(io_formats, "_BLOCK_CHARS", len(lines[0]))  # a line a read
+        assert outcome(lambda: read_fold(lines)) == [{}, {"a": 2}, {}, {}]
+        assert decoded == [offer(widest + 1)]
 
     def test_lines_before_a_read_error_are_checked_first(self, block_chars, tmp_path):
         path = tmp_path / "events.jsonl"  # the bad byte lies past the first 8 KiB read
@@ -707,8 +727,14 @@ class TestCanonicalBlocks:
 
     def random_lines(self, rng: random.Random) -> list[str]:
         timestamp, lines = 0, []
+        canonical = rng.random()  # the share of canonical lines, so that reads scan whole
         for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.2:  # to just below a power of ten: widths cross up and down
+                timestamp = 10 ** rng.randint(0, 18) - rng.randint(1, 2)
             timestamp = max(0, timestamp + rng.choice((-1, 0, 0, 1, 1, 2)))
+            if rng.random() < canonical:
+                lines.append(offer(timestamp) + "\n")
+                continue
             piece = rng.choice(self.PIECES[:3] * 3 + self.PIECES)(timestamp)
             lines.append(piece + rng.choice(("\n",) * 6 + ("\r\n", "")))
         return lines
@@ -716,7 +742,8 @@ class TestCanonicalBlocks:
     def test_fold_equals_the_line_by_line_reader(self, monkeypatch):
         rng = random.Random(6)
         for trial in range(3000):
-            monkeypatch.setattr(io_formats, "_BLOCK_CHARS", 1 + trial % 4)
+            # reads of a few characters, and of a line or of many lines
+            monkeypatch.setattr(io_formats, "_BLOCK_CHARS", (1, 2, 3, 4, 64, 256, 8192)[trial % 7])
             lines = self.random_lines(rng)
             text = "".join(lines)
             assert outcome(lambda: read_fold(lines)) == outcome(lambda: line_by_line(lines))
