@@ -121,10 +121,10 @@ def select_nodes(importances: Mapping[NodeId, float],
     A value that is no finite number raises a ValueError, judged once per
     call by one rule under both strategies: the mean of the values must be a
     finite number, which a non-number, a NaN, an infinity or an overflowing
-    sum prevents. Two-means selection also refuses a summed squared error
-    that is not finite, which a spread whose square overflows makes. An empty
-    mapping selects nothing under positive-threshold selection and raises
-    EmptyInput under two-means.
+    sum prevents. Two-means selection also refuses, in words of its own,
+    finite values whose spread's square overflows the summed squared error.
+    An empty mapping selects nothing under positive-threshold selection and
+    raises EmptyInput under two-means.
     """
     if not importances:
         if strategy.kind is SelectionKind.POSITIVE_THRESHOLD:
@@ -141,8 +141,8 @@ def select_nodes(importances: Mapping[NodeId, float],
     items = sorted(importances.items(), key=lambda kv: (kv[1], kv[0]))
     centred = [v - mean for _, v in items]
     total_sse = math.fsum(c * c for c in centred)
-    if not math.isfinite(total_sse):  # a spread whose square overflows
-        raise ValueError(_NOT_NUMBERS)
+    if not math.isfinite(total_sse):  # finite values whose spread's square overflows
+        raise ValueError("importances spread too widely to split: their squared error overflows")
     if items[0][1] == items[-1][1]:
         return set(importances)
     n = len(items)

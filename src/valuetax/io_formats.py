@@ -36,9 +36,10 @@ digit strings. Zero-padded to 18 digits they order as their numbers, so the
 first is checked against the timestamp before the read and the read against
 its sorted list: one exact comparison.
 Any other read (a blank line, other spacing, another key order, an escape, a
-BOM) is read exactly, line by line, by the decoder that words every error; a
-refused kind or member in the words of :func:`~valuetax.mutual_aid.event_refusal`,
-as the fold words it, with the line's number.
+BOM) is read exactly, line by line, each line decoded by the one JSON decoder
+the documents share, in its words; a refused kind or member in the words of
+:func:`~valuetax.mutual_aid.event_refusal`, as the fold words it; each refusal
+with the line's number.
 Records come in one batch per read, which the fold takes through
 ``itertools.chain.from_iterable``, with no generator step per record.
 """
@@ -68,7 +69,6 @@ _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.definin
                    "kind": "selection.kind", "threshold": "selection.threshold"}
 _quote = json.encoder.encode_basestring  # json.dumps' string encoder under ensure_ascii=False
 
-_decode_record = json.JSONDecoder().raw_decode
 _STAMP_DIGITS = 18  # a canonical timestamp's most digits, and the width it is padded to
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(
@@ -76,7 +76,6 @@ _find_canonical = re.compile(
     + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,%d})\}$'
     % (_STAMP_DIGITS - 1), re.M).findall
 _BLOCK_CHARS = 8192  # io's text chunk: a larger read fails on a bad byte, lines before it unread
-_BOM_DETAIL = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -244,21 +243,16 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | st
 def _line_records(lines: Iterable[str], first_lineno: int,
                   last_timestamp: int) -> Iterator[tuple[str, str, int]]:
     """The records of :func:`_event_batches` over ``lines``, numbered from
-    ``first_lineno``, one JSON decode per line."""
+    ``first_lineno``. Each line is decoded as a document is, and a malformed
+    one refused in the same words, located at its line number."""
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
         if not line:
             continue
         try:
-            raw, end = _decode_record(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-        except json.JSONDecodeError as exc:
-            # worded as json.loads words it, which rejects a BOM before decoding
-            detail = _BOM_DETAIL if line[0] == "\ufeff" else exc.msg
-            raise MalformedEvent(lineno, f"invalid record: {detail}") from exc
-        except (RecursionError, ValueError) as exc:  # as in _load_json
-            raise MalformedEvent(lineno, f"invalid record: {exc}") from exc
+            raw = _load_json(line, "record")
+        except ParseError as exc:  # located at the line, not within it
+            raise MalformedEvent(lineno, exc.detail) from exc
         if not isinstance(raw, dict):
             raise MalformedEvent(lineno, "record must be an object")
         kind, member, timestamp = raw.get("kind"), raw.get("member"), raw.get("timestamp")

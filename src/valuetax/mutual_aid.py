@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -42,7 +42,7 @@ from .errors import (
     SupportMismatch,
     UndefinedRatio,
 )
-from .taxonomy import ValueTaxonomy, as_number, label_node, property_node
+from .taxonomy import ValueTaxonomy, as_number, check_node_ids, label_node, property_node
 
 OFFER_RATIO = "offer_ratio"
 VOLUNTEER_RATIO = "volunteer_ratio"
@@ -179,8 +179,11 @@ def ratio_satisfaction(ratio: float, max_ratio: float) -> float:
     """Map a requests-per-offer style ratio onto [-1, 1].
 
     The ratio is clamped to [0, max_ratio]; 0 maps to -1, 1 to 0, and
-    max_ratio to 1, linearly on each side.
+    max_ratio to 1, linearly on each side. A NaN argument raises a ValueError
+    that names it.
     """
+    if ratio != ratio or max_ratio != max_ratio:  # only a NaN differs from itself
+        raise _nan_refusal(ratio=ratio, max_ratio=max_ratio)
     ratio = min(max(ratio, 0.0), max_ratio)
     if ratio > 1.0:
         return (ratio - 1.0) / (max_ratio - 1.0)
@@ -191,12 +194,21 @@ def difference_satisfaction(delta: float, epsilon: float, max_delta: float) -> f
     """Map a distribution-imbalance value onto [-1, 1].
 
     The imbalance is clamped to [0, max_delta]; 0 maps to 1, epsilon to 0,
-    and max_delta to -1, linearly on each side.
+    and max_delta to -1, linearly on each side. A NaN argument raises a
+    ValueError that names it.
     """
+    if delta != delta or epsilon != epsilon or max_delta != max_delta:
+        raise _nan_refusal(delta=delta, epsilon=epsilon, max_delta=max_delta)
     delta = min(max(delta, 0.0), max_delta)
     if delta < epsilon:
         return 1.0 - delta / epsilon
     return (epsilon - delta) / (max_delta - epsilon)  # +0.0, not -0.0, at epsilon
+
+
+def _nan_refusal(**arguments: float) -> ValueError:
+    """The refusal of a ramp's first NaN argument, by its name."""
+    name = next(name for name, value in arguments.items() if value != value)
+    return ValueError(f"{name} must not be NaN")
 
 
 def _ratio(numerator: int, denominator: int, member: str, what: str) -> float:
@@ -245,12 +257,10 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
     """Satisfaction degree of each community property among ``nodes``,
     evaluated in their order; other nodes are left out. Per-member
     properties are lifted to the community level as the mean over all
-    members, and task balance is community-wide. A bare string is refused, as
-    it would be read as one-letter names."""
-    if isinstance(nodes, str):
-        raise ValueError(f"nodes must be node ids, not one string: {nodes!r}")
+    members, and task balance is community-wide. A bare string is refused
+    (:func:`~valuetax.taxonomy.check_node_ids`)."""
     degrees = {}
-    for node in nodes:
+    for node in check_node_ids(nodes):
         if node == TASK_BALANCE:
             degrees[node] = sd_task_balance(state, cfg)
         elif node in (OFFER_RATIO, VOLUNTEER_RATIO):
@@ -263,23 +273,34 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
     return degrees
 
 
+_EXACT_NUMBERS = frozenset((int, float))  # the mass types that need no as_number call
+
+
 def _normalize(dist: Sequence[float], name: str) -> Iterator[float]:
-    """Probabilities from counts or weights: the mass is checked and summed in one
-    pass, and the probabilities are divided out lazily, in a second pass."""
+    """Probabilities from counts or weights, divided out lazily once the masses
+    are checked and summed. A mass is a number by the rule of
+    :func:`~valuetax.taxonomy.as_number`, an int past the float range being
+    infinite; none may be negative, and their sum must be finite. Masses of the
+    exact types are checked by builtin passes over the sequence, with no call
+    per mass."""
+    if not _EXACT_NUMBERS.issuperset(map(type, dist)):  # a bool, a string, a float subclass
+        try:
+            dist = list(map(as_number, dist))
+        except ValueError as exc:
+            raise ValueError(f"{name} mass {exc}") from None
     # The builtin sum is exact on what task_imbalance passes: integer counts as
     # floats, whose sums are exact below 2**53 in any order and on any Python.
-    total = sum(map(_mass, dist, repeat(name)))
+    try:
+        total = sum(map(float, dist))
+    except OverflowError:  # an int past the float range
+        total = math.inf
+    if not math.isfinite(total) or (dist and min(dist) < 0):  # a finite total holds no NaN
+        if any(v < 0 for v in dist):
+            raise ValueError(f"{name} has negative mass")
+        raise ValueError(f"{name} has non-finite mass")
     if total <= 0:  # an empty sum is 0
         raise EmptyDistribution(f"{name} has no mass to normalize")
-    if not math.isfinite(total):  # a NaN or an infinite mass reaches the total
-        raise ValueError(f"{name} has non-finite mass")
     return (float(v) / total for v in dist)
-
-
-def _mass(value: float, name: str) -> float:
-    if (weight := float(value)) < 0:
-        raise ValueError(f"{name} has negative mass")
-    return weight
 
 
 def _normalize_pair(d: Sequence[float], u: Sequence[float]) -> tuple[Iterator[float], Iterator[float]]:

@@ -320,18 +320,32 @@ def topological_order(taxonomy: ValueTaxonomy) -> list[NodeId]:
     return list(taxonomy._order)
 
 
+def check_node_ids(nodes: Iterable[NodeId]) -> Iterable[NodeId]:
+    """``nodes``, unless it is one string, which would be read as one-letter
+    ids: that raises a ValueError."""
+    if isinstance(nodes, str):
+        raise ValueError(f"nodes must be node ids, not one string: {nodes!r}")
+    return nodes
+
+
 def ancestors(taxonomy: ValueTaxonomy, nodes: Iterable[NodeId]) -> set[NodeId]:
     """Every node from which any of ``nodes`` is reachable; a seed node is
-    included only if it is an ancestor of another seed."""
+    included only if it is an ancestor of another seed. A seed the taxonomy
+    does not hold raises :class:`~valuetax.errors.UnknownNode`, and a bare
+    string is refused (:func:`check_node_ids`)."""
     parents_map = taxonomy._parents
     seen: set[NodeId] = set()
-    stack = [p for n in nodes for p in parents_map.get(n, ())]
+    stack: list[NodeId] = []
+    for n in check_node_ids(nodes):
+        if n not in parents_map:
+            raise UnknownNode(n)
+        stack.extend(parents_map[n])
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        stack.extend(parents_map.get(node, ()))
+        stack.extend(parents_map[node])
     return seen
 
 

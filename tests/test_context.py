@@ -146,6 +146,12 @@ class TestSelectNodes:
             select_nodes(values, strategy)
         assert type(caught.value) is ValueError
 
+    def test_a_spread_whose_square_overflows_is_refused_in_its_own_words(self):
+        # both values are finite; the refusal once said they were not
+        with pytest.raises(ValueError, match=r"^importances spread too widely to split: "
+                                             r"their squared error overflows$"):
+            select_nodes({"a": 1e200, "b": -1e200}, KMEANS)
+
     def test_raising_threshold_never_adds_nodes(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -1,4 +1,5 @@
-"""What package modules import: every imported name is used, the CLI
+"""What package modules import and define: every imported name is used, every
+private module-level name is read where it is defined, the CLI
 starts without the modules `dataclasses` pulls in, `fractions`, `decimal` or
 `tracemalloc`, and the package exports exactly the names listed here."""
 
@@ -41,6 +42,36 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_names(source: str) -> list[str]:
+    """The private names (``_x``, not dunders) that a module binds at its top
+    level, by a definition or an assignment, and never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items()
+            if name.startswith("_") and not name.endswith("__") and name not in read]
+
+
+def test_the_check_finds_a_dead_private_name():
+    source = ("_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f(): return _A\n"
+              "class _C: pass\n_D: int = 4\n_E = 5\n_E += 1\nprint(_D)\n")
+    assert dead_names(source) == ["line 2: _B", "line 4: _f", "line 5: _C", "line 7: _E"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dead_private_names(path):
+    assert dead_names(path.read_text(encoding="utf-8")) == []
 
 
 # What `dataclasses` alone pulls in, the exact-arithmetic modules that

@@ -271,6 +271,14 @@ class TestRatioSatisfaction:
     def test_always_in_range(self, ratio, max_ratio):
         assert -1.0 <= ratio_satisfaction(ratio, max_ratio) <= 1.0
 
+    @pytest.mark.parametrize("args, name", [((math.nan, 5.0), "ratio"), ((2.0, math.nan), "max_ratio"),
+                                            ((math.nan, math.nan), "ratio")],
+                             ids=["ratio", "max_ratio", "both"])
+    def test_a_nan_argument_is_refused_by_name(self, args, name):
+        # once nan, outside the documented [-1, 1]
+        with pytest.raises(ValueError, match=rf"^{name} must not be NaN$"):
+            ratio_satisfaction(*args)
+
     @given(st.floats(min_value=1.5, max_value=20, allow_nan=False))
     def test_non_decreasing_in_ratio(self, max_ratio):
         grid = [i * max_ratio / 40 for i in range(41)]
@@ -312,6 +320,15 @@ class TestDifferenceSatisfaction:
     @given(st.floats(min_value=0, max_value=100, allow_nan=False))
     def test_always_in_range(self, delta):
         assert -1.0 <= difference_satisfaction(delta, 0.1, 1.0) <= 1.0
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.1, 1.0), "delta"), ((0.05, math.nan, 1.0), "epsilon"),
+        ((0.05, 0.1, math.nan), "max_delta"), ((0.5, math.nan, math.nan), "epsilon"),
+    ], ids=["delta", "epsilon", "max_delta", "both-parameters"])
+    def test_a_nan_argument_is_refused_by_name(self, args, name):
+        # once nan, outside the documented [-1, 1]
+        with pytest.raises(ValueError, match=rf"^{name} must not be NaN$"):
+            difference_satisfaction(*args)
 
     def test_non_increasing_in_delta(self):
         grid = [i / 50 for i in range(51)]
@@ -417,6 +434,21 @@ class TestDistributionMeasures:
         with pytest.raises(ValueError, match=rf"^{name} distribution has non-finite mass$"):
             measure(d, u)
 
+    @pytest.mark.parametrize("d, u, detail", [
+        (["1", "2"], [1, 1], "first distribution mass must be a number, got '1'"),
+        ([True, False], [1, 1], "first distribution mass must be a number, got True"),
+        ([1, 1], [1, None], "second distribution mass must be a number, got None"),
+        ([10**400, 1], [1, 1], "first distribution has non-finite mass"),
+        ([1, 1], [1, -10**400], "second distribution has negative mass"),
+    ], ids=["strings", "bools", "None", "huge-int", "huge-negative-int"])
+    @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
+    def test_a_mass_follows_the_number_rule(self, measure, d, u, detail):
+        # once a string or a bool was read through float(), and a huge int
+        # raised a bare OverflowError
+        with pytest.raises(ValueError) as refused:
+            measure(d, u)
+        assert (type(refused.value), str(refused.value)) == (ValueError, detail)
+
     @pytest.mark.parametrize("measure", [kl_divergence, emd_1d], ids=["kl", "emd"])
     def test_lists_and_tuples_measure_alike(self, measure):
         assert measure([3, 1, 0], [1, 1, 1]) == measure((3, 1, 0), (1, 1, 1))
@@ -444,6 +476,7 @@ class TestDistributionMeasures:
     @pytest.mark.parametrize("d, u", [
         ((-1, 0), (1, 1, 1)), ((0, 0), (-1, 1, 1)), ((), (1,)), ((0, 0), (1,)), ((1, 2), (-1, 0, 0)),
         ((1, 2), (0, 0, 0)), ((1, 2), ()), ((1, 2), (1, 1, 1)), ((0,), (1, 1)),
+        ((math.nan, -1), (1, 1)), ((-1, math.nan), (1, 1)), ((math.inf, -math.inf), (1, 1)),
     ])
     @pytest.mark.parametrize("measure, reference", [(kl_divergence, reference_kl), (emd_1d, reference_emd)],
                              ids=["kl", "emd"])

@@ -441,6 +441,17 @@ class TestQueries:
         t = ValueTaxonomy.build(nodes, edges)
         assert all_paths_counts(t)["t20"] == 2 ** 20
 
+    @pytest.mark.parametrize("seeds", [["zz"], ["offer_ratio", "zz"]], ids=["alone", "after-a-known"])
+    def test_ancestors_of_an_unknown_seed_are_refused(self, fairness, seeds):
+        # once set(): a node the taxonomy does not hold has no ancestors there
+        with pytest.raises(UnknownNode, match=r"^unknown node: 'zz'$"):
+            ancestors(fairness, seeds)
+
+    def test_ancestors_of_one_string_are_refused(self, fairness):
+        # once set(), the string's letters being read as unknown seeds
+        with pytest.raises(ValueError, match=r"^nodes must be node ids, not one string: 'offer_ratio'$"):
+            ancestors(fairness, "offer_ratio")
+
 
 def relabelled(t: ValueTaxonomy, rng: random.Random) -> ValueTaxonomy:
     """``t`` with its node ids permuted, so id order no longer follows the edges."""
