@@ -23,18 +23,17 @@ its edges the same way, from the adjacency map, in one list of lines joined once
 
 An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
 the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
-:func:`~valuetax.mutual_aid.ingest` counts. It is read from a text stream,
-8,192 characters at a time; lines end at ``\n``, and the lines of a read are
-checked before a later read error. A read's records come from one anchored
+:func:`~valuetax.mutual_aid.ingest` counts. A log means the multiset of its
+events: a timestamp must be a non-negative integer, but no result reads it, so
+the lines may come in any order. A log is read from a text stream, 8,192
+characters at a time; lines end at ``\n``, and the lines of a read are checked
+before a later read error. A read's records come from one anchored
 regular-expression scan when each line holds a canonical record - ``{"kind": K,
 "member": M, "timestamp": T}`` in that key order and spelled as ``json.dumps``
 writes it by default, a space after each colon and comma and none elsewhere, M
 free of escapes and control characters (its text is its value), T an unsigned
-integer of at most 18 digits with no leading zero - and no timestamp decreases.
-Such a read's batch is the scan's own list of tuples, its timestamps the lines'
-digit strings. Zero-padded to 18 digits they order as their numbers, so the
-first is checked against the timestamp before the read and the read against
-its sorted list: one exact comparison.
+integer of at most 18 digits with no leading zero. Such a read's batch is the
+scan's own list of tuples, its timestamps the lines' digit strings.
 Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, each line decoded by the one JSON decoder
 the documents share, in its words; a refused kind or member in the words of
@@ -49,7 +48,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -69,7 +68,9 @@ _CONTEXT_FIELDS = {"id": "document.id", "defining_properties": "document.definin
                    "kind": "selection.kind", "threshold": "selection.threshold"}
 _quote = json.encoder.encode_basestring  # json.dumps' string encoder under ensure_ascii=False
 
-_STAMP_DIGITS = 18  # a canonical timestamp's most digits, and the width it is padded to
+# a canonical timestamp's most digits; below 640, the least limit sys.set_int_max_str_digits
+# takes, so that the scan takes no timestamp that json.loads refuses, in any spacing
+_STAMP_DIGITS = 18
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(
     r'^\{"kind": "(' + "|".join(re.escape(k.value) for k in EventKind)
@@ -206,17 +207,12 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
 
 def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | str]]]:
     """The ``(kind, member, timestamp)`` records of each read of an event log's
-    text stream, one batch per read, for each non-blank line; ``kind`` is an
-    :class:`~valuetax.mutual_aid.EventKind` value. A bad record, or a timestamp
-    below the one before, raises :class:`MalformedEvent` with its 1-based line
-    number, blank lines counted; the lines of earlier reads are checked before a
-    read error is raised.
-
-    Reads of canonical records are scanned whole, and their batch is the scan's
-    own list of tuples, each timestamp the line's digit string, judged zero-padded
-    to ``_STAMP_DIGITS``; any other read goes to :func:`_line_records`, which
-    alone words errors and gives int timestamps."""
-    lineno, last_timestamp, tail = 1, 0, []
+    text stream, one batch per read, for each non-blank line: the scan's own list
+    for a read of canonical records, else :func:`_line_records`, which alone
+    words errors and gives int timestamps. A bad record raises
+    :class:`MalformedEvent` with its 1-based line number, blank lines counted;
+    the lines of earlier reads are checked before a read error is raised."""
+    lineno, tail = 1, []
     while chunk := stream.read(_BLOCK_CHARS):
         end = chunk.rfind("\n") + 1
         if not end:  # a line longer than a read is joined once, when it ends
@@ -226,22 +222,14 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | st
         text, tail = "".join(tail), [chunk[end:]]
         lines = text.count("\n")
         found = _find_canonical(text)
-        if len(found) == lines:  # a match lies within one line, so each line matched
-            # padded to one width, digit strings order as their numbers
-            padded = list(map(str.zfill, map(itemgetter(2), found), repeat(_STAMP_DIGITS)))
-            if last_timestamp <= int(padded[0]) and padded == sorted(padded):
-                yield found
-                lineno, last_timestamp = lineno + lines, int(padded[-1])
-                continue
-        records = list(_line_records(text.split("\n"), lineno, last_timestamp))
-        yield records
-        lineno, last_timestamp = lineno + lines, records[-1][2] if records else last_timestamp
+        # a match lies within one line, so if there are as many, each line matched
+        yield found if len(found) == lines else _line_records(text.split("\n"), lineno)
+        lineno += lines
     if last := "".join(tail):  # an unterminated last line
-        yield _line_records((last,), lineno, last_timestamp)
+        yield _line_records((last,), lineno)
 
 
-def _line_records(lines: Iterable[str], first_lineno: int,
-                  last_timestamp: int) -> Iterator[tuple[str, str, int]]:
+def _line_records(lines: Iterable[str], first_lineno: int) -> Iterator[tuple[str, str, int]]:
     """The records of :func:`_event_batches` over ``lines``, numbered from
     ``first_lineno``. Each line is decoded as a document is, and a malformed
     one refused in the same words, located at its line number."""
@@ -261,9 +249,6 @@ def _line_records(lines: Iterable[str], first_lineno: int,
         if type(timestamp) is not int or timestamp < 0:  # bool is an int subclass
             raise MalformedEvent(
                 lineno, f"event timestamp must be a non-negative integer, got {timestamp!r}")
-        if timestamp < last_timestamp:
-            raise MalformedEvent(lineno, f"timestamp {timestamp} decreases from {last_timestamp}")
-        last_timestamp = timestamp
         yield kind, member, timestamp
 
 
@@ -271,7 +256,7 @@ def parse_event_log(text: str) -> list[tuple[str, str, int]]:
     """The records of a line-delimited event log, as :func:`_event_batches`
     reads them, with int timestamps; blank lines are skipped. Lines end at
     newlines only, as in a text file, so JSON strings may hold U+2028 and the
-    like raw. Timestamps must be non-decreasing in file order."""
+    like raw. Records come in file order, which need not be timestamp order."""
     batches = _event_batches(io.StringIO(text, newline=None))
     return [(kind, member, int(timestamp)) for kind, member, timestamp in chain.from_iterable(batches)]
 

@@ -113,8 +113,8 @@ def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
     that is no triple raises a ValueError, and so does one that
     :func:`event_refusal` refuses, a member name being checked the first time it
     is seen. The timestamp is not read, since counting does not depend on order;
-    its rules (a non-negative integer, non-decreasing in file order) are the log
-    reader's. An error raised by ``records`` itself passes through unchanged."""
+    its rule (a non-negative integer) is the log reader's. An error raised by
+    ``records`` itself passes through unchanged."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
     for record in records:
@@ -166,42 +166,56 @@ class DomainConfig(Record):
                 raise ParseError(field, str(exc)) from None
         if not isinstance(difference_measure, Measure):
             raise ParseError("difference_measure", f"unknown difference measure: {difference_measure!r}")
-        if not self.max_ratio > 1:
-            raise ValueError("max_ratio must be greater than 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.max_delta > self.epsilon:
-            raise ValueError("max_delta must exceed epsilon")
+        _check_ratio_cap(self.max_ratio)
+        _check_tolerance(self.epsilon, self.max_delta)
         setfield(self, "difference_measure", difference_measure)
+
+
+def _check_ratio_cap(max_ratio: float) -> None:
+    """The rule of a ratio ramp's cap, DomainConfig's and the ramp's."""
+    if not max_ratio > 1:
+        raise ValueError("max_ratio must be greater than 1")
+
+
+def _check_tolerance(epsilon: float, max_delta: float) -> None:
+    """The rules of a difference ramp's tolerance and cap, DomainConfig's and the ramp's."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if not max_delta > epsilon:
+        raise ValueError("max_delta must exceed epsilon")
 
 
 def ratio_satisfaction(ratio: float, max_ratio: float) -> float:
     """Map a requests-per-offer style ratio onto [-1, 1].
 
-    The ratio is clamped to [0, max_ratio]; 0 maps to -1, 1 to 0, and
-    max_ratio to 1, linearly on each side. A NaN argument raises a ValueError
-    that names it.
+    The ratio is clamped to [0, max_ratio]; 0 maps to -1, 1 to 0, and max_ratio
+    (infinite too) to 1, linearly on each side. A NaN argument raises a
+    ValueError that names it, a cap DomainConfig refuses one in its words.
     """
     if ratio != ratio or max_ratio != max_ratio:  # only a NaN differs from itself
         raise _nan_refusal(ratio=ratio, max_ratio=max_ratio)
-    ratio = min(max(ratio, 0.0), max_ratio)
+    _check_ratio_cap(max_ratio)
+    if ratio >= max_ratio:  # inf / inf would be NaN at an infinite cap
+        return 1.0
     if ratio > 1.0:
         return (ratio - 1.0) / (max_ratio - 1.0)
-    return ratio - 1.0
+    return max(ratio, 0.0) - 1.0
 
 
 def difference_satisfaction(delta: float, epsilon: float, max_delta: float) -> float:
     """Map a distribution-imbalance value onto [-1, 1].
 
-    The imbalance is clamped to [0, max_delta]; 0 maps to 1, epsilon to 0,
-    and max_delta to -1, linearly on each side. A NaN argument raises a
-    ValueError that names it.
+    The imbalance is clamped to [0, max_delta]; 0 maps to 1, epsilon to 0, and
+    max_delta (infinite too) to -1, linearly on each side. A NaN argument raises
+    a ValueError that names it, parameters DomainConfig refuses one in its words.
     """
     if delta != delta or epsilon != epsilon or max_delta != max_delta:
         raise _nan_refusal(delta=delta, epsilon=epsilon, max_delta=max_delta)
-    delta = min(max(delta, 0.0), max_delta)
+    _check_tolerance(epsilon, max_delta)
+    if delta >= max_delta:  # inf / inf would be NaN at an infinite cap
+        return -1.0
     if delta < epsilon:
-        return 1.0 - delta / epsilon
+        return 1.0 - max(delta, 0.0) / epsilon
     return (epsilon - delta) / (max_delta - epsilon)  # +0.0, not -0.0, at epsilon
 
 

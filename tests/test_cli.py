@@ -541,6 +541,33 @@ class TestAlignCommand:
         assert err.startswith(f"{path}: malformed event at position 113: invalid record: ")
         assert err.count("\n") == 1
 
+    def test_a_log_out_of_timestamp_order_scores_as_the_sorted_log(self, capsys, tmp_path):
+        # the golden log's timestamps narrow from 10 to 9 and keep decreasing; it was refused at line 3
+        lines = (GOLDEN / "align-width-decrease-log.jsonl").read_text(encoding="utf-8").splitlines(True)
+        path = tmp_path / "sorted.jsonl"
+        path.write_text("".join(sorted(lines, key=lambda line: json.loads(line)["timestamp"])),
+                        encoding="utf-8")
+        assert run(capsys, "align", "--format", "machine", "--log", str(path),
+                   "--input", str(GOLDEN / "align-taxonomy.json")) == (
+            0, (GOLDEN / "align-width-decrease.json").read_text(encoding="utf-8"), "")
+
+    # 19 digits are past the scan's bound and read by the decoder; 4,301 are past
+    # the decoder's limit on int conversion
+    @pytest.mark.parametrize("digits, code", [(19, 0), (4301, 1)])
+    @pytest.mark.parametrize("read_chars", [1, 3, io_formats._BLOCK_CHARS])
+    def test_a_wide_timestamp_gets_one_verdict_in_any_spacing(
+            self, capsys, monkeypatch, alignment_taxonomy_file, tmp_path, digits, code, read_chars):
+        monkeypatch.setattr(io_formats, "_BLOCK_CHARS", read_chars)
+        path = tmp_path / "wide.jsonl"
+        canonical = '{"kind": "offer", "member": "a", "timestamp": %s}' % ("9" * digits)
+        results = []
+        for record in (canonical, canonical.replace(": ", ":").replace(", ", ",")):
+            path.write_text(demo_event_log() + record + "\n", encoding="utf-8")
+            results.append(run(capsys, "align", "--format", "machine", "--input",
+                               alignment_taxonomy_file, "--log", str(path)))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+
     @pytest.mark.parametrize("log, message", [
         ('{"kind": "offer", "member": "a", "timestamp": 0}\n', "no tasks have been assigned"),
         ('{"kind": "request", "member": "a", "timestamp": 0}\n',

@@ -173,6 +173,28 @@ def test_align_does_not_depend_on_event_order_or_read_size(tmp_path, capsys, mon
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("measure", ["emd", "kl"])
+@pytest.mark.parametrize("scheme", ["mean", "path"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_align_does_not_depend_on_event_order_across_timestamps(tmp_path_factory, scheme, measure,
+                                                                data):
+    # A log is the multiset of its events: any order, timestamps decreasing or not, scores alike.
+    records = scorable_records(random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed")))
+    shuffled = data.draw(st.permutations(records), label="events")
+    directory = tmp_path_factory.mktemp("order")
+    outputs = []
+    for name, events in (("sorted", records), ("shuffled", shuffled)):
+        log, out = directory / f"{name}.jsonl", directory / f"{name}.json"
+        # the same spellings and line ends by position, so that only the order differs
+        log.write_text(log_text(random.Random(0), events), encoding="utf-8", newline="")
+        assert main(["align", "--format", "machine", "--scheme", scheme, "--measure", measure,
+                     "--input", str(GOLDEN / "align-taxonomy.json"), "--log", str(log),
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 # -- parser robustness ---------------------------------------------------------
 
 json_values = st.recursive(

@@ -9,6 +9,7 @@ import pkgutil
 import random
 import warnings
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -47,8 +48,7 @@ from valuetax.errors import (
     TaxonomyError,
 )
 
-from conftest import (context_document, importance_values, random_taxonomy, relabelled,
-                      shuffle_equal_timestamps, taxonomies)
+from conftest import context_document, importance_values, random_taxonomy, relabelled, taxonomies
 
 
 class TestTaxonomyRoundTrip:
@@ -461,12 +461,11 @@ class TestEventLogs:
         assert parse_event_log(text) == [
             ("request", "a", 0), ("offer", "b", 1), ("task_assigned", "b", 1)]
 
-    def test_decreasing_timestamp_rejected_with_line(self):
+    def test_decreasing_timestamp_is_read_in_file_order(self):
+        # once refused at line 2; no result reads a timestamp
         text = ('{"kind": "request", "member": "a", "timestamp": 5}\n'
                 '{"kind": "offer", "member": "a", "timestamp": 4}\n')
-        with pytest.raises(MalformedEvent) as excinfo:
-            parse_event_log(text)
-        assert excinfo.value.index == 2
+        assert parse_event_log(text) == [("request", "a", 5), ("offer", "a", 4)]
 
     def test_empty_file(self):
         assert parse_event_log("") == []
@@ -526,7 +525,8 @@ class TestEventLogFold:
             assert [dict(counter) for counter in expected.values()] == [
                 dict(state.requests), dict(state.offers), dict(state.volunteering),
                 dict(state.task_distribution)]
-            shuffled = "\n".join(json.dumps(r) for r in shuffle_equal_timestamps(rng, records))
+            rng.shuffle(records)  # across timestamps: a log is the multiset of its events
+            shuffled = "\n".join(json.dumps(r) for r in records)
             assert ingest_event_log(io.StringIO(shuffled)) == state
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
@@ -559,8 +559,6 @@ class TestEventLogFold:
          "event timestamp must be a non-negative integer, got 1.0"),
         ('{"kind": "offer", "member": "a", "timestamp": -1}', 1,
          "event timestamp must be a non-negative integer, got -1"),
-        (GOOD + '\n{"kind": "offer", "member": "a", "timestamp": 4}\n', 2,
-         "timestamp 4 decreases from 5"),
         (GOOD + "\n\n  \n[]\n", 4, "record must be an object"),
         (GOOD + "\r\n\r\n[]\r\n", 3, "record must be an object"),
     ])
@@ -572,6 +570,14 @@ class TestEventLogFold:
         for error in (parsed.value, folded.value):
             assert error.index == index
             assert str(error) == f"malformed event at position {index}: {detail}"
+
+    def test_fold_and_parse_read_a_decrease_as_the_sorted_log(self, tmp_path):
+        # once refused by both at line 2 as "timestamp 4 decreases from 5"
+        lines = [self.GOOD + "\n", '{"kind": "offer", "member": "a", "timestamp": 4}\n']
+        text, in_order = "".join(lines), "".join(reversed(lines))
+        assert sorted(parse_event_log(text), key=itemgetter(2)) == parse_event_log(in_order)
+        assert fold_file(tmp_path, text) == fold_file(tmp_path, in_order) == ingest_event_log(
+            io.StringIO(in_order))
 
 
 def outcome(read):
@@ -587,7 +593,12 @@ def outcome(read):
 def line_by_line(lines) -> CommunityState:
     """The fold with every line of the text of ``lines`` decoded on its own:
     the reference for the scanned reads."""
-    return ingest(io_formats._line_records(io.StringIO("".join(lines)), 1, 0))
+    return ingest(io_formats._line_records(io.StringIO("".join(lines)), 1))
+
+
+def by_timestamp(lines) -> list[str]:
+    """The non-blank lines of ``lines``, each a record, in timestamp order."""
+    return sorted((line for line in lines if line.strip()), key=lambda line: json.loads(line)["timestamp"])
 
 
 def read_fold(lines) -> CommunityState:
@@ -653,22 +664,25 @@ class TestCanonicalBlocks:
 
     CANONICAL = [offer(timestamp) + "\n" for timestamp in (5, 5, 5)]
 
+    # A timestamp below one before it was refused at its line; each such log now
+    # folds as its lines sorted by timestamp. The members differ, so that a
+    # line dropped or counted twice shows.
     @pytest.mark.parametrize("tail, expected", [
         (["[]\n"], error(4, "record must be an object")),
-        ([offer(4) + "\n"], error(4, "timestamp 4 decreases from 5")),
-        ([offer(5) + "\n", offer(4) + "\n"], error(5, "timestamp 4 decreases from 5")),
+        ([offer(4, '"b"') + "\n"], [{}, {"a": 3, "b": 1}, {}, {}]),
+        ([offer(5, '"b"') + "\n", offer(4, '"c"') + "\n"], [{}, {"a": 3, "b": 1, "c": 1}, {}, {}]),
         (["\n", "  \n", offer(6) + "\n", "[]\n"], error(7, "record must be an object")),
-        (["\n", offer(7) + "\n", offer(7) + "\n", offer(6) + "\n"],
-         error(7, "timestamp 6 decreases from 7")),
+        (["\n", offer(7) + "\n", offer(7) + "\n", offer(6, '"b"') + "\n"],
+         [{}, {"a": 5, "b": 1}, {}, {}]),
         (["\n", offer(5) + "\n", "\n"] + CANONICAL, [{}, {"a": 7}, {}, {}]),
         ([offer(9) + "\n", offer(10) + "\n", offer(99) + "\n", offer(100) + "\n"],
          [{}, {"a": 7}, {}, {}]),
-        ([offer(10) + "\n", offer(9) + "\n"], error(5, "timestamp 9 decreases from 10")),
-        ([offer(100) + "\n", offer(99) + "\n"], error(5, "timestamp 99 decreases from 100")),
-        ([offer(21) + "\n", offer(12) + "\n"], error(5, "timestamp 12 decreases from 21")),
-        # a decoded timestamp may be wider than the scan's padding
-        ([offer(10 ** 19) + "\n", offer(10 ** 18 - 1) + "\n"],
-         error(5, "timestamp 999999999999999999 decreases from 10000000000000000000")),
+        ([offer(10) + "\n", offer(9, '"b"') + "\n"], [{}, {"a": 4, "b": 1}, {}, {}]),
+        ([offer(100) + "\n", offer(99, '"b"') + "\n"], [{}, {"a": 4, "b": 1}, {}, {}]),
+        ([offer(21) + "\n", offer(12, '"b"') + "\n"], [{}, {"a": 4, "b": 1}, {}, {}]),
+        # a decoded timestamp may be wider than the scan takes
+        ([offer(10 ** 19) + "\n", offer(10 ** 18 - 1, '"b"') + "\n"],
+         [{}, {"a": 4, "b": 1}, {}, {}]),
     ], ids=["bad-record", "decrease-at-boundary", "decrease-inside-block",
             "error-after-blank-lines", "decrease-after-a-line-read-block", "mixed-blocks",
             "widths-grow", "width-narrows-to-one-digit", "width-narrows-to-two-digits",
@@ -679,18 +693,20 @@ class TestCanonicalBlocks:
         assert outcome(lambda: read_fold(lines)) == expected
         assert outcome(lambda: fold_file(tmp_path, "".join(lines))) == expected
         assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
+        if isinstance(expected, list):
+            assert outcome(lambda: line_by_line(by_timestamp(lines))) == expected
 
-    def test_the_scan_takes_timestamps_of_at_most_the_padded_width(self, monkeypatch):
+    def test_the_scan_takes_timestamps_of_at_most_the_digit_bound(self, monkeypatch):
         widest = 10 ** io_formats._STAMP_DIGITS - 1
         assert io_formats._find_canonical(offer(widest) + "\n") == [("offer", "a", str(widest))]
         assert io_formats._find_canonical(offer(widest + 1) + "\n") == []
         decoded = []
         line_records = io_formats._line_records
 
-        def spy(lines, first_lineno, last_timestamp):
+        def spy(lines, first_lineno):
             lines = list(lines)
             decoded.extend(line.strip() for line in lines if line.strip())
-            return line_records(lines, first_lineno, last_timestamp)
+            return line_records(lines, first_lineno)
         lines = [offer(widest) + "\n", offer(widest + 1) + "\n"]
         monkeypatch.setattr(io_formats, "_line_records", spy)
         monkeypatch.setattr(io_formats, "_BLOCK_CHARS", len(lines[0]))  # a line a read
@@ -748,7 +764,7 @@ class TestCanonicalBlocks:
             text = "".join(lines)
             assert outcome(lambda: read_fold(lines)) == outcome(lambda: line_by_line(lines))
             try:
-                expected = list(io_formats._line_records(io.StringIO(text, newline=None), 1, 0))
+                expected = list(io_formats._line_records(io.StringIO(text, newline=None), 1))
             except MalformedEvent as exc:
                 expected = (exc.index, str(exc))
             try:
@@ -777,7 +793,7 @@ class TestJsonDumpsSpelling:
         assert len("".join(lines)) > 2 * io_formats._BLOCK_CHARS
         expected = ingest((r["kind"], r["member"], r["timestamp"]) for r in self.RECORDS)
         with monkeypatch.context() as patched:
-            def refuse(lines, first_lineno, last_timestamp):
+            def refuse(lines, first_lineno):
                 raise AssertionError("a json.dumps read was read line by line")
             patched.setattr(io_formats, "_line_records", refuse)
             assert read_fold(lines) == expected
@@ -808,6 +824,26 @@ class TestJsonDumpsSpelling:
             assert outcome(lambda: ingest(parse_event_log("".join(lines)))) == expected
             results.add(isinstance(expected, list))
         assert results == {True, False}
+
+
+class TestSpacingKeepsTheVerdict:
+    """A timestamp past the scan's digit bound is read by the decoder in every
+    spelling, so spacing never decides whether a log is read."""
+
+    # 19 digits are past the scan's bound; 4,301 are past the decoder's limit on int conversion
+    @pytest.mark.parametrize("digits, read", [(19, True), (4301, False)])
+    @pytest.mark.parametrize("read_chars", [1, 3, io_formats._BLOCK_CHARS])
+    def test_canonical_and_compact_spellings_get_one_verdict(self, monkeypatch, digits, read,
+                                                             read_chars):
+        monkeypatch.setattr(io_formats, "_BLOCK_CHARS", read_chars)
+        canonical = offer("9" * digits)
+        verdicts = []
+        for record in (canonical, canonical.replace(": ", ":").replace(", ", ",")):
+            text = A + "\n" + record + "\n"
+            verdicts.append(outcome(lambda: ingest_event_log(io.StringIO(text))))
+            verdicts.append(outcome(lambda: ingest(parse_event_log(text))))
+        assert verdicts == verdicts[:1] * 4
+        assert isinstance(verdicts[0], list) is read
 
 
 DEEP = "[" * 100_000

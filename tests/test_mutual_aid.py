@@ -285,6 +285,20 @@ class TestRatioSatisfaction:
         values = [ratio_satisfaction(r, max_ratio) for r in grid]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("max_ratio", [1.0, 0.5, -2.0, -math.inf])
+    def test_a_cap_domain_config_refuses_is_refused_in_its_words(self, max_ratio):
+        # -2.0 returned -3.0 for a ratio of 0, outside [-1, 1]
+        with pytest.raises(ValueError) as config:
+            DomainConfig(max_ratio=max_ratio)
+        with pytest.raises(ValueError) as ramp:
+            ratio_satisfaction(0.0, max_ratio)
+        assert str(ramp.value) == str(config.value) == "max_ratio must be greater than 1"
+
+    @pytest.mark.parametrize("ratio, expected", [(math.inf, 1.0), (1e308, 0.0), (1.0, 0.0), (0.0, -1.0)])
+    def test_an_infinite_cap_maps_a_ratio_at_it_to_one(self, ratio, expected):
+        # inf against inf gave NaN
+        assert ratio_satisfaction(ratio, math.inf) == expected
+
 
 class TestDifferenceSatisfaction:
     def test_perfect_balance(self):
@@ -293,7 +307,7 @@ class TestDifferenceSatisfaction:
     def test_tolerance_boundary_is_neutral(self):
         assert difference_satisfaction(0.1, 0.1, 1.0) == 0.0
 
-    @given(st.floats(min_value=0.0, max_value=0.99, allow_nan=False))
+    @given(st.floats(min_value=0.0, max_value=0.99, allow_nan=False, exclude_min=True))
     def test_tolerance_boundary_is_positive_zero(self, epsilon):
         # -0.0 == 0.0, so compare signs: -0.0 prints as "-0.000000" in tables
         assert math.copysign(1.0, difference_satisfaction(epsilon, epsilon, 1.0)) == 1.0
@@ -334,6 +348,24 @@ class TestDifferenceSatisfaction:
         grid = [i / 50 for i in range(51)]
         values = [difference_satisfaction(d, 0.1, 1.0) for d in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("epsilon, max_delta, words", [
+        (0.0, 1.0, "epsilon must be positive"), (-0.1, 1.0, "epsilon must be positive"),
+        (math.inf, math.inf, "max_delta must exceed epsilon"),
+        (0.1, 0.1, "max_delta must exceed epsilon"), (0.1, -1.0, "max_delta must exceed epsilon"),
+    ])
+    def test_parameters_domain_config_refuses_are_refused_in_its_words(self, epsilon, max_delta, words):
+        # (0.1, -1.0) returned 11.0 for an imbalance of 0, outside [-1, 1]
+        with pytest.raises(ValueError) as config:
+            DomainConfig(epsilon=epsilon, max_delta=max_delta)
+        with pytest.raises(ValueError) as ramp:
+            difference_satisfaction(0.0, epsilon, max_delta)
+        assert str(ramp.value) == str(config.value) == words
+
+    @pytest.mark.parametrize("delta, expected", [(math.inf, -1.0), (0.1, 0.0), (0.0, 1.0)])
+    def test_an_infinite_cap_maps_an_imbalance_at_it_to_minus_one(self, delta, expected):
+        # inf against inf gave NaN
+        assert difference_satisfaction(delta, 0.1, math.inf) == expected
 
 
 class TestMemberSatisfaction:

@@ -515,25 +515,30 @@ class CountedReads(io.StringIO):
         return super().read(size)
 
 
-@pytest.mark.parametrize("events, first", [
-    pytest.param(3_000, 0, id="3000"),
-    pytest.param(30_000, 0, id="30000"),
+@pytest.mark.parametrize("events, first, shuffled", [
+    pytest.param(3_000, 0, False, id="3000"),
+    pytest.param(30_000, 0, False, id="30000"),
     # timestamps cross from 17 digits to 18 inside a read
-    pytest.param(3_000, 10 ** 17 - 500, id="3000-from-17-digits-to-18"),
+    pytest.param(3_000, 10 ** 17 - 500, False, id="3000-from-17-digits-to-18"),
+    # timestamps in no order, widths crossing up and down: the reads are the same
+    pytest.param(3_000, 10 ** 17 - 500, True, id="3000-shuffled-timestamps"),
 ])
-def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, events, first):
+def test_a_canonical_log_folds_in_whole_reads_with_no_line_decoded(monkeypatch, events, first, shuffled):
     decoded = []
     original = io_formats._line_records
 
-    def counted(lines, first_lineno, last_timestamp):
+    def counted(lines, first_lineno):
         lines = list(lines)
         decoded.extend(lines)
-        return (yield from original(lines, first_lineno, last_timestamp))
+        return (yield from original(lines, first_lineno))
     monkeypatch.setattr(io_formats, "_line_records", counted)
     rng = random.Random(events)
     kinds = [kind.value for kind in EventKind]
+    timestamps = [first + i // 3 for i in range(events)]
+    if shuffled:
+        rng.shuffle(timestamps)
     text = "".join(json.dumps({"kind": rng.choice(kinds), "member": f"m{rng.randrange(500)}",
-                               "timestamp": first + i // 3}) + "\n" for i in range(events))
+                               "timestamp": timestamp}) + "\n" for timestamp in timestamps)
     stream = CountedReads(text)
     state = ingest_event_log(stream)
     counters = (state.requests, state.offers, state.volunteering, state.task_distribution)
