@@ -121,8 +121,8 @@ def select_nodes(importances: Mapping[NodeId, float],
     A value that is no finite number raises a ValueError, judged once per
     call by one rule under both strategies: the mean of the values must be a
     finite number, which a non-number, a NaN, an infinity or an overflowing
-    sum prevents. Two-means selection also refuses, in words of its own,
-    finite values whose spread's square overflows the summed squared error.
+    sum prevents. Finite values whose spread's square overflows the summed
+    squared error are split as the same values scaled by a power of two.
     An empty mapping selects nothing under positive-threshold selection and
     raises EmptyInput under two-means.
     """
@@ -142,7 +142,9 @@ def select_nodes(importances: Mapping[NodeId, float],
     centred = [v - mean for _, v in items]
     total_sse = math.fsum(c * c for c in centred)
     if not math.isfinite(total_sse):  # finite values whose spread's square overflows
-        raise ValueError("importances spread too widely to split: their squared error overflows")
+        # scaled by the power of two that brings the largest magnitude to at most 1
+        _, exponent = math.frexp(max(-items[0][1], items[-1][1]))
+        return select_nodes({node: math.ldexp(v, -exponent) for node, v in items}, strategy)
     if items[0][1] == items[-1][1]:
         return set(importances)
     n = len(items)

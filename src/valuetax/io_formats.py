@@ -21,19 +21,19 @@ adjacency map in that order, each child tuple being in id order: sorted pairs.
 Each entry goes, after its separator, into one list joined once. DOT export lists
 its edges the same way, from the adjacency map, in one list of lines joined once.
 
-An event log is read as ``(kind, member, timestamp)`` tuples, ``kind`` being
-the :class:`~valuetax.mutual_aid.EventKind` value the line spells, which
+An event log is read as ``(kind, member)`` pairs, ``kind`` being the
+:class:`~valuetax.mutual_aid.EventKind` value the line spells, which
 :func:`~valuetax.mutual_aid.ingest` counts. A log means the multiset of its
-events: a timestamp must be a non-negative integer, but no result reads it, so
-the lines may come in any order. A log is read from a text stream, 8,192
-characters at a time; lines end at ``\n``, and the lines of a read are checked
-before a later read error. A read's records come from one anchored
-regular-expression scan when each line holds a canonical record - ``{"kind": K,
-"member": M, "timestamp": T}`` in that key order and spelled as ``json.dumps``
-writes it by default, a space after each colon and comma and none elsewhere, M
-free of escapes and control characters (its text is its value), T an unsigned
-integer of at most 18 digits with no leading zero. Such a read's batch is the
-scan's own list of tuples, its timestamps the lines' digit strings.
+events: each line's timestamp must be a non-negative integer, and is checked but
+not kept, since no result reads it; the lines may come in any order. A log is
+read from a text stream, 8,192 characters at a time; lines end at ``\n``, and
+the lines of a read are checked before a later read error. A read's records
+come from one anchored regular-expression scan when each line holds a canonical
+record - ``{"kind": K, "member": M, "timestamp": T}`` in that key order and
+spelled as ``json.dumps`` writes it by default, a space after each colon and
+comma and none elsewhere, M free of escapes and control characters (its text is
+its value), T an unsigned integer of at most 18 digits with no leading zero.
+Such a read's batch is the scan's own list of pairs.
 Any other read (a blank line, other spacing, another key order, an escape, a
 BOM) is read exactly, line by line, each line decoded by the one JSON decoder
 the documents share, in its words; a refused kind or member in the words of
@@ -74,7 +74,7 @@ _STAMP_DIGITS = 18
 # the canonical event record of the module docstring, one per line
 _find_canonical = re.compile(
     r'^\{"kind": "(' + "|".join(re.escape(k.value) for k in EventKind)
-    + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (0|[1-9][0-9]{0,%d})\}$'
+    + r')", "member": "([^"\\\x00-\x1f]+)", "timestamp": (?:0|[1-9][0-9]{0,%d})\}$'
     % (_STAMP_DIGITS - 1), re.M).findall
 _BLOCK_CHARS = 8192  # io's text chunk: a larger read fails on a bad byte, lines before it unread
 
@@ -205,13 +205,13 @@ def _parse_selection(raw: Any) -> SelectionStrategy:
     return SelectionStrategy(kind, threshold)
 
 
-def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | str]]]:
-    """The ``(kind, member, timestamp)`` records of each read of an event log's
-    text stream, one batch per read, for each non-blank line: the scan's own list
-    for a read of canonical records, else :func:`_line_records`, which alone
-    words errors and gives int timestamps. A bad record raises
-    :class:`MalformedEvent` with its 1-based line number, blank lines counted;
-    the lines of earlier reads are checked before a read error is raised."""
+def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str]]]:
+    """The ``(kind, member)`` records of each read of an event log's text
+    stream, one batch per read, for each non-blank line: the scan's own list for
+    a read of canonical records, else :func:`_line_records`, which alone words
+    errors. A bad record raises :class:`MalformedEvent` with its 1-based line
+    number, blank lines counted; the lines of earlier reads are checked before a
+    read error is raised."""
     lineno, tail = 1, []
     while chunk := stream.read(_BLOCK_CHARS):
         end = chunk.rfind("\n") + 1
@@ -229,10 +229,10 @@ def _event_batches(stream: TextIO) -> Iterator[Iterable[tuple[str, str, int | st
         yield _line_records((last,), lineno)
 
 
-def _line_records(lines: Iterable[str], first_lineno: int) -> Iterator[tuple[str, str, int]]:
+def _line_records(lines: Iterable[str], first_lineno: int) -> Iterator[tuple[str, str]]:
     """The records of :func:`_event_batches` over ``lines``, numbered from
-    ``first_lineno``. Each line is decoded as a document is, and a malformed
-    one refused in the same words, located at its line number."""
+    ``first_lineno``, each line decoded as a document is, its timestamp checked
+    and dropped; a malformed one is refused in the document's words, at its line."""
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
         if not line:
@@ -249,16 +249,15 @@ def _line_records(lines: Iterable[str], first_lineno: int) -> Iterator[tuple[str
         if type(timestamp) is not int or timestamp < 0:  # bool is an int subclass
             raise MalformedEvent(
                 lineno, f"event timestamp must be a non-negative integer, got {timestamp!r}")
-        yield kind, member, timestamp
+        yield kind, member
 
 
-def parse_event_log(text: str) -> list[tuple[str, str, int]]:
-    """The records of a line-delimited event log, as :func:`_event_batches`
-    reads them, with int timestamps; blank lines are skipped. Lines end at
+def parse_event_log(text: str) -> list[tuple[str, str]]:
+    """The ``(kind, member)`` records of a line-delimited event log, as
+    :func:`_event_batches` reads them; blank lines are skipped. Lines end at
     newlines only, as in a text file, so JSON strings may hold U+2028 and the
     like raw. Records come in file order, which need not be timestamp order."""
-    batches = _event_batches(io.StringIO(text, newline=None))
-    return [(kind, member, int(timestamp)) for kind, member, timestamp in chain.from_iterable(batches)]
+    return list(chain.from_iterable(_event_batches(io.StringIO(text, newline=None))))
 
 
 def ingest_event_log(stream: TextIO) -> CommunityState:

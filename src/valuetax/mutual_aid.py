@@ -104,24 +104,22 @@ def event_refusal(kind: object, member: object) -> Optional[str]:
     return None
 
 
-def ingest(records: Iterable[tuple[str, str, int]]) -> CommunityState:
+def ingest(records: Iterable[tuple[str, str]]) -> CommunityState:
     """Fold event records into counters; counting is order-insensitive. A
-    record is ``(kind, member, timestamp)``, ``kind`` an :class:`EventKind`
-    value, as :func:`~valuetax.io_formats.ingest_event_log` reads them from a
-    log. The counters hold one string per member name, the first one read, and
-    become the state's own, uncopied. Each record is judged where it is read: one
-    that is no triple raises a ValueError, and so does one that
-    :func:`event_refusal` refuses, a member name being checked the first time it
-    is seen. The timestamp is not read, since counting does not depend on order;
-    its rule (a non-negative integer) is the log reader's. An error raised by
-    ``records`` itself passes through unchanged."""
+    record is ``(kind, member)``, ``kind`` an :class:`EventKind` value, as
+    :func:`~valuetax.io_formats.ingest_event_log` reads them from a log. The
+    counters hold one string per member name, the first one read, and become the
+    state's own, uncopied. Each record is judged where it is read: one that is
+    no pair raises a ValueError, and so does one that :func:`event_refusal`
+    refuses, a member name being checked the first time it is seen. An error
+    raised by ``records`` itself passes through unchanged."""
     buckets: dict[str, dict[str, int]] = {kind.value: {} for kind in EventKind}
     names: dict[str, str] = {}
     for record in records:
         try:
-            kind, member, _ = record
+            kind, member = record
         except (TypeError, ValueError):
-            raise ValueError("event record must be a (kind, member, timestamp) triple") from None
+            raise ValueError("event record must be a (kind, member) pair") from None
         try:
             bucket = buckets[kind]
             count = bucket.get(member)
@@ -287,27 +285,17 @@ def satisfaction_degrees(state: CommunityState, cfg: DomainConfig,
     return degrees
 
 
-_EXACT_NUMBERS = frozenset((int, float))  # the mass types that need no as_number call
-
-
 def _normalize(dist: Sequence[float], name: str) -> Iterator[float]:
     """Probabilities from counts or weights, divided out lazily once the masses
     are checked and summed. A mass is a number by the rule of
     :func:`~valuetax.taxonomy.as_number`, an int past the float range being
-    infinite; none may be negative, and their sum must be finite. Masses of the
-    exact types are checked by builtin passes over the sequence, with no call
-    per mass."""
-    if not _EXACT_NUMBERS.issuperset(map(type, dist)):  # a bool, a string, a float subclass
-        try:
-            dist = list(map(as_number, dist))
-        except ValueError as exc:
-            raise ValueError(f"{name} mass {exc}") from None
+    infinite; none may be negative, and their sum must be finite."""
     # The builtin sum is exact on what task_imbalance passes: integer counts as
     # floats, whose sums are exact below 2**53 in any order and on any Python.
     try:
-        total = sum(map(float, dist))
-    except OverflowError:  # an int past the float range
-        total = math.inf
+        total = sum(map(as_number, dist))  # no list of floats, which would raise align's peak
+    except ValueError as exc:
+        raise ValueError(f"{name} mass {exc}") from None
     if not math.isfinite(total) or (dist and min(dist) < 0):  # a finite total holds no NaN
         if any(v < 0 for v in dist):
             raise ValueError(f"{name} has negative mass")

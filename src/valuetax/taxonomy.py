@@ -28,6 +28,7 @@ and an upward-closed subgraph that structure filtered.
 from __future__ import annotations
 
 import heapq
+import re
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -50,6 +51,8 @@ RULE_UNKNOWN_ENDPOINT = "UnknownEdgeEndpoint"
 # Rules of node and edge sequences, located at the index of the repeat.
 RULE_DUPLICATE_ID = "DuplicateNodeId"
 RULE_DUPLICATE_EDGE = "DuplicateEdge"
+# a lone surrogate, as JSON decodes the escape "\ud800": UTF-8 cannot encode one
+_find_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 class NodeKind(Enum):
@@ -59,17 +62,21 @@ class NodeKind(Enum):
 
 class Node(Record):
     """One value concept. ``text`` is a label node's display text, or a
-    property node's reference into the property catalog."""
+    property node's reference into the property catalog; neither holds a lone surrogate."""
 
     __slots__ = ("id", "kind", "text")
 
     def __init__(self, id: NodeId, kind: NodeKind, text: str):
         if not isinstance(id, str) or not id:
             raise ParseError("id", "node id must be a non-empty string")
+        if not id.isascii() and _find_surrogate(id):
+            raise ParseError("id", f"node id must hold no lone surrogate, got {id!r}")
         if not isinstance(kind, NodeKind):
             raise ParseError("kind", f"unknown node kind: {kind!r}")
         if not isinstance(text, str):
             raise ParseError("text", f"must be a string, got {text!r}")
+        if not text.isascii() and _find_surrogate(text):
+            raise ParseError("text", f"must hold no lone surrogate, got {text!r}")
         setfield(self, "id", id)
         setfield(self, "kind", kind)
         setfield(self, "text", text)
@@ -167,6 +174,8 @@ class ValueTaxonomy(Record):
             if head is not None and tail is not None:
                 children[head.id].append(tail.id)
                 parents[tail.id].append(head.id)
+            elif _find_surrogate(parent + child):  # no node holds one: validate would write it
+                raise ParseError(f"edges[{i}]", f"edge endpoints must hold no lone surrogate, got {edge!r}")
             else:
                 stray.append(edge)
         del given  # not held through the sorting and the Kahn pass

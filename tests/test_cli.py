@@ -175,10 +175,12 @@ class TestDemo:
 
     def test_event_log_fixture_is_well_formed(self):
         from valuetax import parse_event_log
-        events = parse_event_log(demo_event_log())
+        text = demo_event_log()
+        events = parse_event_log(text)
         assert len(events) == 112
-        assert events[0] == ("request", "alice", 0)
-        assert events[-1] == ("task_assigned", "bruno", 111)
+        assert events[0] == ("request", "alice")
+        assert events[-1] == ("task_assigned", "bruno")
+        assert [json.loads(line)["timestamp"] for line in text.splitlines()] == list(range(112))
 
 
 class TestValidateCommand:
@@ -870,14 +872,18 @@ FLOAT_OPTIONS = {"context": ("--threshold",), "align": ("--max-r", "--epsilon", 
 # at the ends of the float range and near each option's bounds
 EDGE_FLOATS = ("inf", "-inf", "nan", "1e-320", "-1e-320", "1e308", "-1e308", "-0.0", "0.1", "1", "5")
 EDGE_IMPORTANCES = (-1.0, -0.0, 5e-324, 0.3, 1.0)
+LONE_SURROGATE_DOCUMENT = ('{"schema_version": 1, "nodes": [{"id": "\\ud800", "kind": "label"}, '
+                           '{"id": "b", "kind": "label", "label_text": "\\udc80"}]}')
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A directory holding a diamond ladder whose properties have 2 ** 1100 paths each."""
+    """A directory holding a diamond ladder whose properties have 2 ** 1100 paths
+    each, and a document whose node id and label text are lone surrogate escapes."""
     directory = tmp_path_factory.mktemp("fuzz")
     (directory / "ladder.json").write_text(serialize_taxonomy(diamond_ladder(1100)),
                                            encoding="utf-8")
+    (directory / "surrogate.json").write_text(LONE_SURROGATE_DOCUMENT, encoding="utf-8")
     return directory
 
 
@@ -907,7 +913,7 @@ def test_no_command_ends_in_a_traceback(fuzz_dir, seed, data):
     fmt = data.draw(st.sampled_from(("text", "machine")))
     argv = [command, "--format", fmt]
     if command != "demo":
-        document = data.draw(st.sampled_from(("taxonomy.json", "ladder.json")))
+        document = data.draw(st.sampled_from(("taxonomy.json", "ladder.json", "surrogate.json")))
         argv += ["--input", str(fuzz_dir / document)]
     for option in FLOAT_OPTIONS.get(command, ()):
         if data.draw(st.booleans()):  # joined by "=", since argparse reads "-inf" as an option
@@ -926,5 +932,6 @@ def test_no_command_ends_in_a_traceback(fuzz_dir, seed, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
+    out.getvalue().encode("utf-8")  # a lone surrogate once reached stdout, which no file can hold
     if fmt == "machine" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=refuse_constant)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -146,11 +147,20 @@ class TestSelectNodes:
             select_nodes(values, strategy)
         assert type(caught.value) is ValueError
 
-    def test_a_spread_whose_square_overflows_is_refused_in_its_own_words(self):
-        # both values are finite; the refusal once said they were not
-        with pytest.raises(ValueError, match=r"^importances spread too widely to split: "
-                                             r"their squared error overflows$"):
-            select_nodes({"a": 1e200, "b": -1e200}, KMEANS)
+    BIG = sys.float_info.max
+
+    @pytest.mark.parametrize("values, upper", [
+        ({"a": 1e200, "b": -1e200}, {"a"}),
+        ({"a": 1e300, "b": -1e300, "c": 9e299, "d": 0.0}, {"a", "c"}),
+        ({"a": -1e300, "b": -9e299, "c": 1e300, "d": 1e-300}, {"c", "d"}),
+        ({"a": BIG, "b": -BIG}, {"a"}),
+        ({"a": BIG, "b": -BIG, "c": BIG / 2, "d": -BIG / 3}, {"a", "c"}),
+    ], ids=["1e200", "1e300", "1e300-with-a-tiny-value", "max", "max-with-halves"])
+    def test_a_spread_whose_square_overflows_is_split(self, values, upper):
+        # both values are finite; such values were refused, first as no finite numbers
+        _, exponent = math.frexp(max(abs(v) for v in values.values()))
+        scaled = {node: math.ldexp(v, -exponent) for node, v in values.items()}
+        assert select_nodes(values, KMEANS) == exact_two_means_oracle(scaled) == upper
 
     def test_raising_threshold_never_adds_nodes(self):
         rng = random.Random(3)

@@ -52,9 +52,9 @@ from valuetax.errors import (
 CFG = DomainConfig()
 
 
-def events_for(member: str, kind: EventKind, count: int, start: int = 0):
+def events_for(member: str, kind: EventKind, count: int):
     """``count`` event records as the event-log reader yields them."""
-    return [(kind.value, member, start + i) for i in range(count)]
+    return [(kind.value, member)] * count
 
 
 def state_with(requests=None, offers=None, volunteering=None, tasks=None):
@@ -102,7 +102,7 @@ def reference_emd(d, u):
 
 class TestIngest:
     def test_counts_requests_and_offers(self):
-        log = events_for("m", EventKind.REQUEST, 3) + events_for("m", EventKind.OFFER, 2, 10)
+        log = events_for("m", EventKind.REQUEST, 3) + events_for("m", EventKind.OFFER, 2)
         state = ingest(log)
         assert state.requests["m"] == 3
         assert state.offers["m"] == 2
@@ -122,7 +122,7 @@ class TestIngest:
 
     def test_task_distribution(self):
         log = (events_for("v1", EventKind.TASK_ASSIGNED, 2)
-               + events_for("v2", EventKind.TASK_ASSIGNED, 2, 5))
+               + events_for("v2", EventKind.TASK_ASSIGNED, 2))
         state = ingest(log)
         assert dict(state.task_distribution) == {"v1": 2, "v2": 2}
         assert sum(state.task_distribution.values()) == 4
@@ -130,9 +130,9 @@ class TestIngest:
     def test_counting_is_order_insensitive(self):
         rng = random.Random(8)
         log = (events_for("a", EventKind.REQUEST, 4)
-               + events_for("b", EventKind.OFFER, 3, 10)
-               + events_for("a", EventKind.VOLUNTEER_CHOSEN, 2, 20)
-               + events_for("b", EventKind.TASK_ASSIGNED, 5, 30))
+               + events_for("b", EventKind.OFFER, 3)
+               + events_for("a", EventKind.VOLUNTEER_CHOSEN, 2)
+               + events_for("b", EventKind.TASK_ASSIGNED, 5))
         shuffled = log[:]
         rng.shuffle(shuffled)
         assert ingest(log) == ingest(shuffled)
@@ -156,9 +156,9 @@ class TestIngest:
 
     def test_ingest_checks_the_counters_it_hands_over_uncopied(self):
         with pytest.raises(ValueError, match=r"^event member must be a non-empty string, got ''$"):
-            ingest([("request", "", 0)])
+            ingest([("request", "")])
 
-    @pytest.mark.parametrize("records", [[("bogus", "a", 0)], [("offer", "a", 0), ("bogus", "a", 1)]],
+    @pytest.mark.parametrize("records", [[("bogus", "a")], [("offer", "a"), ("bogus", "a")]],
                              ids=["first", "later"])
     def test_an_unknown_kind_is_refused_in_the_readers_wording(self, records):
         # once a bare KeyError: 'bogus'
@@ -167,28 +167,28 @@ class TestIngest:
 
     def test_a_key_error_of_the_records_themselves_is_not_reworded(self):
         def records():
-            yield ("offer", "a", 0)
+            yield ("offer", "a")
             raise KeyError("own")
         with pytest.raises(KeyError, match="own"):
             ingest(records())
 
     @pytest.mark.parametrize("records, message", [
-        ([(["x"], "a", 0)], r"unknown event kind: \['x'\]"),
-        ([("offer", "a", 0), (["x"], "a", 1)], r"unknown event kind: \['x'\]"),
-        ([("offer", ["a"], 0)], r"event member must be a non-empty string, got \['a'\]"),
-        ([("offer", "a")], r"event record must be a \(kind, member, timestamp\) triple"),
-        ([5], r"event record must be a \(kind, member, timestamp\) triple"),
-        ([("offer", "a", 0), ("offer", "a", 1, 2)], r"event record must be a \(kind, member, timestamp\) triple"),
-        ([(("a", ["b"]), "m", 0)], r"unknown event kind: \('a', \['b'\]\)"),
-        ([("offer", ("a", ["b"]), 0)], r"event member must be a non-empty string, got \('a', \['b'\]\)"),
-        ([["bogus", "a", 0]], r"unknown event kind: 'bogus'"),
-        ([["offer", "a", 0], [("a", ["b"]), "a", 1]], r"unknown event kind: \('a', \['b'\]\)"),
-        ([("offer", "", 0)], r"event member must be a non-empty string, got ''"),
-        ([("offer", 5, 0)], r"event member must be a non-empty string, got 5"),
-        ([("offer", None, 0)], r"event member must be a non-empty string, got None"),
-        ([("offer", "a", 0), ("request", "a", 1), ("offer", "", 2)],
+        ([(["x"], "a")], r"unknown event kind: \['x'\]"),
+        ([("offer", "a"), (["x"], "a")], r"unknown event kind: \['x'\]"),
+        ([("offer", ["a"])], r"event member must be a non-empty string, got \['a'\]"),
+        ([("offer", "a", 0)], r"event record must be a \(kind, member\) pair"),
+        ([5], r"event record must be a \(kind, member\) pair"),
+        ([("offer", "a"), ("offer", "a", 1, 2)], r"event record must be a \(kind, member\) pair"),
+        ([(("a", ["b"]), "m")], r"unknown event kind: \('a', \['b'\]\)"),
+        ([("offer", ("a", ["b"]))], r"event member must be a non-empty string, got \('a', \['b'\]\)"),
+        ([["bogus", "a"]], r"unknown event kind: 'bogus'"),
+        ([["offer", "a"], [("a", ["b"]), "a"]], r"unknown event kind: \('a', \['b'\]\)"),
+        ([("offer", "")], r"event member must be a non-empty string, got ''"),
+        ([("offer", 5)], r"event member must be a non-empty string, got 5"),
+        ([("offer", None)], r"event member must be a non-empty string, got None"),
+        ([("offer", "a"), ("request", "a"), ("offer", "")],
          r"event member must be a non-empty string, got ''"),
-    ], ids=["list-kind", "later-list-kind", "list-member", "pair", "int", "later-quadruple",
+    ], ids=["list-kind", "later-list-kind", "list-member", "triple", "int", "later-quadruple",
             "tuple-holding-a-list-kind", "tuple-holding-a-list-member", "list-record-unknown-kind",
             "list-record-tuple-holding-a-list-kind", "empty-member", "int-member", "None-member",
             "later-empty-member"])
@@ -210,7 +210,7 @@ class TestIngest:
         with pytest.raises(MalformedEvent) as read:
             parse_event_log(line)
         with pytest.raises(ValueError) as folded:
-            ingest([(kind, member, 0)])
+            ingest([(kind, member)])
         prefix = "malformed event at position 1: "
         assert str(read.value).startswith(prefix)
         assert str(read.value)[len(prefix):] == str(folded.value)
@@ -219,15 +219,15 @@ class TestIngest:
                              ids=["ValueError", "TypeError", "MalformedEvent"])
     def test_an_error_of_the_records_themselves_passes_through(self, error):
         def records():
-            yield ("offer", "a", 0)
+            yield ("offer", "a")
             raise error
         with pytest.raises(type(error)) as caught:
             ingest(records())
         assert caught.value is error
 
     @pytest.mark.parametrize("records, error, message", [
-        (lambda: zip(["offer", "offer"], ["a", "b"], [0], strict=True), ValueError, "zip()"),
-        (lambda: map({"r": ("offer", "a", 0)}.__getitem__, ["r", "missing"]), KeyError, "missing"),
+        (lambda: zip(["offer", "offer"], ["a"], strict=True), ValueError, "zip()"),
+        (lambda: map({"r": ("offer", "a")}.__getitem__, ["r", "missing"]), KeyError, "missing"),
     ], ids=["zip-strict", "map-lookup"])
     def test_an_error_of_records_written_in_c_passes_through(self, records, error, message):
         # raised with no frame of the records' own, as the fold's lookups and unpacking are

@@ -79,6 +79,17 @@ class TestNodes:
             Node("x", kind, text)
         assert str(excinfo.value) == f"text: must be a string, got {text!r}"
 
+    # no output file or stream could hold one: a command that wrote it ended in a traceback
+    @pytest.mark.parametrize("text", ["\ud800", "a\udc80", "\ud83d\ude00"],
+                             ids=["high", "low-after-ascii", "code-points-of-a-pair"])
+    def test_an_id_or_text_with_a_lone_surrogate_is_refused(self, text):
+        with pytest.raises(ParseError) as excinfo:
+            label_node(text, "t")
+        assert str(excinfo.value) == f"id: node id must hold no lone surrogate, got {text!r}"
+        with pytest.raises(ParseError) as excinfo:
+            label_node("x", text)
+        assert str(excinfo.value) == f"text: must hold no lone surrogate, got {text!r}"
+
 
 class TestConstruction:
     def test_duplicate_edge_rejected(self):
@@ -121,6 +132,13 @@ class TestConstruction:
         with pytest.raises(ValueError) as excinfo:
             ValueTaxonomy.build(nodes, [edge, ("a", "b")])
         assert str(excinfo.value) == "edges[0]: edge endpoints must be node id strings"
+
+    @pytest.mark.parametrize("edge", [("a", "\ud800"), ("\udc80", "a")], ids=["child", "parent"])
+    def test_an_edge_endpoint_with_a_lone_surrogate_is_refused(self, edge):
+        # no node holds one, so it was an unknown endpoint that validate wrote raw
+        with pytest.raises(ParseError) as excinfo:
+            ValueTaxonomy.build([label_node("a")], [edge])
+        assert str(excinfo.value) == f"edges[0]: edge endpoints must hold no lone surrogate, got {edge!r}"
 
     # A two-character string would unpack into two string endpoints.
     @pytest.mark.parametrize("edge", ["ab", ("a", "b", "c"), ("a",), 5, ["a", "b"], None],
